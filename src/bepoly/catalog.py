@@ -410,6 +410,7 @@ class IdentitySpec:
     sides were multiplied by ``pole``.  The residual is identically
     zero for every in-domain parameter choice -- except for entries
     flagged ``negative``, which exist to prove the harness can fail.
+    ``q_min`` is the smallest admissible q for entries that take one.
     """
 
     key: str
@@ -421,6 +422,7 @@ class IdentitySpec:
     params: tuple[str, ...] = ()
     p_default: tuple[int, int] = (0, 3)
     q_default: tuple[int, int] = (0, 3)
+    q_min: int = 0
     negative: bool = False
 
     def in_domain(self, n: int, l: Optional[int] = None,
@@ -431,76 +433,72 @@ class IdentitySpec:
             return False
         if "p" in self.params and (p is None or p < 0):
             return False
-        if "q" in self.params:
-            q_min = 1 if self.key == "3.2" else 0
-            if q is None or q < q_min:
-                return False
+        if "q" in self.params and (q is None or q < self.q_min):
+            return False
         return True
-
-
-def _entry(key, arity, n_min, build, summary, pole="none", params=(),
-           p_default=(0, 3), q_default=(0, 3), negative=False) -> IdentitySpec:
-    return IdentitySpec(key, arity, n_min, build, summary, pole, params,
-                        p_default, q_default, negative)
 
 
 CATALOG: dict[str, IdentitySpec] = {
     s.key: s
     for s in (
-        _entry("1.1", "scalar", 4, _r_1_1,
-               "ordinary vs binomial Bernoulli convolution: (2/n) H_n B_n"),
-        _entry("1.2", "scalar", 4, _r_1_2,
-               "1/k-weighted Bernoulli convolution: H_n B_n"),
-        _entry("1.3", "scalar", 4, _r_1_3,
-               "unweighted Bernoulli convolution: n(n+1) B_n"),
-        _entry("1.4", "bivariate", 2, _r_1_4,
-               "two-variable extension of 1.1", pole="(x-y)"),
-        _entry("1.4p", "bivariate", 2, _r_1_4p,
-               "equivalent form of 1.4 (times n, split weights)", pole="(x-y)"),
-        _entry("1.5", "bivariate", 2, _r_1_5,
-               "two-variable extension of 1.3", pole="(n+2)(x-y)^3"),
-        _entry("1.6", "univariate", 2, _r_1_6,
-               "diagonal y=x of 1.4"),
-        _entry("1.7", "univariate", 2, _r_1_7,
-               "diagonal y=x of 1.5"),
-        _entry("cor1.2", "scalar", 4, _r_cor_1_2,
-               "midpoint x=1/2 chain in Bbar_k; three equal expressions"),
-        _entry("1.8", "bivariate", 1, _r_1_8,
-               "Euler-Euler convolution vs Euler-Bernoulli sums", pole="(x-y)"),
-        _entry("1.9", "bivariate", 1, _r_1_9,
-               "Bernoulli-Euler convolution, 1/k weights", pole="(x-y)"),
-        _entry("1.10", "bivariate", 1, _r_1_10,
-               "Bernoulli-Euler convolution, unweighted", pole="(x-y)^2"),
-        _entry("1.11", "univariate", 0, _r_1_11,
-               "diagonal of 1.8: Euler convolution vs Bernoulli sum"),
-        _entry("1.12", "univariate", 0, _r_1_12,
-               "diagonal of 1.9: H_n E_n(x)"),
-        _entry("1.13", "univariate", 0, _r_1_13,
-               "diagonal of 1.10: (n+1) E_n(x)"),
-        _entry("2.1", "bivariate", 1, _r_2_1,
-               "Bernoulli shift-convolution sum (binomial weights)"),
-        _entry("2.1-as-printed", "bivariate", 1, _r_2_1_as_printed,
-               "NEGATIVE CONTROL: 2.1 without the binomial weight; "
-               "fails for n >= 2", negative=True),
-        _entry("2.2", "bivariate", 0, _r_2_2,
-               "Euler shift-convolution sum"),
-        _entry("2.3", "bivariate", 2, _r_2_3,
-               "y -> x+y form of 1.4", pole="y"),
-        _entry("2.4", "bivariate", 1, _r_2_4,
-               "y -> x+y form of 1.8", pole="y"),
-        _entry("2.5", "bivariate", 1, _r_2_5,
-               "(x,y) -> (x+y,x) form of 1.9", pole="y"),
-        _entry("chu", "scalar", 1, _r_chu,
-               "hockey-stick sum: sum C(k-1,l-1) = C(n,l)", params=("l",)),
-        _entry("3.1", "univariate", 2, _r_3_1,
-               "gamma/beta-weighted extension of 1.6; integer p, q >= 0",
-               params=("p", "q")),
-        _entry("3.2", "scalar", 1, _r_3_2,
-               "beta-weighted extension of chu; q >= 1",
-               params=("l", "p", "q"), p_default=(0, 4), q_default=(1, 4)),
-        _entry("ds", "scalar", 2, _r_ds,
-               "even-index rising-factorial convolution (p = q, x = 0 slice of 3.1)",
-               params=("p",), p_default=(0, 4)),
+        IdentitySpec(key="1.1", arity="scalar", n_min=4, build=_r_1_1,
+                     summary="ordinary vs binomial Bernoulli convolution: (2/n) H_n B_n"),
+        IdentitySpec(key="1.2", arity="scalar", n_min=4, build=_r_1_2,
+                     summary="1/k-weighted Bernoulli convolution: H_n B_n"),
+        IdentitySpec(key="1.3", arity="scalar", n_min=4, build=_r_1_3,
+                     summary="unweighted Bernoulli convolution: n(n+1) B_n"),
+        IdentitySpec(key="1.4", arity="bivariate", n_min=2, build=_r_1_4,
+                     summary="two-variable extension of 1.1", pole="(x-y)"),
+        IdentitySpec(key="1.4p", arity="bivariate", n_min=2, build=_r_1_4p,
+                     summary="equivalent form of 1.4 (times n, split weights)", pole="(x-y)"),
+        IdentitySpec(key="1.5", arity="bivariate", n_min=2, build=_r_1_5,
+                     summary="two-variable extension of 1.3", pole="(n+2)(x-y)^3"),
+        IdentitySpec(key="1.6", arity="univariate", n_min=2, build=_r_1_6,
+                     summary="diagonal y=x of 1.4"),
+        IdentitySpec(key="1.7", arity="univariate", n_min=2, build=_r_1_7,
+                     summary="diagonal y=x of 1.5"),
+        IdentitySpec(key="cor1.2", arity="scalar", n_min=4, build=_r_cor_1_2,
+                     summary="midpoint x=1/2 chain in Bbar_k; three equal expressions"),
+        IdentitySpec(key="1.8", arity="bivariate", n_min=1, build=_r_1_8,
+                     summary="Euler-Euler convolution vs Euler-Bernoulli sums", pole="(x-y)"),
+        IdentitySpec(key="1.9", arity="bivariate", n_min=1, build=_r_1_9,
+                     summary="Bernoulli-Euler convolution, 1/k weights", pole="(x-y)"),
+        IdentitySpec(key="1.10", arity="bivariate", n_min=1, build=_r_1_10,
+                     summary="Bernoulli-Euler convolution, unweighted", pole="(x-y)^2"),
+        IdentitySpec(key="1.11", arity="univariate", n_min=0, build=_r_1_11,
+                     summary="diagonal of 1.8: Euler convolution vs Bernoulli sum"),
+        IdentitySpec(key="1.12", arity="univariate", n_min=0, build=_r_1_12,
+                     summary="diagonal of 1.9: H_n E_n(x)"),
+        IdentitySpec(key="1.13", arity="univariate", n_min=0, build=_r_1_13,
+                     summary="diagonal of 1.10: (n+1) E_n(x)"),
+        IdentitySpec(key="2.1", arity="bivariate", n_min=1, build=_r_2_1,
+                     summary="Bernoulli shift-convolution sum (binomial weights)"),
+        IdentitySpec(key="2.1-as-printed", arity="bivariate", n_min=1,
+                     build=_r_2_1_as_printed,
+                     summary="NEGATIVE CONTROL: 2.1 without the binomial weight; "
+                             "fails for n >= 2",
+                     negative=True),
+        IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_r_2_2,
+                     summary="Euler shift-convolution sum"),
+        IdentitySpec(key="2.3", arity="bivariate", n_min=2, build=_r_2_3,
+                     summary="y -> x+y form of 1.4", pole="y"),
+        IdentitySpec(key="2.4", arity="bivariate", n_min=1, build=_r_2_4,
+                     summary="y -> x+y form of 1.8", pole="y"),
+        IdentitySpec(key="2.5", arity="bivariate", n_min=1, build=_r_2_5,
+                     summary="(x,y) -> (x+y,x) form of 1.9", pole="y"),
+        IdentitySpec(key="chu", arity="scalar", n_min=1, build=_r_chu,
+                     summary="hockey-stick sum: sum C(k-1,l-1) = C(n,l)",
+                     params=("l",)),
+        IdentitySpec(key="3.1", arity="univariate", n_min=2, build=_r_3_1,
+                     summary="gamma/beta-weighted extension of 1.6; integer p, q >= 0",
+                     params=("p", "q")),
+        IdentitySpec(key="3.2", arity="scalar", n_min=1, build=_r_3_2,
+                     summary="beta-weighted extension of chu; q >= 1",
+                     params=("l", "p", "q"), p_default=(0, 4), q_default=(1, 4), q_min=1),
+        IdentitySpec(key="ds", arity="scalar", n_min=2, build=_r_ds,
+                     summary="even-index rising-factorial convolution "
+                             "(p = q, x = 0 slice of 3.1)",
+                     params=("p",), p_default=(0, 4)),
     )
 }
 

@@ -1,24 +1,31 @@
-"""Exact dense polynomial algebra over the rationals.
+"""Exact dense polynomial algebra over the rationals, in content form.
 
-``Poly1`` stores a univariate polynomial as a tuple of Rat
-coefficients, index i holding the coefficient of x^i.  ``Poly2`` stores
-a bivariate polynomial as a rectangular tuple of tuples, entry [i][j]
-holding the coefficient of x^i y^j.  Both are normalized on
-construction: no trailing zero coefficients, no all-zero fringe rows or
-columns, and the zero polynomial is the empty tuple.  Structural
-equality is therefore exact polynomial equality, and "equals the zero
+``Poly1`` stores a univariate polynomial as a tuple of integer
+numerators over one positive denominator, index i holding the numerator
+of the coefficient of x^i.  ``Poly2`` stores a bivariate polynomial as a
+rectangular tuple of integer rows over one positive denominator, entry
+[i][j] holding the numerator of the coefficient of x^i y^j.
+
+One helper, ``_canonical``, brings both to the same canonical form: no
+trailing zero coefficients, no all-zero fringe rows or columns, and
+gcd(content, den) = 1, where the content is the gcd of all numerators;
+the zero polynomial is the empty tuple over 1.  The denominator is then
+the lcm of the reduced coefficient denominators, so the form is unique:
+structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
-Products clear each operand to an integer coefficient array (a single
-denominator lcm per operand), convolve in plain big-integer
-arithmetic, and rebuild one Fraction per output coefficient.  That is
-exact and much faster than convolving Fraction values directly.
+Every operation runs on the stored integers.  A sum scales both sides
+to the lcm of their denominators, a product convolves the numerators
+and multiplies the denominators, and a scalar touches only the
+numerators and the denominator.  ``coeffs``, ``rows`` and ``coeff()``
+hand out reduced ``Fraction`` values, computed on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from itertools import zip_longest
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .arith import Rat
@@ -27,21 +34,96 @@ __all__ = ["Poly1", "Poly2", "ExactDivisionError"]
 
 Scalar = (int, Fraction)
 
+# integer rows: a bivariate numerator grid, or a univariate one as a single row
+Grid = Sequence[Sequence[int]]
+
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial quotient does not exist."""
 
 
-def _as_rat(value) -> Rat:
-    return value if isinstance(value, Fraction) else Rat(value)
+def _as_rat(value) -> int | Rat:
+    """An int or a Rat; both carry ``numerator`` and ``denominator``."""
+    return value if isinstance(value, Scalar) else Rat(value)
 
 
-def _int_form(coeffs: Sequence[Rat]) -> tuple[list[int], int]:
-    """Clear a coefficient sequence to integers: (n_i), d with c_i = n_i / d."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _canonical(rows: Grid, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Canonical content form of the integer rows ``rows`` over ``den``.
+
+    Ragged rows are padded with zeros, the all-zero fringe is trimmed,
+    g = gcd(content, den) is divided out and the denominator is made
+    positive.  The zero polynomial comes back as ((), 1).
+    """
+    g = 0
+    for row in rows:
+        g = gcd(g, *row)
+    if not g:
+        return (), 1
+    dx = len(rows) - 1
+    while not any(rows[dx]):
+        dx -= 1
+    rows = rows[:dx + 1]
+    w = max(map(len, rows))
+    while not any(r[w - 1] for r in rows if len(r) >= w):
+        w -= 1
+    g = gcd(g, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = [[v // g for v in r] for r in rows]
+        den //= g
+    if set(map(len, rows)) != {w}:
+        rows = [tuple(r[:w]) + (0,) * (w - len(r)) for r in rows]
+    # stored tuples are built from lists: CPython resizes a tuple grown from
+    # an iterator of unknown length, and the resized tuples it frees pile up
+    # in its per-size free lists (3 MB more peak RSS on 558 small instances)
+    return tuple([tuple(r) for r in rows]), den
+
+
+def _cleared(rows: Iterable[Iterable[Rat | int]]) -> tuple[list[list[int]], int]:
+    """Integer rows and common denominator of a grid of rationals."""
+    grid = [[_as_rat(c) for c in row] for row in rows]
+    den = lcm(*(c.denominator for row in grid for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in grid], den
+
+
+def _wrap(cls, num, den):
+    """An instance holding data that is already in canonical form."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "_num", num)
+    object.__setattr__(obj, "_den", den)
+    return obj
+
+
+def _poly1(rows: Grid, den: int) -> Poly1:
+    """Poly1 of the one-row integer grid ``rows`` over ``den``."""
+    rows, den = _canonical(rows, den)
+    return _wrap(Poly1, rows[0] if rows else (), den)
+
+
+def _poly2(rows: Grid, den: int) -> Poly2:
+    return _wrap(Poly2, *_canonical(rows, den))
+
+
+def _lincomb(a: Grid, sa: int, b: Grid, sb: int) -> list[list[int]]:
+    """Rows of sa*a + sb*b (rows may come out ragged)."""
+    return [[x * sa + y * sb for x, y in zip_longest(ra, rb, fillvalue=0)]
+            for ra, rb in zip_longest(a, b, fillvalue=())]
+
+
+def _convolve(a: Grid, b: Grid) -> list[list[int]]:
+    """Product of two nonzero integer grids (ragged rows allowed)."""
+    out = [[0] * (max(map(len, a)) + max(map(len, b)) - 1)
+           for _ in range(len(a) + len(b) - 1)]
+    b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
+    for i, ra in enumerate(a):
+        ra = [(s, v) for s, v in enumerate(ra) if v]
+        for j, rb in enumerate(b):
+            row = out[i + j]
+            for s, va in ra:
+                for t, vb in rb:
+                    row[s + t] += va * vb
+    return out
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -67,13 +149,10 @@ def _format_terms(terms: list[tuple[Rat, str]]) -> str:
 class Poly1:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Rat | int] = ()):
-        cs = [_as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Rat | int] = ()):
+        return _poly1(*_cleared((coeffs,)))
 
     def __setattr__(self, name, value):  # value semantics
         raise AttributeError("Poly1 is immutable")
@@ -93,74 +172,71 @@ class Poly1:
         return cls([0] * power + [coeff])
 
     @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """Reduced coefficients, index i holding the coefficient of x^i."""
+        return tuple([Fraction(v, self._den) for v in self._num])
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coeff(self, power: int) -> Rat:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Rat(0)
 
     # -- ring operations ---------------------------------------------------
+
+    def _plus(self, other: Poly1, sign: int) -> Poly1:
+        den = lcm(self._den, other._den)
+        return _poly1(_lincomb((self._num,), den // self._den,
+                               (other._num,), sign * (den // other._den)), den)
 
     def __add__(self, other) -> Poly1:
         if isinstance(other, Scalar):
             other = Poly1((other,))
         if not isinstance(other, Poly1):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly1(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly1:
-        return Poly1(-c for c in self.coeffs)
+        return _wrap(Poly1, tuple([-v for v in self._num]), self._den)
 
     def __sub__(self, other) -> Poly1:
         if isinstance(other, Scalar):
             other = Poly1((other,))
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> Poly1:
         return (-self) + other
 
     def __mul__(self, other) -> Poly1:
         if isinstance(other, Scalar):
-            k = _as_rat(other)
-            return Poly1(c * k for c in self.coeffs)
+            return _poly1([[v * other.numerator for v in self._num]],
+                          self._den * other.denominator)
         if not isinstance(other, Poly1):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly1()
-        a, da = _int_form(self.coeffs)
-        b, db = _int_form(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        den = da * db
-        return Poly1(Fraction(v, den) for v in out)
+        return _poly1(_convolve((self._num,), (other._num,)), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Poly1:
         if isinstance(other, Scalar):
-            k = _as_rat(other)
-            return Poly1(c / k for c in self.coeffs)
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            return _poly1([[v * other.denominator for v in self._num]],
+                          self._den * other.numerator)
         return NotImplemented
 
     def __pow__(self, n: int) -> Poly1:
@@ -181,10 +257,10 @@ class Poly1:
             other = Poly1((other,))
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(("Poly1", self.coeffs))
+        return hash(("Poly1", self._num, self._den))
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -192,23 +268,29 @@ class Poly1:
         """Exact evaluation by Horner's rule."""
         v = _as_rat(point)
         acc = Rat(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._num):
             acc = acc * v + c
-        return acc
+        return acc / self._den
 
     def derivative(self) -> Poly1:
-        return Poly1(i * c for i, c in enumerate(self.coeffs) if i)
+        return _poly1([[i * v for i, v in enumerate(self._num)][1:]], self._den)
 
     def compose_affine(self, a: Rat | int, b: Rat | int) -> Poly1:
         """p(a*x + b), expanded exactly."""
         a, b = _as_rat(a), _as_rat(b)
-        if a == 1 and b == 0:
+        if self.is_zero or (a == 1 and b == 0):
             return self
-        lin = Poly1((b, a))
-        acc = Poly1()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        # a*x + b = (ai*x + bi)/q, so p(a*x + b) is the integer Horner sum
+        # sum_i n_i (ai*x + bi)^i q^(d-i) over den * q^d, d the degree
+        q = lcm(a.denominator, b.denominator)
+        ai, bi = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+        acc: list[int] = []
+        scale = 1
+        for c in reversed(self._num):
+            acc = [bi * u + ai * v for u, v in zip(acc + [0], [0] + acc)]
+            acc[0] += c * scale
+            scale *= q
+        return _poly1([acc], self._den * scale // q)
 
     def compose_xy(self, cx: Rat | int, cy: Rat | int) -> Poly2:
         """p(cx*x + cy*y) as a bivariate polynomial.
@@ -220,18 +302,23 @@ class Poly1:
         if d < 0:
             return Poly2.zero()
         cx, cy = _as_rat(cx), _as_rat(cy)
-        px = [Rat(1)]
-        py = [Rat(1)]
+        # cx = ix/q and cy = iy/q; the whole grid goes over den * q^d
+        q = lcm(cx.denominator, cy.denominator)
+        ix, iy = cx.numerator * (q // cx.denominator), cy.numerator * (q // cy.denominator)
+        px, py, pd = [1], [1], [1]
         for _ in range(d):
-            px.append(px[-1] * cx)
-            py.append(py[-1] * cy)
-        rows = [[Rat(0)] * (d + 1) for _ in range(d + 1)]
+            px.append(px[-1] * ix)
+            py.append(py[-1] * iy)
+            pd.append(pd[-1] * q)
+        num = self._num
+        rows = [[0] * (d + 1) for _ in range(d + 1)]
         for a in range(d + 1):
-            for b in range(d + 1 - a):
-                c = self.coeffs[a + b]
-                if c:
-                    rows[a][b] = c * comb(a + b, a) * px[a] * py[b]
-        return Poly2(rows)
+            if px[a]:
+                for b in range(d + 1 - a):
+                    c = num[a + b]
+                    if c and py[b]:
+                        rows[a][b] = c * comb(a + b, a) * px[a] * py[b] * pd[d - a - b]
+        return _poly2(rows, self._den * pd[d])
 
     def as_poly2(self, axis: str) -> Poly2:
         """Embed as a bivariate polynomial in x only or in y only."""
@@ -244,9 +331,10 @@ class Poly1:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        cs = self.coeffs
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c:
                 mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
                 terms.append((c, mono))
@@ -259,25 +347,10 @@ class Poly1:
 class Poly2:
     """Dense bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, rows: Iterable[Iterable[Rat | int]] = ()):
-        grid = [[_as_rat(c) for c in row] for row in rows]
-        dx = -1
-        dy = -1
-        for i, row in enumerate(grid):
-            for j, c in enumerate(row):
-                if c:
-                    dx = max(dx, i)
-                    dy = max(dy, j)
-        if dx < 0:
-            object.__setattr__(self, "rows", ())
-            return
-        rect = tuple(
-            tuple(grid[i][j] if j < len(grid[i]) else Rat(0) for j in range(dy + 1))
-            for i in range(dx + 1)
-        )
-        object.__setattr__(self, "rows", rect)
+    def __new__(cls, rows: Iterable[Iterable[Rat | int]] = ()):
+        return _poly2(*_cleared(rows))
 
     def __setattr__(self, name, value):  # value semantics
         raise AttributeError("Poly2 is immutable")
@@ -294,9 +367,8 @@ class Poly2:
     def monomial(cls, i: int, j: int, coeff: Rat | int = 1) -> Poly2:
         if i < 0 or j < 0:
             raise ValueError("exponents must be >= 0")
-        rows = [[0] * (j + 1) for _ in range(i + 1)]
-        rows[i][j] = coeff
-        return cls(rows)
+        k = _as_rat(coeff)
+        return _poly2([[]] * i + [[0] * j + [k.numerator]], k.denominator)
 
     @classmethod
     def variable(cls, axis: str) -> Poly2:
@@ -307,90 +379,74 @@ class Poly2:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
     @property
+    def rows(self) -> tuple[tuple[Rat, ...], ...]:
+        """Reduced coefficients, entry [i][j] holding that of x^i y^j."""
+        return tuple([tuple([Fraction(v, self._den) for v in row]) for row in self._num])
+
+    @property
     def deg_x(self) -> int:
-        return len(self.rows) - 1
+        return len(self._num) - 1
 
     @property
     def deg_y(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else -1
+        return len(self._num[0]) - 1 if self._num else -1
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._num
 
     def coeff(self, i: int, j: int) -> Rat:
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
+        if 0 <= i < len(self._num) and 0 <= j < len(self._num[i]):
+            return Fraction(self._num[i][j], self._den)
         return Rat(0)
 
     # -- ring operations ---------------------------------------------------
+
+    def _plus(self, other: Poly2, sign: int) -> Poly2:
+        den = lcm(self._den, other._den)
+        return _poly2(_lincomb(self._num, den // self._den,
+                               other._num, sign * (den // other._den)), den)
 
     def __add__(self, other) -> Poly2:
         if isinstance(other, Scalar):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        nx = max(len(self.rows), len(other.rows))
-        ny = max(len(self.rows[0]) if self.rows else 0,
-                 len(other.rows[0]) if other.rows else 0)
-        out = [[Rat(0)] * ny for _ in range(nx)]
-        for src in (self.rows, other.rows):
-            for i, row in enumerate(src):
-                orow = out[i]
-                for j, c in enumerate(row):
-                    if c:
-                        orow[j] = orow[j] + c
-        return Poly2(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly2:
-        return Poly2([[-c for c in row] for row in self.rows])
+        return _wrap(Poly2, tuple([tuple([-v for v in row]) for row in self._num]), self._den)
 
     def __sub__(self, other) -> Poly2:
         if isinstance(other, Scalar):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> Poly2:
         return (-self) + other
 
     def __mul__(self, other) -> Poly2:
         if isinstance(other, Scalar):
-            k = _as_rat(other)
-            return Poly2([[c * k for c in row] for row in self.rows])
+            return _poly2([[v * other.numerator for v in row] for row in self._num],
+                          self._den * other.denominator)
         if not isinstance(other, Poly2):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly2()
-        fa = [_int_form(row) for row in self.rows]
-        fb = [_int_form(row) for row in other.rows]
-        da = lcm(*(d for _, d in fa))
-        db = lcm(*(d for _, d in fb))
-        ra = [[v * (da // d) for v in row] for row, d in fa]
-        rb = [[v * (db // d) for v in row] for row, d in fb]
-        nx = len(ra) + len(rb) - 1
-        ny = len(ra[0]) + len(rb[0]) - 1
-        acc = [[0] * ny for _ in range(nx)]
-        for i, arow in enumerate(ra):
-            for a, va in enumerate(arow):
-                if va:
-                    for j, brow in enumerate(rb):
-                        crow = acc[i + j]
-                        for b, vb in enumerate(brow):
-                            if vb:
-                                crow[a + b] += va * vb
-        den = da * db
-        return Poly2([[Fraction(v, den) for v in row] for row in acc])
+        return _poly2(_convolve(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Poly2:
         if isinstance(other, Scalar):
-            k = _as_rat(other)
-            return Poly2([[c / k for c in row] for row in self.rows])
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            return _poly2([[v * other.denominator for v in row] for row in self._num],
+                          self._den * other.numerator)
         return NotImplemented
 
     def __pow__(self, n: int) -> Poly2:
@@ -411,43 +467,50 @@ class Poly2:
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self.rows == other.rows
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(("Poly2", self.rows))
+        return hash(("Poly2", self._num, self._den))
 
     # -- evaluation, calculus, substitution ----------------------------------
 
     def __call__(self, u: Rat | int, v: Rat | int) -> Rat:
         u, v = _as_rat(u), _as_rat(v)
         acc = Rat(0)
-        for row in reversed(self.rows):
+        for row in reversed(self._num):
             rv = Rat(0)
             for c in reversed(row):
                 rv = rv * v + c
             acc = acc * u + rv
-        return acc
+        return acc / self._den
 
     def partial(self, axis: str) -> Poly2:
         """Formal partial derivative along one axis."""
         if axis == "x":
-            return Poly2([[i * c for c in row] for i, row in enumerate(self.rows) if i])
-        if axis == "y":
-            return Poly2([[j * c for j, c in enumerate(row) if j] for row in self.rows])
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+            rows = [[i * v for v in row] for i, row in enumerate(self._num) if i]
+        elif axis == "y":
+            rows = [[j * v for j, v in enumerate(row) if j] for row in self._num]
+        else:
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        return _poly2(rows, self._den)
 
     def swap_xy(self) -> Poly2:
         """Exchange the two indeterminates (an involution)."""
-        if self.is_zero:
-            return self
-        nx, ny = len(self.rows), len(self.rows[0])
-        return Poly2([[self.rows[i][j] for i in range(nx)] for j in range(ny)])
+        # transposing keeps the content, the denominator and a zero-free fringe
+        return _wrap(Poly2, tuple([*zip(*self._num)]), self._den)
 
     def _subst_x(self, value: Poly2) -> Poly2:
-        acc = Poly2.zero()
-        for row in reversed(self.rows):
-            acc = acc * value + Poly2((row,))
-        return acc
+        # with value = V/dv, P(value, y) is the integer Horner sum
+        # sum_i row_i V^i dv^(d-i) over den * dv^d
+        if self.is_zero:
+            return self
+        acc: list[list[int]] = []
+        scale = 1
+        for row in reversed(self._num):
+            acc = _lincomb(_convolve(acc, value._num) if acc and value._num else [], 1,
+                           (row,), scale)
+            scale *= value._den
+        return _poly2(acc, self._den * scale // value._den)
 
     def subst(self, axis: str, value: Poly2) -> Poly2:
         """Substitute a bivariate polynomial for one indeterminate."""
@@ -463,12 +526,12 @@ class Poly2:
         """P(x, x) as a univariate polynomial."""
         if self.is_zero:
             return Poly1()
-        out = [Rat(0)] * (len(self.rows) + len(self.rows[0]) - 1)
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    out[i + j] = out[i + j] + c
-        return Poly1(out)
+        out = [0] * (len(self._num) + len(self._num[0]) - 1)
+        for i, row in enumerate(self._num):
+            for j, v in enumerate(row):
+                if v:
+                    out[i + j] += v
+        return _poly1([out], self._den)
 
     def div_xminusy(self) -> Poly2:
         """Exact quotient P / (x - y).
@@ -476,31 +539,27 @@ class Poly2:
         P must vanish on the diagonal (P(x, x) = 0); otherwise no
         polynomial quotient exists and ExactDivisionError is raised.
         Implemented as synthetic division in x with polynomial-in-y
-        coefficients.
+        coefficients; x - y is monic in x, so the numerators stay integers.
         """
         if self.is_zero:
             return Poly2()
-        rows = [list(r) for r in self.rows]
+        rows = self._num
         d = len(rows) - 1
-        width = len(rows[0])
 
-        def add_shifted(base: list[Rat], s: list[Rat]) -> list[Rat]:
+        def add_shifted(base: Sequence[int], s: Sequence[int]) -> list[int]:
             # base + y*s, as y-coefficient lists
-            out = list(base) + [Rat(0)] * max(0, len(s) + 1 - len(base))
-            for j, c in enumerate(s):
-                out[j + 1] = out[j + 1] + c
-            return out
+            return [u + v for u, v in zip_longest(base, [0, *s], fillvalue=0)]
 
         if d == 0:
             raise ExactDivisionError("not divisible by (x - y): P(x, x) != 0")
-        quot: list[list[Rat]] = [[] for _ in range(d)]
+        quot: list[Sequence[int]] = [()] * d
         quot[d - 1] = rows[d]
         for i in range(d - 1, 0, -1):
             quot[i - 1] = add_shifted(rows[i], quot[i])
         remainder = add_shifted(rows[0], quot[0])
         if any(remainder):
             raise ExactDivisionError("not divisible by (x - y): P(x, x) != 0")
-        return Poly2(quot)
+        return _poly2(quot, self._den)
 
     # -- rendering -----------------------------------------------------------
 

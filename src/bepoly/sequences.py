@@ -178,15 +178,19 @@ def euler_poly(n: int) -> Poly1:
 
 
 _HARMONIC: list[Rat] = [Rat(0)]
+_HARMONIC_LOCK = threading.Lock()
 
 
 def harmonic(n: int) -> Rat:
     """Harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    while n >= len(_HARMONIC):
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Rat(1, k))
+    if n >= len(_HARMONIC):
+        # extending reads the last entry and its index: one writer at a time
+        with _HARMONIC_LOCK:
+            while n >= len(_HARMONIC):
+                k = len(_HARMONIC)
+                _HARMONIC.append(_HARMONIC[-1] + Rat(1, k))
     return _HARMONIC[n]
 
 

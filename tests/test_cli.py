@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -111,6 +113,39 @@ def test_cache_round_trip(tmp_path):
     proc = run_cli("cache", "info", "--cache", str(path))
     assert proc.returncode == 0
     assert "highest cached index: 50" in proc.stdout
+
+
+def test_cache_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    from fractions import Fraction
+
+    from bepoly import cli
+
+    path = tmp_path / "bernoulli.cache"
+    cli.write_cache_file(path, [Fraction(1), Fraction(-1, 2)])
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """File stand-in that writes half of its text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_cache_file(path, [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bernoulli.cache"]
 
 
 def test_cache_load_rejects_tampered_entry(tmp_path):

@@ -1,0 +1,192 @@
+"""Content-form invariants and oracle checks for Poly1/Poly2.
+
+Every operation must return the canonical form: integer numerators over
+one positive denominator, gcd(content, den) = 1, no trailing zero and no
+zero fringe, with the zero polynomial stored as () over 1.  Sums and
+products are compared with a naive dict-of-monomials Fraction oracle
+that shares no code with the package.  Each property runs on seeded
+random inputs; the hypothesis versions run when hypothesis is installed.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from bepoly import Poly1, Poly2
+
+X = Poly2.variable("x")
+Y = Poly2.variable("y")
+
+Terms = dict[tuple[int, int], Fraction]
+
+
+# -- oracle ------------------------------------------------------------------------
+
+def terms_of(p: Poly1 | Poly2) -> Terms:
+    """Nonzero coefficients keyed by exponent pair, read through the public API."""
+    if isinstance(p, Poly1):
+        return {(i, 0): c for i, c in enumerate(p.coeffs) if c}
+    return {(i, j): c for i, row in enumerate(p.rows) for j, c in enumerate(row) if c}
+
+
+def oracle_add(a: Terms, b: Terms, sign: int = 1) -> Terms:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_mul(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def poly2_of(t: Terms) -> Poly2:
+    dx = max((i for i, _ in t), default=-1)
+    dy = max((j for _, j in t), default=-1)
+    return Poly2([[t.get((i, j), 0) for j in range(dy + 1)] for i in range(dx + 1)])
+
+
+def poly1_of(t: Terms) -> Poly1:
+    dx = max((i for i, _ in t), default=-1)
+    return Poly1(t.get((i, 0), 0) for i in range(dx + 1))
+
+
+# -- the canonical-form invariant ---------------------------------------------------
+
+def assert_canonical(p: Poly1 | Poly2) -> None:
+    assert not hasattr(p, "__dict__")
+    num, den = p._num, p._den
+    rows = (num,) if isinstance(p, Poly1) else num
+    flat = [v for row in rows for v in row]
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in flat)
+    if not any(flat):
+        assert num == () and den == 1
+        return
+    assert gcd(gcd(*flat), den) == 1
+    if isinstance(p, Poly1):
+        assert num[-1] != 0
+    else:
+        assert len({len(row) for row in num}) == 1
+        assert any(num[-1]) and any(row[-1] for row in num)
+
+
+def derived1(p: Poly1, q: Poly1, k: Fraction) -> list[Poly1 | Poly2]:
+    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 2, p.derivative(),
+           p.compose_affine(k, 1), p.compose_affine(1, k), p.compose_xy(k, -1),
+           p.as_poly2("x"), p.as_poly2("y"), Poly1(p.coeffs)]
+    if k:
+        out.append(p / k)
+    return out
+
+
+def derived2(p: Poly2, q: Poly2, k: Fraction) -> list[Poly1 | Poly2]:
+    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 2,
+           p.partial("x"), p.partial("y"), p.swap_xy(), p.subst("x", q),
+           p.subst("y", q), p.diagonal(), (p * (X - Y)).div_xminusy(), Poly2(p.rows)]
+    if k:
+        out.append(p / k)
+    return out
+
+
+# -- the properties, each checked on one input ----------------------------------------
+
+def check_poly1(tp: Terms, tq: Terms, k: Fraction, u: Fraction) -> None:
+    p, q = poly1_of(tp), poly1_of(tq)
+    for r in [p, q, *derived1(p, q, k)]:
+        assert_canonical(r)
+    assert terms_of(p) == tp
+    assert Poly1(p.coeffs) == p
+    assert terms_of(p + q) == oracle_add(tp, tq)
+    assert terms_of(p - q) == oracle_add(tp, tq, -1)
+    assert terms_of(p * q) == oracle_mul(tp, tq)
+    assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
+    assert (p * q + p - q)(u) == p(u) * q(u) + p(u) - q(u)
+    assert p.compose_xy(1, 1).diagonal() == p.compose_affine(2, 0)
+
+
+def check_poly2(tp: Terms, tq: Terms, k: Fraction, u: Fraction, v: Fraction) -> None:
+    p, q = poly2_of(tp), poly2_of(tq)
+    for r in [p, q, *derived2(p, q, k)]:
+        assert_canonical(r)
+    assert terms_of(p) == tp
+    assert Poly2(p.rows) == p
+    assert terms_of(p + q) == oracle_add(tp, tq)
+    assert terms_of(p - q) == oracle_add(tp, tq, -1)
+    assert terms_of(p * q) == oracle_mul(tp, tq)
+    assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
+    assert (p * (X - Y)).div_xminusy() == p
+    assert (p * q + p - q)(u, v) == p(u, v) * q(u, v) + p(u, v) - q(u, v)
+
+
+# -- seeded random inputs -------------------------------------------------------------
+
+def rand_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def rand_terms(rng: random.Random, dx: int, dy: int) -> Terms:
+    t = {(i, j): rand_rat(rng) for i in range(dx + 1) for j in range(dy + 1)
+         if rng.random() < 0.7}
+    return {key: c for key, c in t.items() if c}
+
+
+def test_poly1_properties_seeded():
+    rng = random.Random(101)
+    for _ in range(150):
+        tp = rand_terms(rng, rng.randint(-1, 6), 0)
+        tq = rand_terms(rng, rng.randint(-1, 6), 0)
+        check_poly1(tp, tq, rand_rat(rng), rand_rat(rng))
+
+
+def test_poly2_properties_seeded():
+    rng = random.Random(103)
+    for _ in range(80):
+        tp = rand_terms(rng, rng.randint(-1, 4), rng.randint(0, 4))
+        tq = rand_terms(rng, rng.randint(-1, 3), rng.randint(0, 3))
+        check_poly2(tp, tq, rand_rat(rng), rand_rat(rng), rand_rat(rng))
+
+
+# -- hypothesis versions ---------------------------------------------------------------
+
+def _strategies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rats = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+    def term_dicts(max_x: int, max_y: int):
+        keys = st.tuples(st.integers(0, max_x), st.integers(0, max_y))
+        return st.dictionaries(keys, rats.filter(bool), max_size=12)
+
+    settings = hypothesis.settings(max_examples=60, deadline=None, database=None)
+    return hypothesis.given, settings, rats, term_dicts
+
+
+def test_poly1_properties_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+
+    @settings
+    @given(term_dicts(7, 0), term_dicts(7, 0), rats, rats)
+    def run(tp, tq, k, u):
+        check_poly1(tp, tq, k, u)
+
+    run()
+
+
+def test_poly2_properties_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+
+    @settings
+    @given(term_dicts(4, 4), term_dicts(3, 3), rats, rats, rats)
+    def run(tp, tq, k, u, v):
+        check_poly2(tp, tq, k, u, v)
+
+    run()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -116,6 +117,39 @@ def test_harmonic_values():
 def test_harmonic_recurrence():
     for n in range(1, 80):
         assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
+
+
+def test_harmonic_table_is_thread_safe():
+    # 8 threads grow a fresh table at once, switching every microsecond;
+    # an unlocked check-then-append stores shifted values here
+    from bepoly import sequences
+
+    top = 300
+    expected = [Fraction(0)]
+    for k in range(1, top + 1):
+        expected.append(expected[-1] + Fraction(1, k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            sequences._HARMONIC[:] = [Fraction(0)]
+            barrier = threading.Barrier(8)
+
+            def worker(step: int) -> None:
+                barrier.wait()
+                for n in range(step, top + 1, step):
+                    harmonic(n)
+
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(1, 9)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sequences._HARMONIC == expected
+    finally:
+        sys.setswitchinterval(interval)
+        sequences._HARMONIC[:] = [Fraction(0)]
 
 
 def test_bbar_values():
