@@ -45,12 +45,18 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
+# Largest n, p, q or --n-max the command line accepts, so that a typo
+# cannot start a run of hours: B_2000 alone takes about two seconds.
+N_LIMIT = 2000
+
 
 # -- argument parsing ----------------------------------------------------------
 
 def _nonneg_int(text: str) -> int:
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    if int(text) > N_LIMIT:
+        raise argparse.ArgumentTypeError(f"{text} is above the limit of {N_LIMIT}")
     return int(text)
 
 
@@ -60,7 +66,7 @@ def _range_arg(text: str) -> range:
     if not m:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}")
     lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
+    hi = _nonneg_int(m.group(2) or m.group(1))
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return range(lo, hi + 1)

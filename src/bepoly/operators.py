@@ -31,7 +31,7 @@ from math import comb
 
 from .arith import Rat, binomial
 from .polynomials import Poly1, Poly2
-from .sequences import bernoulli_poly, euler_poly, harmonic
+from .sequences import bernoulli_poly, euler_poly, harmonic, solve_delta_star
 
 __all__ = [
     "DiffOperator",
@@ -79,25 +79,6 @@ def delta(p: Poly1 | Poly2, axis: str = "x") -> Poly1 | Poly2:
 def delta_star(p: Poly1 | Poly2, axis: str = "x") -> Poly1 | Poly2:
     """f(. + 1) + f along the given axis."""
     return DiffOperator("delta_star", axis)(p)
-
-
-def solve_delta_star(target: Poly1) -> Poly1:
-    """The unique polynomial P with P(x+1) + P(x) equal to the target.
-
-    Back-substitution from the top degree down; existence and
-    uniqueness follow from the operator's triangular matrix having
-    nonzero diagonal.
-    """
-    n = target.degree
-    if n < 0:
-        return Poly1()
-    coeffs = [Rat(0)] * (n + 1)
-    for i in range(n, -1, -1):
-        t = target.coeff(i)
-        for j in range(i + 1, n + 1):
-            t -= comb(j, i) * coeffs[j]
-        coeffs[i] = t / 2
-    return Poly1(coeffs)
 
 
 def check_product_rules(p: Poly1, q: Poly1) -> bool:

@@ -2,8 +2,10 @@
 
 Bernoulli numbers follow the convention forced by the generating
 function z/(e^z - 1), so B_1 = -1/2, and Bernoulli polynomials are
-B_n(x) = sum_k C(n,k) B_k x^{n-k}.  Euler polynomials are constructed
-twice -- once through the half-argument relation
+B_n(x) = sum_k C(n,k) B_k x^{n-k}.  The numbers come from integer
+zigzag numbers (Brent and Harvey, arXiv:1108.0286), one Seidel
+boustrophedon row per index.  Euler polynomials are constructed twice
+-- once through the half-argument relation
 E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)) and once by
 solving E_n(x+1) + E_n(x) = 2 x^n top-down -- and the two routes must
 agree coefficient for coefficient; a mismatch would mean a convention
@@ -14,11 +16,12 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
 from .arith import Rat, beta_int
-from .polynomials import Poly1
+from .polynomials import Poly1, _poly1
 
 __all__ = [
     "BernoulliCache",
@@ -31,11 +34,12 @@ __all__ = [
     "bbar",
     "euler_at_zero",
     "h_pq",
+    "solve_delta_star",
 ]
 
 
 class CacheIntegrityError(ValueError):
-    """A cached Bernoulli value failed recurrence revalidation."""
+    """A cached Bernoulli value differs from a fresh computation."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
@@ -45,13 +49,14 @@ class CacheIntegrityError(ValueError):
 class BernoulliCache:
     """Append-only table of Bernoulli numbers B_0, B_1, ...
 
-    Values come from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
-    with B_0 = 1.  Entries never change once computed; concurrent
-    readers always observe the same deterministic values.
+    The last boustrophedon row is kept beside it, so extending to index
+    m adds one O(m) integer row.  Entries never change once computed;
+    concurrent readers always observe the same deterministic values.
     """
 
     def __init__(self):
         self._table: list[Rat] = [Rat(1)]
+        self._row: list[int] = [1]  # row m - 1 has m entries and ends in A_{m-1}
         self._lock = threading.Lock()
 
     @property
@@ -64,9 +69,20 @@ class BernoulliCache:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
         if n >= len(self._table):
             with self._lock:
-                while n >= len(self._table):
-                    self._table.append(self._next_value(self._table))
+                self._extend(n)
         return self._table[n]
+
+    def _extend(self, n: int) -> None:
+        """Grow the table to index n; the caller holds the lock or owns self."""
+        for m in range(len(self._table), n + 1):
+            if len(self._row) < m:
+                self._row = list(accumulate(reversed(self._row), initial=0))
+            if m % 2:
+                value = Rat(-1, 2) if m == 1 else Rat(0)
+            else:  # B_m = (-1)^(k-1) m A_{m-1} / (4^k (4^k - 1)) for m = 2k
+                q = 1 << m
+                value = Rat((m if m % 4 == 2 else -m) * self._row[-1], q * (q - 1))
+            self._table.append(value)
 
     def values(self) -> list[Rat]:
         """Snapshot of all computed values, index 0 .. highest."""
@@ -76,31 +92,20 @@ class BernoulliCache:
     def seed(self, values: Sequence[Rat]) -> None:
         """Adopt externally supplied values after revalidating every entry.
 
-        Each entry is checked against the recurrence given its prefix;
-        the first mismatch raises CacheIntegrityError naming the index
-        and nothing is adopted.
+        The values are compared with a fresh computation of as many
+        entries; the first mismatch raises CacheIntegrityError naming
+        the index and nothing is adopted.
         """
-        checked: list[Rat] = []
-        for m, value in enumerate(values):
-            expected = Rat(1) if m == 0 else self._next_value(checked)
+        fresh = BernoulliCache()
+        fresh._extend(len(values) - 1)
+        for m, (value, expected) in enumerate(zip(values, fresh._table)):
             if value != expected:
                 raise CacheIntegrityError(
-                    m, f"cache entry {m} is {value}, recurrence gives {expected}"
+                    m, f"cache entry {m} is {value}, recomputation gives {expected}"
                 )
-            checked.append(value)
         with self._lock:
-            if len(checked) > len(self._table):
-                self._table = checked
-
-    @staticmethod
-    def _next_value(prefix: Sequence[Rat]) -> Rat:
-        m = len(prefix)
-        # odd-index values vanish from B_3 on; skip the zero terms
-        s = Rat(0)
-        for k, bk in enumerate(prefix):
-            if bk:
-                s += comb(m + 1, k) * bk
-        return -s / (m + 1)
+            if len(fresh._table) > len(self._table):
+                self._table, self._row = fresh._table, fresh._row
 
 
 _CACHE = BernoulliCache()
@@ -139,20 +144,28 @@ def _euler_from_bernoulli(n: int) -> Poly1:
     return (b - half) * Rat(2, n + 1)
 
 
-def _euler_by_difference(n: int) -> Poly1:
-    """E_n(x) as the unique solution of E(x+1) + E(x) = 2 x^n.
+def solve_delta_star(target: Poly1) -> Poly1:
+    """The unique polynomial P with P(x+1) + P(x) equal to the target.
 
-    The map P to P(x+1) + P(x) is upper triangular on the monomial
-    basis with 2s on the diagonal, so back-substitution from the top
-    degree down determines every coefficient.
+    The map is upper triangular with 2s on the diagonal, so integer
+    back-substitution from the top degree d down gives P over
+    den * 2^(d+1); every halving is exact, as coefficient i of P needs
+    at most d - i + 1 factors of 2 beyond the target's den.
     """
-    e = [Rat(0)] * (n + 1)
-    for i in range(n, -1, -1):
-        t = Rat(2) if i == n else Rat(0)
-        for j in range(i + 1, n + 1):
+    nums = target._num
+    d = len(nums) - 1
+    e = [0] * (d + 1)
+    for i in range(d, -1, -1):
+        t = nums[i] << (d + 1)
+        for j in range(i + 1, d + 1):
             t -= comb(j, i) * e[j]
-        e[i] = t / 2
-    return Poly1(e)
+        e[i] = t >> 1
+    return _poly1([e], target._den << (d + 1))
+
+
+def _euler_by_difference(n: int) -> Poly1:
+    """E_n(x) as the unique solution of E(x+1) + E(x) = 2 x^n."""
+    return solve_delta_star(Poly1.monomial(n, 2))
 
 
 def euler_poly(n: int) -> Poly1:

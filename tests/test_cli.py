@@ -30,6 +30,25 @@ def test_compute_usage_errors():
     assert run_cli("compute", "nonsense", "3").returncode == 2
 
 
+def test_sizes_above_the_limit_are_usage_errors():
+    from bepoly import cli
+
+    too_big = str(cli.N_LIMIT + 1)
+    for argv in (["compute", "bernoulli-number", too_big],
+                 ["verify", "--id", "1.1", "--n", f"4..{too_big}"],
+                 ["verify", "--id", "3.1", "--n", "4", "--p", too_big],
+                 ["verify", "--id", "3.1", "--n", "4", "--q", f"0..{too_big}"],
+                 ["verify-all", "--n-max", too_big],
+                 ["cache", "save", "--cache", "unused", "--n-max", too_big]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli._build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+    assert cli._build_parser().parse_args(["verify-all", "--n-max", str(cli.N_LIMIT)])
+    proc = run_cli("cache", "info", "--cache", "unused", "--n-max", too_big)
+    assert proc.returncode == 2
+    assert f"above the limit of {cli.N_LIMIT}" in proc.stderr
+
+
 def test_verify_one_line_per_instance():
     proc = run_cli("verify", "--id", "1.1", "--n", "4..10")
     assert proc.returncode == 0

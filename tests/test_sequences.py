@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -35,6 +38,15 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
     return out
 
 
+@functools.cache
+def recurrence_oracle(n: int) -> tuple[Fraction, ...]:
+    """B_0..B_n from sum_{k=0}^{m} C(m+1, k) B_k = 0 (B_1 = -1/2)."""
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        out.append(-sum(comb(m + 1, k) * b for k, b in enumerate(out)) / (m + 1))
+    return tuple(out)
+
+
 def test_bernoulli_number_values():
     assert bernoulli_number(0) == 1
     assert bernoulli_number(1) == Fraction(-1, 2)
@@ -46,6 +58,11 @@ def test_bernoulli_against_independent_oracle():
     for n in range(41):
         expected = -oracle[1] if n == 1 else oracle[n]
         assert bernoulli_number(n) == expected
+
+
+def test_zigzag_route_matches_recurrence_oracle():
+    cache = BernoulliCache()
+    assert tuple(cache.get(n) for n in range(301)) == recurrence_oracle(300)
 
 
 def test_odd_bernoulli_numbers_vanish():
@@ -204,6 +221,29 @@ def test_cache_grows_and_snapshots():
     assert values[0] == 1 and values[10] == Fraction(5, 66)
 
 
+def test_cache_growth_never_overshoots():
+    cache = BernoulliCache()
+    cache.get(10)
+    assert cache.highest == 10
+    cache.get(11)
+    assert cache.highest == 11
+    assert cache.values() == list(recurrence_oracle(11))
+
+
+def test_verify_cache_file_holds_exactly_the_indices_used(tmp_path):
+    # identity 1.1 at n uses B_0..B_n, so the sweep to n = 8 needs B_0..B_8
+    path = tmp_path / "b.cache"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bepoly", "verify", "--id", "1.1", "--n", "4..8",
+         "--cache", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    lines = path.read_text().splitlines()[1:]
+    assert lines == [f"{i}\t{b.numerator}/{b.denominator}"
+                     for i, b in enumerate(recurrence_oracle(8))]
+
+
 def test_cache_seed_round_trip():
     cache = BernoulliCache()
     cache.get(20)
@@ -238,3 +278,37 @@ def test_cache_concurrent_reads_are_consistent():
         t.join()
     assert all(r == results[0] for r in results)
     assert results[0][12] == Fraction(-691, 2730)
+
+
+def test_cache_get_and_seed_are_thread_safe():
+    # 8 threads share one cache, half growing it by get() and half
+    # seeding it with ever longer prefixes, switching every microsecond
+    top = 120
+    oracle = recurrence_oracle(top)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            cache = BernoulliCache()
+            barrier = threading.Barrier(8)
+            seen: list[tuple[int, Fraction]] = []
+
+            def worker(i: int) -> None:
+                barrier.wait()
+                for n in range(i, top + 1, 8):
+                    if i % 2:
+                        cache.seed(oracle[:n + 1])
+                    else:
+                        seen.append((n, cache.get(n)))
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(value == oracle[n] for n, value in seen)
+            assert cache.values() == list(oracle[:cache.highest + 1])
+            assert cache.highest == top
+    finally:
+        sys.setswitchinterval(interval)
