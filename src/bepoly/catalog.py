@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Iterable, Optional, Union
 
@@ -43,6 +42,8 @@ from .operators import (
 )
 from .polynomials import Poly1, Poly2
 from .sequences import (
+    _bern2,
+    _eul2,
     bbar,
     bernoulli_number,
     bernoulli_poly,
@@ -75,19 +76,6 @@ class UnknownIdentityError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown identity id {self.key!r}; catalog: {', '.join(CATALOG)}"
-
-
-# Cached two-variable embeddings: _bern2(k, cx, cy) = B_k(cx*x + cy*y),
-# likewise _eul2 for Euler polynomials.  The sweeps reuse these heavily.
-
-@lru_cache(maxsize=None)
-def _bern2(k: int, cx: int, cy: int) -> Poly2:
-    return bernoulli_poly(k).compose_xy(cx, cy)
-
-
-@lru_cache(maxsize=None)
-def _eul2(k: int, cx: int, cy: int) -> Poly2:
-    return euler_poly(k).compose_xy(cx, cy)
 
 
 _X = Poly2.variable("x")
@@ -576,7 +564,6 @@ def _is_zero(residual: Residual) -> bool:
 def verify(key: str, n: int, *, l: Optional[int] = None, p: Optional[int] = None,
            q: Optional[int] = None) -> VerifyReport:
     """Check one identity instance and report the outcome with timing."""
-    spec = _get_spec(key)
     start = time.perf_counter()
     residual = build_residual(key, n, l=l, p=p, q=q)
     elapsed = time.perf_counter() - start

@@ -45,8 +45,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-# Largest n, p, q or --n-max the command line accepts, so that a typo
-# cannot start a run of hours: B_2000 alone takes about two seconds.
+# Largest n, p, q or --n-max the command line accepts.  It bounds the
+# Bernoulli numbers (B_2000 takes about two seconds), not every command
+# at the cap: compute euler-poly 2000 takes about a minute, and
+# verify-all --n-max 2000 far longer.
 N_LIMIT = 2000
 
 

@@ -31,7 +31,7 @@ from math import comb
 
 from .arith import Rat, binomial
 from .polynomials import Poly1, Poly2
-from .sequences import bernoulli_poly, euler_poly, harmonic, solve_delta_star
+from .sequences import _bern2, _eul2, harmonic, solve_delta_star
 
 __all__ = [
     "DiffOperator",
@@ -103,21 +103,28 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
     )
 
 
+def _bernoulli_shift_lhs(n: int) -> Poly2:
+    """sum_{k=1}^{n} B_k(x+y)/k * x^{n-k}, the left side shared by 2.1
+    and its unweighted negative control."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    lhs = Poly2.zero()
+    for k in range(1, n + 1):
+        lhs += _bern2(k, 1, 1) * Poly2.monomial(n - k, 0, Rat(1, k))
+    return lhs
+
+
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     """Both sides of the Bernoulli shift-convolution identity.
 
     LHS = sum_{k=1}^{n} B_k(x+y)/k * x^{n-k},
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lhs = Poly2.zero()
-    for k in range(1, n + 1):
-        lhs += bernoulli_poly(k).compose_xy(1, 1) * Poly2.monomial(n - k, 0, Rat(1, k))
+    lhs = _bernoulli_shift_lhs(n)
     rhs = Poly2.monomial(n, 0, harmonic(n))
     for l in range(1, n + 1):
         w = binomial(n, l) / l
-        rhs += bernoulli_poly(l).as_poly2("y") * Poly2.monomial(n - l, 0, w)
+        rhs += _bern2(l, 0, 1) * Poly2.monomial(n - l, 0, w)
     return lhs, rhs
 
 
@@ -127,12 +134,10 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     This version is FALSE for n >= 2; it is kept as the negative
     control that demonstrates the zero-test has teeth.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lhs, _ = bernoulli_shift_sum(n)
+    lhs = _bernoulli_shift_lhs(n)
     rhs = Poly2.monomial(n, 0, harmonic(n))
     for l in range(1, n + 1):
-        rhs += bernoulli_poly(l).as_poly2("y") * Poly2.monomial(n - l, 0, Rat(1, l))
+        rhs += _bern2(l, 0, 1) * Poly2.monomial(n - l, 0, Rat(1, l))
     return lhs, rhs
 
 
@@ -146,10 +151,10 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
         raise ValueError(f"n must be >= 0, got {n}")
     lhs = Poly2.zero()
     for k in range(0, n + 1):
-        lhs += euler_poly(k).compose_xy(1, 1) * Poly2.monomial(n - k, 0)
+        lhs += _eul2(k, 1, 1) * Poly2.monomial(n - k, 0)
     rhs = Poly2.zero()
     for l in range(0, n + 1):
-        rhs += euler_poly(l).as_poly2("y") * Poly2.monomial(n - l, 0, binomial(n + 1, l + 1))
+        rhs += _eul2(l, 0, 1) * Poly2.monomial(n - l, 0, binomial(n + 1, l + 1))
     return lhs, rhs
 
 

@@ -10,18 +10,23 @@ E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)) and once by
 solving E_n(x+1) + E_n(x) = 2 x^n top-down -- and the two routes must
 agree coefficient for coefficient; a mismatch would mean a convention
 bug somewhere and is treated as fatal.
+
+BernoulliCache is the one hand-written table, because it backs the
+cache file and carries the boustrophedon row from index to index;
+every derived value is a pure function memoised with functools.cache.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .arith import Rat, beta_int
-from .polynomials import Poly1, _poly1
+from .polynomials import Poly1, Poly2, _poly1
 
 __all__ = [
     "BernoulliCache",
@@ -121,20 +126,12 @@ def bernoulli_number(n: int) -> Rat:
     return _CACHE.get(n)
 
 
-_BPOLY: dict[int, Poly1] = {}
-_EPOLY: dict[int, Poly1] = {}
-
-
+@cache
 def bernoulli_poly(n: int) -> Poly1:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^{n-k}."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    poly = _BPOLY.get(n)
-    if poly is None:
-        coeffs = [comb(n, n - i) * bernoulli_number(n - i) for i in range(n + 1)]
-        poly = Poly1(coeffs)
-        _BPOLY[n] = poly
-    return poly
+    return Poly1([comb(n, n - i) * bernoulli_number(n - i) for i in range(n + 1)])
 
 
 def _euler_from_bernoulli(n: int) -> Poly1:
@@ -168,6 +165,7 @@ def _euler_by_difference(n: int) -> Poly1:
     return solve_delta_star(Poly1.monomial(n, 2))
 
 
+@cache
 def euler_poly(n: int) -> Poly1:
     """Euler polynomial E_n(x), built by two independent routes.
 
@@ -176,35 +174,36 @@ def euler_poly(n: int) -> Poly1:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    poly = _EPOLY.get(n)
-    if poly is None:
-        via_b = _euler_from_bernoulli(n)
-        via_diff = _euler_by_difference(n)
-        if via_b != via_diff:
-            raise RuntimeError(
-                f"Euler polynomial routes disagree at n={n}: "
-                f"{via_b} vs {via_diff}"
-            )
-        poly = via_b
-        _EPOLY[n] = poly
-    return poly
+    via_b = _euler_from_bernoulli(n)
+    via_diff = _euler_by_difference(n)
+    if via_b != via_diff:
+        raise RuntimeError(
+            f"Euler polynomial routes disagree at n={n}: "
+            f"{via_b} vs {via_diff}"
+        )
+    return via_b
 
 
-_HARMONIC: list[Rat] = [Rat(0)]
-_HARMONIC_LOCK = threading.Lock()
+# Two-variable embeddings: _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise
+# _eul2 for Euler polynomials.  The bivariate builders reuse them heavily.
+
+@cache
+def _bern2(k: int, cx: int, cy: int) -> Poly2:
+    return bernoulli_poly(k).compose_xy(cx, cy)
 
 
+@cache
+def _eul2(k: int, cx: int, cy: int) -> Poly2:
+    return euler_poly(k).compose_xy(cx, cy)
+
+
+@cache
 def harmonic(n: int) -> Rat:
     """Harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n >= len(_HARMONIC):
-        # extending reads the last entry and its index: one writer at a time
-        with _HARMONIC_LOCK:
-            while n >= len(_HARMONIC):
-                k = len(_HARMONIC)
-                _HARMONIC.append(_HARMONIC[-1] + Rat(1, k))
-    return _HARMONIC[n]
+    m = lcm(*range(1, n + 1))
+    return Rat(sum(m // k for k in range(1, n + 1)), m)
 
 
 def bbar(k: int) -> Rat:

@@ -136,26 +136,43 @@ def test_harmonic_recurrence():
         assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
 
 
-def test_harmonic_table_is_thread_safe():
-    # 8 threads grow a fresh table at once, switching every microsecond;
-    # an unlocked check-then-append stores shifted values here
+def _running_harmonic(top: int) -> list[Fraction]:
+    out = [Fraction(0)]
+    for k in range(1, top + 1):
+        out.append(out[-1] + Fraction(1, k))
+    return out
+
+
+_MEMO_ARGS = {
+    "harmonic": [(n,) for n in range(301)],
+    "bernoulli_poly": [(n,) for n in range(61)],
+    "euler_poly": [(n,) for n in range(41)],
+    "_bern2": [(k, cx, cy) for k in range(31) for cx, cy in ((1, 1), (0, 1), (1, -1))],
+}
+
+
+@pytest.mark.parametrize("name", list(_MEMO_ARGS))
+def test_memo_is_thread_safe(name):
+    # 8 threads fill a cleared memo at once, switching every microsecond;
+    # thread s asks for every s-th argument, so their requests interleave
     from bepoly import sequences
 
-    top = 300
-    expected = [Fraction(0)]
-    for k in range(1, top + 1):
-        expected.append(expected[-1] + Fraction(1, k))
+    memo, args = getattr(sequences, name), _MEMO_ARGS[name]
+    if name == "harmonic":
+        expected = _running_harmonic(len(args) - 1)
+    else:
+        expected = [memo(*a) for a in args]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            sequences._HARMONIC[:] = [Fraction(0)]
+            memo.cache_clear()
             barrier = threading.Barrier(8)
+            seen: dict[int, list] = {}
 
             def worker(step: int) -> None:
                 barrier.wait()
-                for n in range(step, top + 1, step):
-                    harmonic(n)
+                seen[step] = [memo(*a) for a in args[step - 1::step]]
 
             threads = [threading.Thread(target=worker, args=(s,)) for s in range(1, 9)]
             for t in threads:
@@ -163,10 +180,9 @@ def test_harmonic_table_is_thread_safe():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert sequences._HARMONIC == expected
+            assert all(seen[s] == expected[s - 1::s] for s in range(1, 9))
     finally:
         sys.setswitchinterval(interval)
-        sequences._HARMONIC[:] = [Fraction(0)]
 
 
 def test_bbar_values():
