@@ -3,7 +3,11 @@
 Each entry builds LHS - RHS of one identity, after multiplying both
 sides by the entry's pole-clearing factor (recorded in ``pole``), as a
 Rat, Poly1, or Poly2.  The identity holds iff that residual is the
-zero element; there is no tolerance anywhere.
+zero element; there is no tolerance anywhere.  A polynomial builder
+writes the residual as a list of weighted terms (w, f, g) or (w, f)
+and reduces it with one ``lincomb`` call; where a pole factor such as
+(x - y), (x - y)^3 or y multiplies an inner sum, an outer ``lincomb``
+takes the inner result as a factor.
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -31,10 +35,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Callable, Iterable, Optional, Union
 
-from .arith import Rat, beta_int, binomial, gamma_ratio
+from .arith import Rat, beta_int, binomial
 from .operators import (
     bernoulli_shift_sum,
     bernoulli_shift_sum_unweighted,
@@ -81,6 +85,8 @@ class UnknownIdentityError(KeyError):
 _X = Poly2.variable("x")
 _Y = Poly2.variable("y")
 _XMY = _X - _Y
+_XMY2 = _XMY ** 2
+_XMY3 = _XMY ** 3
 
 
 # -- scalar convolution identities ------------------------------------------
@@ -133,145 +139,125 @@ def _r_cor_1_2(n: int) -> Rat:
 def _r_1_4(n: int) -> Poly2:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
-    lhs = Poly2.zero()
-    for k in range(1, n):
-        lhs += _bern2(k, 1, 0) * _bern2(n - k, 0, 1) * Rat(1, k * (n - k))
-    for l in range(1, n + 1):
-        w = binomial(n - 1, l - 1) / (l * l)
-        lhs -= (_bern2(l, 1, -1) * _bern2(n - l, 0, 1)
-                + _bern2(l, -1, 1) * _bern2(n - l, 1, 0)) * w
     bx, by = _bern2(n, 1, 0), _bern2(n, 0, 1)
-    rhs_h = (bx + by) * (harmonic(n - 1) / n)
-    return _XMY * (lhs - rhs_h) - (bx - by) * Rat(1, n)
+    h = harmonic(n - 1) / n
+    terms = [(Rat(1, k * (n - k)), _bern2(k, 1, 0), _bern2(n - k, 0, 1))
+             for k in range(1, n)]
+    for l in range(1, n + 1):
+        w = -binomial(n - 1, l - 1) / (l * l)
+        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
+                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
+    terms += [(-h, bx), (-h, by)]
+    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)), (Rat(-1, n), bx), (Rat(1, n), by)])
 
 
 def _r_1_4p(n: int) -> Poly2:
     # the 1.4 chain multiplied through by n, with the 1/k-weighted double
     # sum written symmetrically in its two arguments
-    s = Poly2.zero()
-    for k in range(1, n):
-        s += (_bern2(k, 1, 0) * _bern2(n - k, 0, 1)
-              + _bern2(k, 0, 1) * _bern2(n - k, 1, 0)) * Rat(1, k)
     bx, by = _bern2(n, 1, 0), _bern2(n, 0, 1)
-    lhs = _XMY * (s - (bx + by) * harmonic(n - 1)) - (bx - by)
-    rhs = Poly2.zero()
+    h = harmonic(n - 1)
+    terms = []
+    for k in range(1, n):
+        terms += [(Rat(1, k), _bern2(k, 1, 0), _bern2(n - k, 0, 1)),
+                  (Rat(1, k), _bern2(k, 0, 1), _bern2(n - k, 1, 0))]
+    terms += [(-h, bx), (-h, by)]
     for l in range(1, n + 1):
-        rhs += (_bern2(l, 1, -1) * _bern2(n - l, 0, 1)
-                + _bern2(l, -1, 1) * _bern2(n - l, 1, 0)) * (binomial(n, l) / l)
-    return lhs - _XMY * rhs
+        w = -binomial(n, l) / l
+        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
+                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
+    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)), (-1, bx), (1, by)])
 
 
 def _r_1_5(n: int) -> Poly2:
-    core = Poly2.zero()
-    for k in range(0, n + 1):
-        core += _bern2(k, 1, 0) * _bern2(n - k, 0, 1)
+    terms = [(1, _bern2(k, 1, 0), _bern2(n - k, 0, 1)) for k in range(0, n + 1)]
     for l in range(0, n + 1):
-        w = binomial(n + 1, l + 1) / (l + 2)
-        core -= (_bern2(l, 1, -1) * _bern2(n - l, 0, 1)
-                 + _bern2(l, -1, 1) * _bern2(n - l, 1, 0)) * w
-    lhs = _XMY ** 3 * core * (n + 2)
-    rhs = (_XMY * (_bern2(n + 1, 1, 0) + _bern2(n + 1, 0, 1)) * (n + 2)
-           - (_bern2(n + 2, 1, 0) - _bern2(n + 2, 0, 1)) * 2)
-    return lhs - rhs
+        w = -binomial(n + 1, l + 1) / (l + 2)
+        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
+                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
+    return Poly2.lincomb([(n + 2, _XMY3, Poly2.lincomb(terms)),
+                          (-(n + 2), _XMY, _bern2(n + 1, 1, 0)),
+                          (-(n + 2), _XMY, _bern2(n + 1, 0, 1)),
+                          (2, _bern2(n + 2, 1, 0)), (-2, _bern2(n + 2, 0, 1))])
 
 
 # -- univariate (diagonal) Bernoulli identities -------------------------------
 
 def _r_1_6(n: int) -> Poly1:
-    lhs = Poly1.zero()
-    for k in range(1, n):
-        lhs += bernoulli_poly(k) * bernoulli_poly(n - k) * Rat(1, k * (n - k))
-    for l in range(2, n + 1):
-        w = 2 * binomial(n - 1, l - 1) * bernoulli_number(l) / (l * l)
-        lhs -= bernoulli_poly(n - l) * w
-    return lhs - bernoulli_poly(n) * (2 * harmonic(n - 1) / n)
+    terms = [(Rat(1, k * (n - k)), bernoulli_poly(k), bernoulli_poly(n - k))
+             for k in range(1, n)]
+    terms += [(-2 * binomial(n - 1, l - 1) * bernoulli_number(l) / (l * l),
+               bernoulli_poly(n - l)) for l in range(2, n + 1)]
+    terms.append((-2 * harmonic(n - 1) / n, bernoulli_poly(n)))
+    return Poly1.lincomb(terms)
 
 
 def _r_1_7(n: int) -> Poly1:
-    lhs = Poly1.zero()
-    for k in range(0, n + 1):
-        lhs += bernoulli_poly(k) * bernoulli_poly(n - k)
-    for l in range(2, n + 1):
-        w = 2 * binomial(n + 1, l + 1) * bernoulli_number(l) / (l + 2)
-        lhs -= bernoulli_poly(n - l) * w
-    return lhs - bernoulli_poly(n) * (n + 1)
+    terms = [(1, bernoulli_poly(k), bernoulli_poly(n - k)) for k in range(0, n + 1)]
+    terms += [(-2 * binomial(n + 1, l + 1) * bernoulli_number(l) / (l + 2),
+               bernoulli_poly(n - l)) for l in range(2, n + 1)]
+    terms.append((-(n + 1), bernoulli_poly(n)))
+    return Poly1.lincomb(terms)
 
 
 # -- bivariate Euler/Bernoulli identities -------------------------------------
 
 def _r_1_8(n: int) -> Poly2:
-    s = Poly2.zero()
-    for k in range(0, n + 1):
-        s += _eul2(k, 1, 0) * _eul2(n - k, 0, 1)
-    lhs = _XMY * s - (_bern2(n + 2, 1, 0) - _bern2(n + 2, 0, 1)) * Rat(4, n + 2)
-    t = Poly2.zero()
+    terms = [(1, _eul2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(0, n + 1)]
     for l in range(0, n + 2):
-        w = binomial(n + 1, l) / (l + 1)
-        t += (_eul2(l, 1, -1) * _bern2(n + 1 - l, 0, 1)
-              + _eul2(l, -1, 1) * _bern2(n + 1 - l, 1, 0)) * w
-    return lhs + _XMY * t * 2
+        w = 2 * binomial(n + 1, l) / (l + 1)
+        terms += [(w, _eul2(l, 1, -1), _bern2(n + 1 - l, 0, 1)),
+                  (w, _eul2(l, -1, 1), _bern2(n + 1 - l, 1, 0))]
+    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)),
+                          (Rat(-4, n + 2), _bern2(n + 2, 1, 0)),
+                          (Rat(4, n + 2), _bern2(n + 2, 0, 1))])
 
 
 def _r_1_9(n: int) -> Poly2:
-    s = Poly2.zero()
-    for k in range(1, n + 1):
-        s += _bern2(k, 1, 0) * _eul2(n - k, 0, 1) * Rat(1, k)
-    lhs = (_XMY * (s - _eul2(n, 0, 1) * harmonic(n))
-           - (_eul2(n, 1, 0) - _eul2(n, 0, 1)))
-    t = Poly2.zero()
+    terms = [(Rat(1, k), _bern2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(1, n + 1)]
+    terms.append((-harmonic(n), _eul2(n, 0, 1)))
     for l in range(1, n + 1):
-        t += (_bern2(l, 1, -1) * _eul2(n - l, 0, 1) * Rat(1, l)
-              - _eul2(l - 1, -1, 1) * _eul2(n - l, 1, 0) * Rat(1, 2)) * binomial(n, l)
-    return lhs - _XMY * t
+        c = binomial(n, l)
+        terms += [(-c / l, _bern2(l, 1, -1), _eul2(n - l, 0, 1)),
+                  (c / 2, _eul2(l - 1, -1, 1), _eul2(n - l, 1, 0))]
+    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)),
+                          (-1, _eul2(n, 1, 0)), (1, _eul2(n, 0, 1))])
 
 
 def _r_1_10(n: int) -> Poly2:
-    s = Poly2.zero()
-    for k in range(0, n + 1):
-        s += _bern2(k, 1, 0) * _eul2(n - k, 0, 1)
-    lhs = _XMY ** 2 * s
-    t = Poly2.zero()
+    terms = [(1, _bern2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(0, n + 1)]
     for l in range(1, n + 1):
-        t += (_bern2(l, 1, -1) * _eul2(n - l, 0, 1)
-              - _eul2(l - 1, -1, 1) * _eul2(n - l, 1, 0) * Rat(1, 2)) * binomial(n + 1, l + 1)
-    rhs = (_XMY ** 2 * t
-           + (_XMY * _eul2(n, 1, 0) + _XMY ** 2 * _eul2(n, 0, 1)) * (n + 1)
-           - (_eul2(n + 1, 1, 0) - _eul2(n + 1, 0, 1)))
-    return lhs - rhs
+        c = binomial(n + 1, l + 1)
+        terms += [(-c, _bern2(l, 1, -1), _eul2(n - l, 0, 1)),
+                  (c / 2, _eul2(l - 1, -1, 1), _eul2(n - l, 1, 0))]
+    terms.append((-(n + 1), _eul2(n, 0, 1)))
+    return Poly2.lincomb([(1, _XMY2, Poly2.lincomb(terms)),
+                          (-(n + 1), _XMY, _eul2(n, 1, 0)),
+                          (1, _eul2(n + 1, 1, 0)), (-1, _eul2(n + 1, 0, 1))])
 
 
 # -- univariate (diagonal) Euler identities -----------------------------------
 
 def _r_1_11(n: int) -> Poly1:
-    lhs = Poly1.zero()
-    for k in range(0, n + 1):
-        lhs += euler_poly(k) * euler_poly(n - k)
-    lhs *= n + 2
-    rhs = Poly1.zero()
-    for l in range(2, n + 3):
-        w = 8 * binomial(n + 2, l) * (2 ** l - 1) * bernoulli_number(l) / l
-        rhs += bernoulli_poly(n + 2 - l) * w
-    return lhs - rhs
+    terms = [(n + 2, euler_poly(k), euler_poly(n - k)) for k in range(0, n + 1)]
+    terms += [(-8 * binomial(n + 2, l) * (2 ** l - 1) * bernoulli_number(l) / l,
+               bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
+    return Poly1.lincomb(terms)
 
 
 def _r_1_12(n: int) -> Poly1:
-    lhs = Poly1.zero()
-    for k in range(1, n + 1):
-        lhs += bernoulli_poly(k) * euler_poly(n - k) * Rat(1, k)
-    for l in range(2, n + 1):
-        w = binomial(n, l) * 2 ** l * bernoulli_number(l) / l
-        lhs -= euler_poly(n - l) * w
-    return lhs - euler_poly(n) * harmonic(n)
+    terms = [(Rat(1, k), bernoulli_poly(k), euler_poly(n - k)) for k in range(1, n + 1)]
+    terms += [(-binomial(n, l) * 2 ** l * bernoulli_number(l) / l, euler_poly(n - l))
+              for l in range(2, n + 1)]
+    terms.append((-harmonic(n), euler_poly(n)))
+    return Poly1.lincomb(terms)
 
 
 def _r_1_13(n: int) -> Poly1:
-    lhs = Poly1.zero()
-    for k in range(0, n + 1):
-        lhs += bernoulli_poly(k) * euler_poly(n - k)
-    for l in range(2, n + 1):
-        w = binomial(n + 1, l + 1) * (2 ** l + l - 1) * bernoulli_number(l) / l
-        lhs -= euler_poly(n - l) * w
-    return lhs - euler_poly(n) * (n + 1)
+    terms = [(1, bernoulli_poly(k), euler_poly(n - k)) for k in range(0, n + 1)]
+    terms += [(-binomial(n + 1, l + 1) * (2 ** l + l - 1) * bernoulli_number(l) / l,
+               euler_poly(n - l)) for l in range(2, n + 1)]
+    terms.append((-(n + 1), euler_poly(n)))
+    return Poly1.lincomb(terms)
 
 
 # -- shift-convolution sums and shifted forms ---------------------------------
@@ -293,46 +279,40 @@ def _r_2_2(n: int) -> Poly2:
 
 def _r_2_3(n: int) -> Poly2:
     # y -> x + y form of 1.4, both sides multiplied by y
-    s = Poly2.zero()
-    for k in range(1, n):
-        s += _bern2(k, 1, 1) * _bern2(n - k, 1, 0) * Rat(1, k * (n - k))
-    lhs = _Y * s
-    t = Poly2.zero()
+    bs, bx = _bern2(n, 1, 1), _bern2(n, 1, 0)
+    h = harmonic(n - 1) / n
+    terms = [(Rat(1, k * (n - k)), _bern2(k, 1, 1), _bern2(n - k, 1, 0))
+             for k in range(1, n)]
     for l in range(1, n + 1):
-        w = binomial(n - 1, l - 1) / (l * l)
-        t += (_bern2(l, 0, 1) * _bern2(n - l, 1, 0)
-              + _bern2(l, 0, -1) * _bern2(n - l, 1, 1)) * w
-    t += (_bern2(n, 1, 1) + _bern2(n, 1, 0)) * (harmonic(n - 1) / n)
-    rhs = _Y * t + (_bern2(n, 1, 1) - _bern2(n, 1, 0)) * Rat(1, n)
-    return lhs - rhs
+        w = -binomial(n - 1, l - 1) / (l * l)
+        terms += [(w, _bern2(l, 0, 1), _bern2(n - l, 1, 0)),
+                  (w, _bern2(l, 0, -1), _bern2(n - l, 1, 1))]
+    terms += [(-h, bs), (-h, bx)]
+    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)), (Rat(-1, n), bs), (Rat(1, n), bx)])
 
 
 def _r_2_4(n: int) -> Poly2:
     # y -> x + y form of 1.8, both sides multiplied by y
-    s = Poly2.zero()
-    for k in range(0, n + 1):
-        s += _eul2(k, 1, 1) * _eul2(n - k, 1, 0)
-    lhs = _Y * s - (_bern2(n + 2, 1, 1) - _bern2(n + 2, 1, 0)) * Rat(4, n + 2)
-    t = Poly2.zero()
+    terms = [(1, _eul2(k, 1, 1), _eul2(n - k, 1, 0)) for k in range(0, n + 1)]
     for l in range(0, n + 2):
-        w = binomial(n + 1, l) / (l + 1)
-        t += (_eul2(l, 0, 1) * _bern2(n + 1 - l, 1, 0)
-              + _eul2(l, 0, -1) * _bern2(n + 1 - l, 1, 1)) * w
-    return lhs + _Y * t * 2
+        w = 2 * binomial(n + 1, l) / (l + 1)
+        terms += [(w, _eul2(l, 0, 1), _bern2(n + 1 - l, 1, 0)),
+                  (w, _eul2(l, 0, -1), _bern2(n + 1 - l, 1, 1))]
+    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)),
+                          (Rat(-4, n + 2), _bern2(n + 2, 1, 1)),
+                          (Rat(4, n + 2), _bern2(n + 2, 1, 0))])
 
 
 def _r_2_5(n: int) -> Poly2:
     # (x, y) -> (x + y, x) form of 1.9, both sides multiplied by y
-    s = Poly2.zero()
-    for k in range(1, n + 1):
-        s += _bern2(k, 1, 1) * _eul2(n - k, 1, 0) * Rat(1, k)
-    lhs = (_Y * (s - _eul2(n, 1, 0) * harmonic(n))
-           - (_eul2(n, 1, 1) - _eul2(n, 1, 0)))
-    t = Poly2.zero()
+    terms = [(Rat(1, k), _bern2(k, 1, 1), _eul2(n - k, 1, 0)) for k in range(1, n + 1)]
+    terms.append((-harmonic(n), _eul2(n, 1, 0)))
     for l in range(1, n + 1):
-        t += (_bern2(l, 0, 1) * _eul2(n - l, 1, 0) * Rat(1, l)
-              - _eul2(l - 1, 0, -1) * _eul2(n - l, 1, 1) * Rat(1, 2)) * binomial(n, l)
-    return lhs - _Y * t
+        c = binomial(n, l)
+        terms += [(-c / l, _bern2(l, 0, 1), _eul2(n - l, 1, 0)),
+                  (c / 2, _eul2(l - 1, 0, -1), _eul2(n - l, 1, 1))]
+    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)),
+                          (-1, _eul2(n, 1, 1)), (1, _eul2(n, 1, 0))])
 
 
 def _r_chu(n: int, l: int) -> Rat:
@@ -342,27 +322,42 @@ def _r_chu(n: int, l: int) -> Rat:
 
 # -- gamma/beta-weighted family -----------------------------------------------
 
+def _w_3_1_lhs(n: int, k: int, p: int, q: int) -> Rat:
+    """Left-side weight of 3.1 as one Rat,
+    Gamma(k+p) Gamma(n-k+q) / (k! (n-k)! rising(n, p+q)), which is
+    rising(k, p) rising(n-k, q) / (k (n-k) rising(n, p+q)), with the
+    rising factorial rising(a, m) = perm(a+m-1, m)."""
+    return Rat(perm(k + p - 1, p) * perm(n - k + q - 1, q),
+               k * (n - k) * perm(n + p + q - 1, p + q))
+
+
+def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> Rat:
+    """C(n-1, l-1) B_l / l * (beta(l+p, q+1) + beta(l+q, p+1)), the two betas
+    over their common denominator (l+p+q)!."""
+    b = bernoulli_number(l)
+    beta_num = factorial(l + p - 1) * factorial(q) + factorial(l + q - 1) * factorial(p)
+    return Rat(comb(n - 1, l - 1) * beta_num * b.numerator,
+               l * factorial(l + p + q) * b.denominator)
+
+
 def _r_3_1(n: int, p: int, q: int) -> Poly1:
-    # Gamma(k+p)Gamma(n-k+q)/(k!(n-k)!) = rising(k,p) rising(n-k,q) / (k(n-k))
-    lhs = Poly1.zero()
-    for k in range(1, n):
-        w = gamma_ratio(k, p) * gamma_ratio(n - k, q) * Rat(1, k * (n - k))
-        lhs += bernoulli_poly(k) * bernoulli_poly(n - k) * w
-    lhs /= gamma_ratio(n, p + q)
-    rhs = Poly1.zero()
-    for l in range(2, n + 1):
-        w = (binomial(n - 1, l - 1) * bernoulli_number(l) / l
-             * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)))
-        rhs += bernoulli_poly(n - l) * w
-    rhs += bernoulli_poly(n) * ((h_pq(n, p, q) + h_pq(n, q, p)) / n)
-    return lhs - rhs
+    terms = [(_w_3_1_lhs(n, k, p, q), bernoulli_poly(k), bernoulli_poly(n - k))
+             for k in range(1, n)]
+    terms += [(-_w_3_1_rhs(n, l, p, q), bernoulli_poly(n - l)) for l in range(2, n + 1)]
+    terms.append((-(h_pq(n, p, q) + h_pq(n, q, p)) / n, bernoulli_poly(n)))
+    return Poly1.lincomb(terms)
+
+
+def _sum_3_2(n: int, l: int, p: int, q: int) -> Rat:
+    """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q); every beta has the
+    denominator (n+p+q-1)!, so the numerators are summed as ints."""
+    total = sum(comb(n - l, k - l) * factorial(k + p - 1) * factorial(n - k + q - 1)
+                for k in range(l, n + 1))
+    return Rat(total, factorial(n + p + q - 1))
 
 
 def _r_3_2(n: int, l: int, p: int, q: int) -> Rat:
-    total = Rat(0)
-    for k in range(l, n + 1):
-        total += binomial(n - l, k - l) * beta_int(k + p, n - k + q)
-    return total - beta_int(l + p, q)
+    return _sum_3_2(n, l, p, q) - beta_int(l + p, q)
 
 
 def _r_ds(n: int, p: int) -> Rat:

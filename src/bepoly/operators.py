@@ -108,10 +108,8 @@ def _bernoulli_shift_lhs(n: int) -> Poly2:
     and its unweighted negative control."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lhs = Poly2.zero()
-    for k in range(1, n + 1):
-        lhs += _bern2(k, 1, 1) * Poly2.monomial(n - k, 0, Rat(1, k))
-    return lhs
+    return Poly2.lincomb([(Rat(1, k), _bern2(k, 1, 1), Poly2.monomial(n - k, 0))
+                          for k in range(1, n + 1)])
 
 
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -121,10 +119,9 @@ def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
     lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.monomial(n, 0, harmonic(n))
-    for l in range(1, n + 1):
-        w = binomial(n, l) / l
-        rhs += _bern2(l, 0, 1) * Poly2.monomial(n - l, 0, w)
+    rhs = Poly2.lincomb([(harmonic(n), Poly2.monomial(n, 0))]
+                        + [(binomial(n, l) / l, _bern2(l, 0, 1), Poly2.monomial(n - l, 0))
+                           for l in range(1, n + 1)])
     return lhs, rhs
 
 
@@ -135,9 +132,9 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     control that demonstrates the zero-test has teeth.
     """
     lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.monomial(n, 0, harmonic(n))
-    for l in range(1, n + 1):
-        rhs += _bern2(l, 0, 1) * Poly2.monomial(n - l, 0, Rat(1, l))
+    rhs = Poly2.lincomb([(harmonic(n), Poly2.monomial(n, 0))]
+                        + [(Rat(1, l), _bern2(l, 0, 1), Poly2.monomial(n - l, 0))
+                           for l in range(1, n + 1)])
     return lhs, rhs
 
 
@@ -149,12 +146,10 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    lhs = Poly2.zero()
-    for k in range(0, n + 1):
-        lhs += _eul2(k, 1, 1) * Poly2.monomial(n - k, 0)
-    rhs = Poly2.zero()
-    for l in range(0, n + 1):
-        rhs += _eul2(l, 0, 1) * Poly2.monomial(n - l, 0, binomial(n + 1, l + 1))
+    lhs = Poly2.lincomb([(1, _eul2(k, 1, 1), Poly2.monomial(n - k, 0))
+                         for k in range(0, n + 1)])
+    rhs = Poly2.lincomb([(comb(n + 1, l + 1), _eul2(l, 0, 1), Poly2.monomial(n - l, 0))
+                         for l in range(0, n + 1)])
     return lhs, rhs
 
 

@@ -14,11 +14,15 @@ the lcm of the reduced coefficient denominators, so the form is unique:
 structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
-Every operation runs on the stored integers.  A sum scales both sides
-to the lcm of their denominators, a product convolves the numerators
-and multiplies the denominators, and a scalar touches only the
-numerators and the denominator.  ``coeffs``, ``rows`` and ``coeff()``
-hand out reduced ``Fraction`` values, computed on read.
+Every operation runs on the stored integers.  The one kernel is
+``lincomb``: a weighted sum of products sum w * f * g, with terms
+(w, f, g) or (w, f), scales every term to the lcm of the term
+denominators, adds each product straight into one integer grid
+(``_convolve``, the module's only convolution loop) and brings the
+result to canonical form once.  Sums, differences and products are
+lincombs of one or two terms; a scalar touches only the numerators and
+the denominator.  ``coeffs``, ``rows`` and ``coeff()`` hand out reduced
+``Fraction`` values, computed on read.
 """
 
 from __future__ import annotations
@@ -105,25 +109,54 @@ def _poly2(rows: Grid, den: int) -> Poly2:
     return _wrap(Poly2, *_canonical(rows, den))
 
 
-def _lincomb(a: Grid, sa: int, b: Grid, sb: int) -> list[list[int]]:
-    """Rows of sa*a + sb*b (rows may come out ragged)."""
-    return [[x * sa + y * sb for x, y in zip_longest(ra, rb, fillvalue=0)]
-            for ra, rb in zip_longest(a, b, fillvalue=())]
+def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
+    """One integer grid holding the sum of s * a * b over ``parts``.
 
-
-def _convolve(a: Grid, b: Grid) -> list[list[int]]:
-    """Product of two nonzero integer grids (ragged rows allowed)."""
-    out = [[0] * (max(map(len, a)) + max(map(len, b)) - 1)
-           for _ in range(len(a) + len(b) - 1)]
-    b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
-    for i, ra in enumerate(a):
-        ra = [(s, v) for s, v in enumerate(ra) if v]
-        for j, rb in enumerate(b):
-            row = out[i + j]
-            for s, va in ra:
-                for t, vb in rb:
-                    row[s + t] += va * vb
+    The grids are nonempty and rectangular; the result is sized for the
+    largest product, and every product is added into it.
+    """
+    parts = list(parts)
+    out = [[0] * (max(len(a[0]) + len(b[0]) for _, a, b in parts) - 1)
+           for _ in range(max(len(a) + len(b) for _, a, b in parts) - 1)]
+    for s, a, b in parts:
+        b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
+        for i, ra in enumerate(a):
+            ra = [(j, v * s) for j, v in enumerate(ra) if v]
+            for k, rb in enumerate(b):
+                row = out[i + k]
+                for j, va in ra:
+                    for t, vb in rb:
+                        row[j + t] += va * vb
     return out
+
+
+# the unit grid: the second factor of a one-factor term (w, f)
+_ONE: Grid = ((1,),)
+
+
+def _lincomb(cls, grid, terms) -> tuple[list[list[int]], int]:
+    """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
+
+    Each term is (w, f) or (w, f, g) with w an int or Rat; ``grid`` maps a
+    factor to its integer rows.  Every product goes over the lcm D of the
+    term denominators and is added into one grid by ``_convolve``.
+    """
+    parts = []
+    for term in terms:
+        w, f, g = (*term, None) if len(term) == 2 else term
+        if not (isinstance(w, Scalar) and isinstance(f, cls)
+                and (len(term) == 2 or isinstance(g, cls))):
+            raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with "
+                            f"an int or Rat weight and {cls.__name__} factors")
+        if w and f._num:
+            if g is None:
+                parts.append((w.numerator, w.denominator * f._den, grid(f), _ONE))
+            elif g._num:
+                parts.append((w.numerator, w.denominator * f._den * g._den, grid(f), grid(g)))
+    if not parts:
+        return [], 1
+    d = lcm(*(den for _, den, _, _ in parts))
+    return _convolve((num * (d // den), a, b) for num, den, a, b in parts), d
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -192,17 +225,21 @@ class Poly1:
 
     # -- ring operations ---------------------------------------------------
 
-    def _plus(self, other: Poly1, sign: int) -> Poly1:
-        den = lcm(self._den, other._den)
-        return _poly1(_lincomb((self._num,), den // self._den,
-                               (other._num,), sign * (den // other._den)), den)
+    @classmethod
+    def lincomb(cls, terms: Iterable[tuple]) -> Poly1:
+        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
+
+        Weights are ints or Rats and factors Poly1s.  The whole sum is
+        built in one integer grid and brought to canonical form once.
+        """
+        return _poly1(*_lincomb(cls, lambda f: (f._num,), terms))
 
     def __add__(self, other) -> Poly1:
         if isinstance(other, Scalar):
             other = Poly1((other,))
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self._plus(other, 1)
+        return Poly1.lincomb(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -214,7 +251,7 @@ class Poly1:
             other = Poly1((other,))
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self._plus(other, -1)
+        return Poly1.lincomb(((1, self), (-1, other)))
 
     def __rsub__(self, other) -> Poly1:
         return (-self) + other
@@ -225,9 +262,7 @@ class Poly1:
                           self._den * other.denominator)
         if not isinstance(other, Poly1):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly1()
-        return _poly1(_convolve((self._num,), (other._num,)), self._den * other._den)
+        return Poly1.lincomb(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -402,17 +437,21 @@ class Poly2:
 
     # -- ring operations ---------------------------------------------------
 
-    def _plus(self, other: Poly2, sign: int) -> Poly2:
-        den = lcm(self._den, other._den)
-        return _poly2(_lincomb(self._num, den // self._den,
-                               other._num, sign * (den // other._den)), den)
+    @classmethod
+    def lincomb(cls, terms: Iterable[tuple]) -> Poly2:
+        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
+
+        Weights are ints or Rats and factors Poly2s.  The whole sum is
+        built in one integer grid and brought to canonical form once.
+        """
+        return _poly2(*_lincomb(cls, lambda f: f._num, terms))
 
     def __add__(self, other) -> Poly2:
         if isinstance(other, Scalar):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._plus(other, 1)
+        return Poly2.lincomb(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -424,7 +463,7 @@ class Poly2:
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self._plus(other, -1)
+        return Poly2.lincomb(((1, self), (-1, other)))
 
     def __rsub__(self, other) -> Poly2:
         return (-self) + other
@@ -435,9 +474,7 @@ class Poly2:
                           self._den * other.denominator)
         if not isinstance(other, Poly2):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly2()
-        return _poly2(_convolve(self._num, other._num), self._den * other._den)
+        return Poly2.lincomb(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -504,11 +541,11 @@ class Poly2:
         # sum_i row_i V^i dv^(d-i) over den * dv^d
         if self.is_zero:
             return self
-        acc: list[list[int]] = []
+        acc: Grid = ()
         scale = 1
         for row in reversed(self._num):
-            acc = _lincomb(_convolve(acc, value._num) if acc and value._num else [], 1,
-                           (row,), scale)
+            parts = [(1, acc, value._num)] if acc and value._num else []
+            acc = _convolve(parts + [(scale, (row,), _ONE)])
             scale *= value._den
         return _poly2(acc, self._den * scale // value._den)
 

@@ -22,7 +22,7 @@ import threading
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .arith import Rat, beta_int
@@ -206,6 +206,7 @@ def harmonic(n: int) -> Rat:
     return Rat(sum(m // k for k in range(1, n + 1)), m)
 
 
+@cache
 def bbar(k: int) -> Rat:
     """The scaled Bernoulli value (2^{1-k} - 1) B_k, equal to B_k(1/2)."""
     if k < 0:
@@ -223,18 +224,20 @@ def euler_at_zero(l: int) -> Rat:
 def h_pq(n: int, p: int, q: int) -> Rat:
     """Partial beta sum H_n(p, q) = sum_{k=1}^{n-1} beta(k+q, p+1).
 
-    The defining sum is the source of truth.  For p >= 1 it telescopes
-    to beta(p, q+1) - beta(p, n+q), and that closed form is recomputed
-    as a consistency check; for p = 0 the summands are just 1/(k+q), so
-    the "closed form" is the defining sum itself.
+    The defining sum is the source of truth; its summands
+    (k+q-1)! p! / (k+p+q)! are added as integers over the common
+    denominator (n+p+q-1)!.  For p >= 1 it telescopes to
+    beta(p, q+1) - beta(p, n+q), and that closed form is recomputed as a
+    consistency check; for p = 0 the summands are just 1/(k+q), so the
+    "closed form" is the defining sum itself.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    total = Rat(0)
-    for k in range(1, n):
-        total += beta_int(k + q, p + 1)
+    den = factorial(n + p + q - 1)
+    total = Rat(factorial(p) * sum(factorial(k + q - 1) * (den // factorial(k + p + q))
+                                   for k in range(1, n)), den)
     if p >= 1:
         closed = beta_int(p, q + 1) - beta_int(p, n + q)
         if total != closed:

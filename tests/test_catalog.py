@@ -7,11 +7,15 @@ twice.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from bepoly import catalog
 from bepoly import (
     Poly1,
     Poly2,
@@ -371,6 +375,90 @@ def test_even_index_family_is_slice_of_gamma_beta_family():
             assert dl == tl * scale
             assert dr == tr * scale
             assert verify("ds", n, p=p).holds
+
+
+def test_gamma_beta_weights_match_direct_transcription():
+    # the shared-denominator weights of 3.1, the integer sums of h_pq and
+    # 3.2 against the gamma_ratio/beta_int form in which the paper states them
+    for n in range(2, 26):
+        for p in range(5):
+            for q in range(5):
+                assert h_pq(n, p, q) == sum(beta_int(k + q, p + 1) for k in range(1, n))
+                g = gamma_ratio(n, p + q)
+                for k in range(1, n):
+                    direct = (gamma_ratio(k, p) * gamma_ratio(n - k, q)
+                              * Fraction(1, k * (n - k)) / g)
+                    assert catalog._w_3_1_lhs(n, k, p, q) == direct
+                for l in range(2, n + 1):
+                    direct = (binomial(n - 1, l - 1) * B(l) / l
+                              * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)))
+                    assert catalog._w_3_1_rhs(n, l, p, q) == direct
+    for n in range(1, 26):
+        for l in range(1, n + 1):
+            for p in range(5):
+                for q in range(1, 5):
+                    direct = sum(binomial(n - l, k - l) * beta_int(k + p, n - k + q)
+                                 for k in range(l, n + 1))
+                    assert catalog._sum_3_2(n, l, p, q) == direct
+
+
+# -- the negative control and a one-sided variant -----------------------------------
+
+# sha256 of the 2.1-as-printed residual strings, recorded before the
+# builders became term lists reduced by Poly2.lincomb
+NEGATIVE_RESIDUAL_SHA256 = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "c812de263f5e8514ae728fb36942067338122d6c953a10993d68dc85af98f7fb",
+    3: "30e7956d63be4c79fea6092395f93f617cf3e2e5c0beee95a7aa258b2fb1c895",
+    4: "8e75705a5e83429d522d39d246bf33d71d3f3394c660e0793c650fde7f44dd23",
+    5: "a397227fdad777b6d3a7cd1c03f6541f68fb51edaffd5fdc85bead8acb0e33e1",
+    6: "97036894ac9b4e22358215fa71a7fcf0fe5ba7b9089a61b63f96b9d06e89e20a",
+    7: "07cdf8ed53517b9cf9fa6ee9afae8e703526f522d479901a4e209830898454ef",
+    8: "63e5377d66236653ed0d5b1e719bcc18826cce2c4ddc44c0e2da39b36d9ed085",
+    9: "cba359df8c486b35a4bf32251f458661b1835d0313c7409bb5fea1ba1c8294d1",
+    10: "187e76644c813a0ba7611a84772d9dad978fa5896888bcf20317843ace919a67",
+    11: "384196a53e7bfdf7c0ab4dcf5acd51d77051d17bc68807e4e209e563d2e5adb5",
+    12: "e44e4852df39bc2fe223442f44e0d00b4d7baa883c434018afda48ce536ef4ba",
+    13: "07356b444bec9ad317c3b4d9d02b54d0853902d4ffbd7109e4861da2193069a9",
+    14: "6d4e4c748b0720321d4a17c8bae015b048bb2ef6704cd3948008f7fbea694dcb",
+    15: "635ead15a167557d99715aaa50600867b51963a07ac1d0c4318c0dd0c34c4ed6",
+    16: "17b0cfbb3a6c962003a70de43301b9afa03d72a7715db454a384e960604f0dbd",
+    17: "40e5d33d919319ed69eb53a7a33fb7c62417d69a493abd71596044326cff6697",
+    18: "64266f89f622f2342697e1a50e780ebca964b41f8dbd76aa44e5b36ee6144c54",
+    19: "fd6aca8b9adb0d8496f5ee3df10c9bab98675378c46f97fd4c0def0867ebe8d2",
+    20: "a9f4f4a3b99dfcb70d3750ffedc92e441213c456d3566a969c5c199e53f82a79",
+}
+
+
+def test_negative_control_residuals_are_pinned():
+    for n, digest in NEGATIVE_RESIDUAL_SHA256.items():
+        report = verify("2.1-as-printed", n)
+        assert report.holds is (n == 1)
+        assert hashlib.sha256(report.residual_str().encode()).hexdigest() == digest
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    recorded = {int(key.rsplit("=", 1)[1]): digest
+                for key, digest in golden["residual_sha256"].items()
+                if key.startswith("2.1-as-printed n=")}
+    assert set(recorded) == set(range(2, 13))
+    assert all(NEGATIVE_RESIDUAL_SHA256[n] == digest for n, digest in recorded.items())
+
+
+def _r_1_4p_one_sided(n: int) -> Poly2:
+    # 1.4p with the swapped half B_k(y) B_{n-k}(x) of the symmetric sum dropped
+    h = harmonic(n - 1)
+    terms = [(Fraction(1, k), bern2(k, 1, 0), bern2(n - k, 0, 1)) for k in range(1, n)]
+    terms += [(-h, bern2(n, 1, 0)), (-h, bern2(n, 0, 1))]
+    for l in range(1, n + 1):
+        w = -binomial(n, l) / l
+        terms += [(w, bern2(l, 1, -1), bern2(n - l, 0, 1)),
+                  (w, bern2(l, -1, 1), bern2(n - l, 1, 0))]
+    return Poly2.lincomb([(1, X - Y, Poly2.lincomb(terms)),
+                          (-1, bern2(n, 1, 0)), (1, bern2(n, 0, 1))])
+
+
+def test_symmetric_sum_of_1_4p_is_needed():
+    assert build_residual("1.4p", 3).is_zero
+    assert not _r_1_4p_one_sided(3).is_zero
 
 
 # -- sweep machinery ---------------------------------------------------------------

@@ -4,8 +4,10 @@ Every operation must return the canonical form: integer numerators over
 one positive denominator, gcd(content, den) = 1, no trailing zero and no
 zero fringe, with the zero polynomial stored as () over 1.  Sums and
 products are compared with a naive dict-of-monomials Fraction oracle
-that shares no code with the package.  Each property runs on seeded
-random inputs; the hypothesis versions run when hypothesis is installed.
+that shares no code with the package, and so is the fused sum of
+products ``lincomb``, which must also equal the same sum taken with the
+ring operators.  Each property runs on seeded random inputs; the
+hypothesis versions run when hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -127,6 +129,30 @@ def check_poly2(tp: Terms, tq: Terms, k: Fraction, u: Fraction, v: Fraction) -> 
     assert (p * q + p - q)(u, v) == p(u, v) * q(u, v) + p(u, v) - q(u, v)
 
 
+def oracle_lincomb(terms: list[tuple]) -> Terms:
+    out: Terms = {}
+    for w, *factors in terms:
+        t = {(0, 0): Fraction(w)} if w else {}
+        for f in factors:
+            t = oracle_mul(t, terms_of(f))
+        out = oracle_add(out, t)
+    return out
+
+
+def check_lincomb(cls: type, terms: list[tuple]) -> None:
+    """lincomb against the ring-operator sum and the dict oracle."""
+    fused = cls.lincomb(terms)
+    assert_canonical(fused)
+    ring = cls.zero()
+    for w, *factors in terms:
+        t = factors[0] * w
+        for f in factors[1:]:
+            t = t * f
+        ring = ring + t
+    assert fused == ring
+    assert terms_of(fused) == oracle_lincomb(terms)
+
+
 # -- seeded random inputs -------------------------------------------------------------
 
 def rand_rat(rng: random.Random) -> Fraction:
@@ -153,6 +179,47 @@ def test_poly2_properties_seeded():
         tp = rand_terms(rng, rng.randint(-1, 4), rng.randint(0, 4))
         tq = rand_terms(rng, rng.randint(-1, 3), rng.randint(0, 3))
         check_poly2(tp, tq, rand_rat(rng), rand_rat(rng), rand_rat(rng))
+
+
+def rand_lincomb_terms(rng: random.Random, make, dx: int, dy: int) -> list[tuple]:
+    """0..6 terms with one or two factors; weights and factors are sometimes zero."""
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        w = rng.choice([0, rng.randint(-5, 5), rand_rat(rng)])
+        factors = [make(rand_terms(rng, rng.randint(-1, dx), dy))
+                   for _ in range(rng.randint(1, 2))]
+        terms.append((w, *factors))
+    return terms
+
+
+def test_lincomb_seeded():
+    rng = random.Random(107)
+    for _ in range(120):
+        check_lincomb(Poly1, rand_lincomb_terms(rng, poly1_of, 6, 0))
+    for _ in range(60):
+        check_lincomb(Poly2, rand_lincomb_terms(rng, poly2_of, 3, rng.randint(0, 3)))
+
+
+def test_lincomb_zero_cases():
+    for cls, p in ((Poly1, Poly1((Fraction(1, 3), 2))), (Poly2, X - Y / 2)):
+        for terms in ([], [(0, p), (Fraction(0), p, p)],
+                      [(3, cls.zero()), (Fraction(1, 2), p, cls.zero())],
+                      [(1, p, p), (-1, p * p)]):
+            r = cls.lincomb(terms)
+            assert r == cls.zero()
+            assert_canonical(r)
+
+
+def test_lincomb_rejects_mixed_and_malformed_terms():
+    p1, p2 = Poly1((1, 2)), X + Y
+    for cls, terms in ((Poly1, [(1, p1, p2)]), (Poly1, [(1, p2)]),
+                       (Poly2, [(1, p2, p1)]), (Poly2, [(1, p1)]),
+                       (Poly2, [(1.5, p2)]), (Poly2, [(1, p2, None)])):
+        with pytest.raises(TypeError):
+            cls.lincomb(terms)
+    for terms in ([(1,)], [(1, p2, p2, p2)]):
+        with pytest.raises(ValueError):
+            Poly2.lincomb(terms)
 
 
 # -- hypothesis versions ---------------------------------------------------------------
@@ -188,5 +255,24 @@ def test_poly2_properties_hypothesis():
     @given(term_dicts(4, 4), term_dicts(3, 3), rats, rats, rats)
     def run(tp, tq, k, u, v):
         check_poly2(tp, tq, k, u, v)
+
+    run()
+
+
+def test_lincomb_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.one_of(st.just(0), st.integers(-20, 20), rats)
+
+    def term_lists(factors):
+        return st.lists(st.one_of(st.tuples(weights, factors),
+                                  st.tuples(weights, factors, factors)), max_size=6)
+
+    @settings
+    @given(term_lists(term_dicts(6, 0).map(poly1_of)),
+           term_lists(term_dicts(3, 3).map(poly2_of)))
+    def run(terms1, terms2):
+        check_lincomb(Poly1, terms1)
+        check_lincomb(Poly2, terms2)
 
     run()

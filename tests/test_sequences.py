@@ -147,6 +147,7 @@ _MEMO_ARGS = {
     "harmonic": [(n,) for n in range(301)],
     "bernoulli_poly": [(n,) for n in range(61)],
     "euler_poly": [(n,) for n in range(41)],
+    "bbar": [(k,) for k in range(201)],
     "_bern2": [(k, cx, cy) for k in range(31) for cx, cy in ((1, 1), (0, 1), (1, -1))],
 }
 
