@@ -137,8 +137,8 @@ def bernoulli_poly(n: int) -> Poly1:
 def _euler_from_bernoulli(n: int) -> Poly1:
     """E_n(x) via 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2))."""
     b = bernoulli_poly(n + 1)
-    half = b.compose_affine(Rat(1, 2), 0) * Fraction(2) ** (n + 1)
-    return (b - half) * Rat(2, n + 1)
+    w = Rat(2, n + 1)
+    return Poly1.lincomb([(w, b), (-w * 2 ** (n + 1), b.compose_affine(Rat(1, 2), 0))])
 
 
 def solve_delta_star(target: Poly1) -> Poly1:
