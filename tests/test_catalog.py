@@ -404,8 +404,9 @@ def test_gamma_beta_weights_match_direct_transcription():
 
 # -- the negative control and a one-sided variant -----------------------------------
 
-# sha256 of the 2.1-as-printed residual strings, recorded before the
-# builders became term lists reduced by Poly2.lincomb
+# sha256 of the 2.1-as-printed residual strings; a builder rewrite that
+# changes a failing residual changes its digest.  n = 2..12 must match the
+# digests the benchmark recorded in perfbench/golden.json.
 NEGATIVE_RESIDUAL_SHA256 = {
     1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
     2: "c812de263f5e8514ae728fb36942067338122d6c953a10993d68dc85af98f7fb",
