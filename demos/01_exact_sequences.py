@@ -26,9 +26,9 @@ def main():
     for n in range(0, 6):
         print(f"  B_{n}(x) = {bernoulli_poly(n)}")
 
-    print("\nEuler polynomials (each built by two independent routes that")
-    print("must agree: the half-argument Bernoulli relation, and solving")
-    print("E(x+1) + E(x) = 2 x^n from the top degree down):")
+    print("\nEuler polynomials (each built from the half-argument Bernoulli")
+    print("relation and checked against its defining equation")
+    print("E(x+1) + E(x) = 2 x^n):")
     for n in range(0, 6):
         print(f"  E_{n}(x) = {euler_poly(n)}")
 

@@ -7,7 +7,8 @@ Two step-1 operators act along a chosen axis:
 
 Both satisfy exact product rules, delta annihilates exactly the
 constants, and delta_star is invertible on polynomials (its matrix on
-the monomial basis is upper triangular with 2s on the diagonal).
+the monomial basis is upper triangular with 2s on the diagonal), which
+solve_delta_star does by integer back-substitution.
 Bernoulli and Euler polynomials are eigenfunction-like for them:
 delta(B_n) = n x^{n-1} and delta_star(E_n) = 2 x^n.
 
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .arith import Rat, binomial
-from .polynomials import Poly1, Poly2
-from .sequences import _bern2, _eul2, harmonic, solve_delta_star
+from .polynomials import Poly1, Poly2, _poly1
+from .sequences import _bern2, _eul2, harmonic
 
 __all__ = [
     "DiffOperator",
@@ -79,6 +80,25 @@ def delta(p: Poly1 | Poly2, axis: str = "x") -> Poly1 | Poly2:
 def delta_star(p: Poly1 | Poly2, axis: str = "x") -> Poly1 | Poly2:
     """f(. + 1) + f along the given axis."""
     return DiffOperator("delta_star", axis)(p)
+
+
+def solve_delta_star(target: Poly1) -> Poly1:
+    """The unique polynomial P with P(x+1) + P(x) equal to the target.
+
+    The map is upper triangular with 2s on the diagonal, so integer
+    back-substitution from the top degree d down gives P over
+    den * 2^(d+1); every halving is exact, as coefficient i of P needs
+    at most d - i + 1 factors of 2 beyond the target's den.
+    """
+    nums = target._num
+    d = len(nums) - 1
+    e = [0] * (d + 1)
+    for i in range(d, -1, -1):
+        t = nums[i] << (d + 1)
+        for j in range(i + 1, d + 1):
+            t -= comb(j, i) * e[j]
+        e[i] = t >> 1
+    return _poly1([e], target._den << (d + 1))
 
 
 def check_product_rules(p: Poly1, q: Poly1) -> bool:

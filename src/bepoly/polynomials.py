@@ -21,8 +21,10 @@ denominators, adds each product straight into one integer grid
 (``_convolve``, the module's only convolution loop) and brings the
 result to canonical form once.  Sums, differences and products are
 lincombs of one or two terms; a scalar touches only the numerators and
-the denominator.  ``coeffs``, ``rows`` and ``coeff()`` hand out reduced
-``Fraction`` values, computed on read.
+the denominator.  The ring operations, ``lincomb`` and equality are
+written once, in the shared base ``_Poly``; each class adds only its
+constructors, evaluation, calculus and rendering.  ``coeffs``, ``rows``
+and ``coeff()`` hand out reduced ``Fraction`` values, computed on read.
 """
 
 from __future__ import annotations
@@ -134,12 +136,12 @@ def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
 _ONE: Grid = ((1,),)
 
 
-def _lincomb(cls, grid, terms) -> tuple[list[list[int]], int]:
+def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
 
-    Each term is (w, f) or (w, f, g) with w an int or Rat; ``grid`` maps a
-    factor to its integer rows.  Every product goes over the lcm D of the
-    term denominators and is added into one grid by ``_convolve``.
+    Each term is (w, f) or (w, f, g) with w an int or Rat.  Every product
+    goes over the lcm D of the term denominators and is added into one
+    grid by ``_convolve``.
     """
     parts = []
     for term in terms:
@@ -150,9 +152,9 @@ def _lincomb(cls, grid, terms) -> tuple[list[list[int]], int]:
                             f"an int or Rat weight and {cls.__name__} factors")
         if w and f._num:
             if g is None:
-                parts.append((w.numerator, w.denominator * f._den, grid(f), _ONE))
+                parts.append((w.numerator, w.denominator * f._den, f._rows(), _ONE))
             elif g._num:
-                parts.append((w.numerator, w.denominator * f._den * g._den, grid(f), grid(g)))
+                parts.append((w.numerator, w.denominator * f._den * g._den, f._rows(), g._rows()))
     if not parts:
         return [], 1
     d = lcm(*(den for _, den, _, _ in parts))
@@ -179,20 +181,123 @@ def _format_terms(terms: list[tuple[Rat, str]]) -> str:
     return " ".join(parts)
 
 
-class Poly1:
-    """Dense univariate polynomial with exact rational coefficients."""
+class _Poly:
+    """The ring body shared by Poly1 and Poly2.
+
+    A subclass stores ``_num`` and ``_den``, lists its numerators as
+    integer rows through ``_rows()`` and builds canonical results through
+    ``_of(rows, den)``; a scalar c is the constant ``_of([[c.numerator]],
+    c.denominator)``.
+    """
 
     __slots__ = ("_num", "_den")
+
+    def __setattr__(self, name, value):  # value semantics
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def _coerce(self, other):
+        """``other`` as a polynomial of this class, or None."""
+        if isinstance(other, Scalar):
+            return self._of([[other.numerator]], other.denominator)
+        return other if isinstance(other, type(self)) else None
+
+    def _scaled(self, num: int, den: int):
+        return self._of([[v * num for v in row] for row in self._rows()], self._den * den)
+
+    # -- ring operations ---------------------------------------------------
+
+    @classmethod
+    def lincomb(cls, terms: Iterable[tuple]):
+        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
+
+        Weights are ints or Rats and factors instances of the class.  The
+        whole sum is built in one integer grid and brought to canonical
+        form once.
+        """
+        return cls._of(*_lincomb(cls, terms))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.lincomb(((1, self), (1, other)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._scaled(-1, 1)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.lincomb(((1, self), (-1, other)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.lincomb(((1, self, other),))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scaled(other.denominator, other.numerator)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._of([[1]], 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Poly1(_Poly):
+    """Dense univariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
 
     def __new__(cls, coeffs: Iterable[Rat | int] = ()):
         return _poly1(*_cleared((coeffs,)))
 
-    def __setattr__(self, name, value):  # value semantics
-        raise AttributeError("Poly1 is immutable")
+    _of = staticmethod(_poly1)
 
-    @classmethod
-    def zero(cls) -> Poly1:
-        return cls()
+    def _rows(self) -> Grid:
+        return (self._num,)
 
     @classmethod
     def variable(cls) -> Poly1:
@@ -214,88 +319,10 @@ class Poly1:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self._num) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def coeff(self, power: int) -> Rat:
         if 0 <= power < len(self._num):
             return Fraction(self._num[power], self._den)
         return Rat(0)
-
-    # -- ring operations ---------------------------------------------------
-
-    @classmethod
-    def lincomb(cls, terms: Iterable[tuple]) -> Poly1:
-        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
-
-        Weights are ints or Rats and factors Poly1s.  The whole sum is
-        built in one integer grid and brought to canonical form once.
-        """
-        return _poly1(*_lincomb(cls, lambda f: (f._num,), terms))
-
-    def __add__(self, other) -> Poly1:
-        if isinstance(other, Scalar):
-            other = Poly1((other,))
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return Poly1.lincomb(((1, self), (1, other)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly1:
-        return _wrap(Poly1, tuple([-v for v in self._num]), self._den)
-
-    def __sub__(self, other) -> Poly1:
-        if isinstance(other, Scalar):
-            other = Poly1((other,))
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return Poly1.lincomb(((1, self), (-1, other)))
-
-    def __rsub__(self, other) -> Poly1:
-        return (-self) + other
-
-    def __mul__(self, other) -> Poly1:
-        if isinstance(other, Scalar):
-            return _poly1([[v * other.numerator for v in self._num]],
-                          self._den * other.denominator)
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return Poly1.lincomb(((1, self, other),))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Poly1:
-        if isinstance(other, Scalar):
-            if not other:
-                raise ZeroDivisionError("polynomial division by zero")
-            return _poly1([[v * other.denominator for v in self._num]],
-                          self._den * other.numerator)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> Poly1:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Poly1((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            other = Poly1((other,))
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        return hash(("Poly1", self._num, self._den))
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -375,24 +402,19 @@ class Poly1:
                 terms.append((c, mono))
         return _format_terms(terms)
 
-    def __repr__(self) -> str:
-        return f"Poly1({self})"
 
-
-class Poly2:
+class Poly2(_Poly):
     """Dense bivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
 
     def __new__(cls, rows: Iterable[Iterable[Rat | int]] = ()):
         return _poly2(*_cleared(rows))
 
-    def __setattr__(self, name, value):  # value semantics
-        raise AttributeError("Poly2 is immutable")
+    _of = staticmethod(_poly2)
 
-    @classmethod
-    def zero(cls) -> Poly2:
-        return cls()
+    def _rows(self) -> Grid:
+        return self._num
 
     @classmethod
     def constant(cls, c: Rat | int) -> Poly2:
@@ -426,88 +448,10 @@ class Poly2:
     def deg_y(self) -> int:
         return len(self._num[0]) - 1 if self._num else -1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def coeff(self, i: int, j: int) -> Rat:
         if 0 <= i < len(self._num) and 0 <= j < len(self._num[i]):
             return Fraction(self._num[i][j], self._den)
         return Rat(0)
-
-    # -- ring operations ---------------------------------------------------
-
-    @classmethod
-    def lincomb(cls, terms: Iterable[tuple]) -> Poly2:
-        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
-
-        Weights are ints or Rats and factors Poly2s.  The whole sum is
-        built in one integer grid and brought to canonical form once.
-        """
-        return _poly2(*_lincomb(cls, lambda f: f._num, terms))
-
-    def __add__(self, other) -> Poly2:
-        if isinstance(other, Scalar):
-            other = Poly2.constant(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return Poly2.lincomb(((1, self), (1, other)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly2:
-        return _wrap(Poly2, tuple([tuple([-v for v in row]) for row in self._num]), self._den)
-
-    def __sub__(self, other) -> Poly2:
-        if isinstance(other, Scalar):
-            other = Poly2.constant(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return Poly2.lincomb(((1, self), (-1, other)))
-
-    def __rsub__(self, other) -> Poly2:
-        return (-self) + other
-
-    def __mul__(self, other) -> Poly2:
-        if isinstance(other, Scalar):
-            return _poly2([[v * other.numerator for v in row] for row in self._num],
-                          self._den * other.denominator)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return Poly2.lincomb(((1, self, other),))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Poly2:
-        if isinstance(other, Scalar):
-            if not other:
-                raise ZeroDivisionError("polynomial division by zero")
-            return _poly2([[v * other.denominator for v in row] for row in self._num],
-                          self._den * other.numerator)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> Poly2:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Poly2.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            other = Poly2.constant(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        return hash(("Poly2", self._num, self._den))
 
     # -- evaluation, calculus, substitution ----------------------------------
 
@@ -617,6 +561,3 @@ class Poly2:
                 pieces.append("y" if j == 1 else f"y^{j}")
             terms.append((c, "*".join(pieces)))
         return _format_terms(terms)
-
-    def __repr__(self) -> str:
-        return f"Poly2({self})"

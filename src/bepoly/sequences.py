@@ -4,12 +4,13 @@ Bernoulli numbers follow the convention forced by the generating
 function z/(e^z - 1), so B_1 = -1/2, and Bernoulli polynomials are
 B_n(x) = sum_k C(n,k) B_k x^{n-k}.  The numbers come from integer
 zigzag numbers (Brent and Harvey, arXiv:1108.0286), one Seidel
-boustrophedon row per index.  Euler polynomials are constructed twice
--- once through the half-argument relation
-E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)) and once by
-solving E_n(x+1) + E_n(x) = 2 x^n top-down -- and the two routes must
-agree coefficient for coefficient; a mismatch would mean a convention
-bug somewhere and is treated as fatal.
+boustrophedon row per index.  Euler polynomials are constructed once,
+through the half-argument relation
+E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)), and checked
+against their defining equation E_n(x+1) + E_n(x) = 2 x^n.  The forward
+sum is injective on polynomials, so the check is as strong as a second
+construction; a mismatch would mean a convention bug somewhere and is
+treated as fatal.
 
 BernoulliCache is the one hand-written table, because it backs the
 cache file and carries the boustrophedon row from index to index;
@@ -26,7 +27,7 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .arith import Rat, beta_int
-from .polynomials import Poly1, Poly2, _poly1
+from .polynomials import Poly1, Poly2
 
 __all__ = [
     "BernoulliCache",
@@ -39,7 +40,6 @@ __all__ = [
     "bbar",
     "euler_at_zero",
     "h_pq",
-    "solve_delta_star",
 ]
 
 
@@ -141,47 +141,23 @@ def _euler_from_bernoulli(n: int) -> Poly1:
     return Poly1.lincomb([(w, b), (-w * 2 ** (n + 1), b.compose_affine(Rat(1, 2), 0))])
 
 
-def solve_delta_star(target: Poly1) -> Poly1:
-    """The unique polynomial P with P(x+1) + P(x) equal to the target.
-
-    The map is upper triangular with 2s on the diagonal, so integer
-    back-substitution from the top degree d down gives P over
-    den * 2^(d+1); every halving is exact, as coefficient i of P needs
-    at most d - i + 1 factors of 2 beyond the target's den.
-    """
-    nums = target._num
-    d = len(nums) - 1
-    e = [0] * (d + 1)
-    for i in range(d, -1, -1):
-        t = nums[i] << (d + 1)
-        for j in range(i + 1, d + 1):
-            t -= comb(j, i) * e[j]
-        e[i] = t >> 1
-    return _poly1([e], target._den << (d + 1))
-
-
-def _euler_by_difference(n: int) -> Poly1:
-    """E_n(x) as the unique solution of E(x+1) + E(x) = 2 x^n."""
-    return solve_delta_star(Poly1.monomial(n, 2))
-
-
 @cache
 def euler_poly(n: int) -> Poly1:
-    """Euler polynomial E_n(x), built by two independent routes.
+    """Euler polynomial E_n(x), checked against E(x+1) + E(x) = 2 x^n.
 
-    Both constructions must agree exactly; disagreement signals an
-    internal defect and raises RuntimeError.
+    A result that fails its defining equation signals an internal
+    defect and raises RuntimeError.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    via_b = _euler_from_bernoulli(n)
-    via_diff = _euler_by_difference(n)
-    if via_b != via_diff:
+    e = _euler_from_bernoulli(n)
+    residual = Poly1.lincomb([(1, e.compose_affine(1, 1)), (1, e), (-2, Poly1.monomial(n))])
+    if not residual.is_zero:
         raise RuntimeError(
-            f"Euler polynomial routes disagree at n={n}: "
-            f"{via_b} vs {via_diff}"
+            f"Euler polynomial E_{n} fails E(x+1) + E(x) = 2 x^{n}: "
+            f"the difference is {residual}"
         )
-    return via_b
+    return e
 
 
 # Two-variable embeddings: _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise

@@ -30,10 +30,11 @@ from bepoly import (
     euler_shift_sum,
     h_pq,
     harmonic,
+    solve_delta_star,
     verify,
     verify_sweep,
 )
-from bepoly.sequences import _euler_by_difference, _euler_from_bernoulli
+from bepoly.sequences import _euler_from_bernoulli
 
 
 @contextmanager
@@ -139,7 +140,7 @@ def test_consistency_suite():
     with criterion("consistency suite: dual Euler routes, midpoint, special values, "
                    "difference properties"):
         for n in range(41):
-            assert _euler_from_bernoulli(n) == _euler_by_difference(n)
+            assert _euler_from_bernoulli(n) == solve_delta_star(Poly1.monomial(n, 2))
             assert euler_poly(n).compose_affine(1, 1) + euler_poly(n) == Poly1.monomial(n, 2)
             assert bernoulli_poly(n)(Fraction(1, 2)) == bbar(n)
             assert euler_at_zero(n) == euler_poly(n)(0)

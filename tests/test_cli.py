@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 import subprocess
 import sys
 
@@ -195,23 +194,38 @@ def test_verify_reads_and_writes_cache(tmp_path):
     assert proc.returncode == 0
 
 
-def test_bench_structure_and_determinism():
-    first = run_cli("bench", "--n-max", "30")
-    second = run_cli("bench", "--n-max", "30")
-    assert first.returncode == second.returncode == 0
-
-    def stable_rows(proc: subprocess.CompletedProcess) -> list[str]:
-        return [
-            re.sub(r"\(\d+(?:\.\d+)? ms\)$", "", line).strip()
-            for line in proc.stdout.strip().splitlines()
-        ]
-
-    rows_a, rows_b = stable_rows(first), stable_rows(second)
-    assert len(rows_a) == 3
-    assert rows_a == rows_b
+def test_bench_is_retired():
+    proc = run_cli("bench", "--n-max", "30")
+    assert proc.returncode == 2
+    assert "invalid choice: 'bench'" in proc.stderr
 
 
-def test_bench_minimal_n():
-    proc = run_cli("bench", "--n-max", "1")
-    assert proc.returncode == 0
-    assert len(proc.stdout.strip().splitlines()) == 3
+_HEADER = "bepoly-bernoulli-cache v1\n"
+
+
+@pytest.mark.parametrize("body", [
+    b"0\t1/0\n",                                         # zero denominator
+    b"0\t1/1\n1\t-1/2\xff\n",                            # a non-ASCII byte
+    b"0\t" + b"1" * 5000 + b"/1\n",                       # over the int() digit limit
+    b"".join(b"%d\t0/1\n" % i for i in range(4002)),      # past B_{2 N_LIMIT}
+], ids=["zero-denominator", "non-ascii", "huge-integer", "too-long"])
+def test_cache_load_rejects_malformed_file_cleanly(tmp_path, body):
+    path = tmp_path / "bad.cache"
+    path.write_bytes(_HEADER.encode() + body)
+    for argv in (["cache", "load"], ["cache", "info"], ["verify", "--id", "1.1", "--n", "4"]):
+        proc = run_cli(*argv, "--cache", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_cache_index_limit_is_the_largest_the_cli_writes(tmp_path):
+    from bepoly import cli
+
+    path = tmp_path / "long.cache"
+    entries = [f"{i}\t0/1" for i in range(cli.CACHE_INDEX_LIMIT + 1)]
+    path.write_text("\n".join([cli.CACHE_HEADER, *entries]) + "\n")
+    assert len(cli.read_cache_file(path)) == 2 * cli.N_LIMIT + 1
+    path.write_text("\n".join([cli.CACHE_HEADER, *entries, f"{len(entries)}\t0/1"]) + "\n")
+    with pytest.raises(cli.CacheIntegrityError, match=f"past the limit of B_{2 * cli.N_LIMIT}"):
+        cli.read_cache_file(path)

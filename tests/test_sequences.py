@@ -22,8 +22,10 @@ from bepoly import (
     euler_poly,
     h_pq,
     harmonic,
+    sequences,
+    solve_delta_star,
 )
-from bepoly.sequences import _euler_by_difference, _euler_from_bernoulli
+from bepoly.sequences import _euler_from_bernoulli
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -121,8 +123,25 @@ def test_euler_forward_sum():
 
 
 def test_euler_dual_construction_agrees():
+    # the back-substitution in operators is the reference route
     for n in range(41):
-        assert _euler_from_bernoulli(n) == _euler_by_difference(n)
+        assert _euler_from_bernoulli(n) == solve_delta_star(Poly1.monomial(n, 2))
+
+
+@pytest.mark.parametrize("perturb", [lambda e: e + 1, lambda e: 2 * e,
+                                     lambda e: e.compose_affine(1, Fraction(1, 2))])
+def test_euler_check_rejects_a_wrong_construction(monkeypatch, perturb):
+    route = sequences._euler_from_bernoulli
+    monkeypatch.setattr(sequences, "_euler_from_bernoulli", lambda n: perturb(route(n)))
+    euler_poly.cache_clear()
+    try:
+        for n in (1, 6, 13):
+            with pytest.raises(RuntimeError, match=f"E_{n} fails"):
+                euler_poly(n)
+    finally:
+        monkeypatch.undo()
+        euler_poly.cache_clear()
+    assert euler_poly(6) == solve_delta_star(Poly1.monomial(6, 2))
 
 
 def test_harmonic_values():
