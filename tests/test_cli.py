@@ -219,7 +219,7 @@ def test_cache_load_rejects_malformed_file_cleanly(tmp_path, body):
         assert "Traceback" not in proc.stderr
 
 
-def test_cache_index_limit_is_the_largest_the_cli_writes(tmp_path):
+def test_cache_index_limit_boundary(tmp_path):
     from bepoly import cli
 
     path = tmp_path / "long.cache"

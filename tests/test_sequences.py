@@ -129,7 +129,8 @@ def test_euler_dual_construction_agrees():
 
 
 @pytest.mark.parametrize("perturb", [lambda e: e + 1, lambda e: 2 * e,
-                                     lambda e: e.compose_affine(1, Fraction(1, 2))])
+                                     lambda e: e.compose_affine(1, Fraction(1, 2))],
+                         ids=["plus-one", "doubled", "half-shifted"])
 def test_euler_check_rejects_a_wrong_construction(monkeypatch, perturb):
     route = sequences._euler_from_bernoulli
     monkeypatch.setattr(sequences, "_euler_from_bernoulli", lambda n: perturb(route(n)))
