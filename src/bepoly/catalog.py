@@ -34,9 +34,8 @@ x = 0).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb, factorial, perm
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, beta_int, binomial
 from .operators import (
@@ -384,8 +383,7 @@ def _r_ds(n: int, p: int) -> Rat:
 
 # -- catalog ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One catalog entry.
 
     ``build`` maps the parameters (n first, then any of l, p, q in the
@@ -491,19 +489,29 @@ def catalog_ids(include_negative: bool = True) -> list[str]:
     return [k for k, s in CATALOG.items() if include_negative or not s.negative]
 
 
-@dataclass
 class VerifyReport:
-    """Outcome of checking one identity instance."""
+    """Outcome of checking one identity instance (mutable, unhashable)."""
 
-    key: str
-    n: int
-    l: Optional[int] = None
-    p: Optional[int] = None
-    q: Optional[int] = None
-    holds: Optional[bool] = None
-    residual: Optional[Residual] = None
-    elapsed: float = 0.0
-    skipped: bool = False
+    __match_args__ = ("key", "n", "l", "p", "q", "holds", "residual", "elapsed", "skipped")
+
+    def __init__(self, key: str, n: int, l: Optional[int] = None, p: Optional[int] = None,
+                 q: Optional[int] = None, holds: Optional[bool] = None,
+                 residual: Optional[Residual] = None, elapsed: float = 0.0,
+                 skipped: bool = False):
+        self.key, self.n, self.l, self.p, self.q = key, n, l, p, q
+        self.holds, self.residual, self.elapsed, self.skipped = holds, residual, elapsed, skipped
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def residual_str(self) -> str:
         if self.skipped:

@@ -17,10 +17,10 @@ checked holds, 1 on any verification or cache-validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
@@ -46,9 +46,7 @@ EXIT_USAGE = 2
 # Largest n, p, q or --n-max the command line accepts.  It bounds the
 # Bernoulli numbers (B_2000 takes about two seconds), not every command
 # at the cap: compute euler-poly 2000 builds E_2000 in about seven
-# seconds (and then exceeds the interpreter's 4300-digit limit on int
-# to str conversion when printing it, as bbar 2000 does), and verify-all
-# --n-max 2000 takes far longer.
+# seconds, and verify-all --n-max 2000 takes far longer.
 N_LIMIT = 2000
 
 # Largest cache file index the command line can write: ds at n = N_LIMIT
@@ -56,12 +54,31 @@ N_LIMIT = 2000
 CACHE_INDEX_LIMIT = 2 * N_LIMIT
 
 
+@contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's limit on decimal int <-> str conversion.
+
+    bepoly prints and caches values of any size it computes (B_4000 has
+    about 9,500 digits; the default limit is 4300).  Inputs are bounded
+    by length before int() sees them.  Python 3.10.0-3.10.6 has no limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # -- argument parsing ----------------------------------------------------------
 
 def _nonneg_int(text: str) -> int:
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    if int(text) > N_LIMIT:
+    if len(text.lstrip("0")) > len(str(N_LIMIT)) or int(text) > N_LIMIT:
         raise argparse.ArgumentTypeError(f"{text} is above the limit of {N_LIMIT}")
     return int(text)
 
@@ -71,11 +88,11 @@ def _range_arg(text: str) -> range:
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}")
-    lo = int(m.group(1))
     hi = _nonneg_int(m.group(2) or m.group(1))
-    if hi < lo:
+    lo = m.group(1).lstrip("0") or "0"
+    if len(lo) > len(str(hi)) or int(lo) > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return range(lo, hi + 1)
+    return range(int(lo), hi + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- cache file format ---------------------------------------------------------
 
+@_int_digits_unlimited()
 def write_cache_file(path: Path, values: list[Rat]) -> None:
     """Write the cache file atomically.
 
@@ -140,11 +158,15 @@ def write_cache_file(path: Path, values: list[Rat]) -> None:
         raise
 
 
+@_int_digits_unlimited()
 def read_cache_file(path: Path) -> list[Rat]:
     """Parse a cache file; raises CacheIntegrityError on malformed entries.
 
     Parsing is purely syntactic -- the arithmetic revalidation happens
-    when the values are fed to BernoulliCache.seed().
+    when the values are fed to BernoulliCache.seed().  Numerator and
+    denominator of B_k have fewer than 3k + 10 digits for every k up to
+    CACHE_INDEX_LIMIT (the digit count grows like k log10(k / 17)), so a
+    longer entry is refused before int() sees it.
     """
     try:
         lines = path.read_text(encoding="ascii").splitlines()
@@ -158,12 +180,10 @@ def read_cache_file(path: Path) -> list[Rat]:
     values: list[Rat] = []
     for lineno, line in enumerate(lines[1:]):
         m = re.fullmatch(r"(\d+)\t(-?\d+)/(\d*[1-9]\d*)", line)  # den != 0
-        try:  # int() refuses a digit string over the interpreter's limit
-            if m and int(m.group(1)) == lineno:
-                values.append(Fraction(int(m.group(2)), int(m.group(3))))
-                continue
-        except ValueError:
-            pass
+        if (m and max(map(len, m.groups())) < 3 * lineno + 10
+                and int(m.group(1)) == lineno):
+            values.append(Fraction(int(m.group(2)), int(m.group(3))))
+            continue
         raise CacheIntegrityError(lineno, f"{path}: malformed entry at index {lineno}")
     return values
 
@@ -176,6 +196,8 @@ def _load_cache(path: Path) -> None:
 # -- report rendering ----------------------------------------------------------
 
 def _report_json(report: VerifyReport) -> str:
+    import json  # only --json output needs it; a module-level import costs every command
+
     obj: dict = {"id": report.key, "n": report.n}
     if report.l is not None:
         obj["l"] = report.l
@@ -266,6 +288,7 @@ def _cmd_cache(args) -> int:
     return EXIT_OK
 
 
+@_int_digits_unlimited()
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)

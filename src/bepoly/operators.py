@@ -27,8 +27,8 @@ the first summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .arith import Rat, binomial
 from .polynomials import Poly1, Poly2, _poly1
@@ -53,19 +53,23 @@ def _shift_one(p: Poly1 | Poly2, axis: str) -> Poly1 | Poly2:
     return p.subst(axis, Poly2.variable(axis) + 1)
 
 
-@dataclass(frozen=True)
-class DiffOperator:
-    """A forward difference (kind='delta') or sum (kind='delta_star')
-    acting along one axis; the axis only matters for bivariate input."""
-
+class _OperatorFields(NamedTuple):
     kind: str
     axis: str = "x"
 
-    def __post_init__(self):
-        if self.kind not in ("delta", "delta_star"):
-            raise ValueError(f"kind must be 'delta' or 'delta_star', got {self.kind!r}")
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
+
+class DiffOperator(_OperatorFields):
+    """A forward difference (kind='delta') or sum (kind='delta_star')
+    acting along one axis; the axis only matters for bivariate input."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, axis: str = "x"):
+        if kind not in ("delta", "delta_star"):
+            raise ValueError(f"kind must be 'delta' or 'delta_star', got {kind!r}")
+        if axis not in ("x", "y"):
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        return super().__new__(cls, kind, axis)
 
     def __call__(self, p: Poly1 | Poly2) -> Poly1 | Poly2:
         shifted = _shift_one(p, self.axis)

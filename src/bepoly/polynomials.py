@@ -118,8 +118,8 @@ def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
     largest product, and every product is added into it.
     """
     parts = list(parts)
-    out = [[0] * (max(len(a[0]) + len(b[0]) for _, a, b in parts) - 1)
-           for _ in range(max(len(a) + len(b) for _, a, b in parts) - 1)]
+    width = max(len(a[0]) + len(b[0]) for _, a, b in parts) - 1
+    out = [[0] * width for _ in range(max(len(a) + len(b) for _, a, b in parts) - 1)]
     for s, a, b in parts:
         b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
         for i, ra in enumerate(a):

@@ -494,3 +494,46 @@ def test_report_fields():
     assert report.elapsed >= 0
     assert report.residual_str() == "0"
     assert report.params_str() == "n=4 p=2 q=1"
+
+
+def test_identity_spec_record_behaviour():
+    spec = catalog.CATALOG["3.2"]
+    values = ("3.2", "scalar", 1, spec.build, "beta-weighted extension of chu; q >= 1",
+              "none", ("l", "p", "q"), (0, 4), (1, 4), 1, False)
+    assert catalog.IdentitySpec(*values) == spec
+    assert hash(spec) == hash(values)  # the frozen dataclass hashed its field tuple
+    assert repr(spec) == (
+        f"IdentitySpec(key='3.2', arity='scalar', n_min=1, build={spec.build!r}, "
+        "summary='beta-weighted extension of chu; q >= 1', pole='none', "
+        "params=('l', 'p', 'q'), p_default=(0, 4), q_default=(1, 4), q_min=1, "
+        "negative=False)")
+    plain = catalog.IdentitySpec(key="k", arity="scalar", n_min=2, build=spec.build,
+                                 summary="s")
+    assert (plain.pole, plain.params, plain.p_default, plain.q_default, plain.q_min,
+            plain.negative) == ("none", (), (0, 3), (0, 3), 0, False)
+    assert plain != spec
+    for name in ("key", "negative", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+
+
+def test_verify_report_record_behaviour():
+    report = catalog.VerifyReport("3.1", 4, p=2, q=1, holds=True, elapsed=0.5)
+    assert report == catalog.VerifyReport(key="3.1", n=4, l=None, p=2, q=1, holds=True,
+                                          residual=None, elapsed=0.5, skipped=False)
+    assert repr(report) == ("VerifyReport(key='3.1', n=4, l=None, p=2, q=1, holds=True, "
+                            "residual=None, elapsed=0.5, skipped=False)")
+    assert repr(catalog.VerifyReport("x", 1)) == (
+        "VerifyReport(key='x', n=1, l=None, p=None, q=None, holds=None, "
+        "residual=None, elapsed=0.0, skipped=False)")
+    other = catalog.VerifyReport("3.1", 4, p=2, q=1, holds=True, elapsed=0.5)
+    other.elapsed = 0.25  # reports stay mutable
+    assert other.elapsed == 0.25 and other != report
+    other.elapsed = 0.5
+    assert other == report and report != ("3.1", 4)
+    with pytest.raises(TypeError):
+        hash(report)
+    failed = verify("2.1-as-printed", 2)
+    assert repr(failed).startswith("VerifyReport(key='2.1-as-printed', n=2, l=None, p=None, "
+                                   "q=None, holds=False, residual=Poly2(x*y - 1/2*x), elapsed=")
+    assert "residual_str" in vars(catalog.VerifyReport)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -206,7 +207,7 @@ _HEADER = "bepoly-bernoulli-cache v1\n"
 @pytest.mark.parametrize("body", [
     b"0\t1/0\n",                                         # zero denominator
     b"0\t1/1\n1\t-1/2\xff\n",                            # a non-ASCII byte
-    b"0\t" + b"1" * 5000 + b"/1\n",                       # over the int() digit limit
+    b"0\t" + b"1" * 5000 + b"/1\n",                       # more digits than B_0 can have
     b"".join(b"%d\t0/1\n" % i for i in range(4002)),      # past B_{2 N_LIMIT}
 ], ids=["zero-denominator", "non-ascii", "huge-integer", "too-long"])
 def test_cache_load_rejects_malformed_file_cleanly(tmp_path, body):
@@ -228,4 +229,59 @@ def test_cache_index_limit_boundary(tmp_path):
     assert len(cli.read_cache_file(path)) == 2 * cli.N_LIMIT + 1
     path.write_text("\n".join([cli.CACHE_HEADER, *entries, f"{len(entries)}\t0/1"]) + "\n")
     with pytest.raises(cli.CacheIntegrityError, match=f"past the limit of B_{2 * cli.N_LIMIT}"):
+        cli.read_cache_file(path)
+
+
+def test_cli_import_loads_no_unused_modules():
+    # dataclasses drags in inspect and ast; json is only needed for --json output
+    code = ("import sys, bepoly.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_compute_prints_values_past_the_int_digit_limit(capsys):
+    from bepoly import bbar, cli
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert cli.main(["compute", "bbar", "2000"]) == 0
+    out = capsys.readouterr().out.strip()
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after the command
+    with cli._int_digits_unlimited():
+        assert len(out) > 4300
+        assert Fraction(out) == bbar(2000)
+
+
+def test_long_numeric_arguments_are_refused_before_int(monkeypatch, capsys):
+    from bepoly import cli
+
+    def short_int(text, *args):
+        assert len(text) <= len(str(cli.N_LIMIT)), "int() was handed a long digit string"
+        return int(text, *args)
+
+    monkeypatch.setattr(cli, "int", short_int, raising=False)
+    long = "9" * 5000
+    for argv, message in ((["compute", "bbar", long], "above the limit"),
+                          (["verify", "--id", "1.1", "--n", f"4..{long}"], "above the limit"),
+                          (["verify", "--id", "1.1", "--n", f"{long}..4"], "empty range")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cache_file_round_trip_past_the_int_digit_limit(tmp_path):
+    from bepoly import cli
+
+    path = tmp_path / "big.cache"
+    index = 3500  # B_3500 itself has about 8,000 digits
+    big = Fraction(-(7 ** 10650), 3 ** 20)  # a 9,000-digit numerator
+    values = [Fraction(0)] * index + [big]
+    cli.write_cache_file(path, values)
+    assert cli.read_cache_file(path) == values
+    too_big = Fraction(10 ** (3 * index + 10))  # past the bound for this index
+    cli.write_cache_file(path, values[:-1] + [too_big])
+    with pytest.raises(cli.CacheIntegrityError, match=f"malformed entry at index {index}"):
         cli.read_cache_file(path)

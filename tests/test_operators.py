@@ -72,6 +72,24 @@ def test_diff_operator_objects():
         DiffOperator("delta", "z")
 
 
+def test_diff_operator_record_behaviour():
+    # construction, equality, hash and repr as the former frozen dataclass gave them
+    assert DiffOperator("delta") == DiffOperator(kind="delta", axis="x")
+    assert DiffOperator("delta_star", axis="y").axis == "y"
+    op = DiffOperator("delta_star", "y")
+    assert op == DiffOperator("delta_star", "y") and op != DiffOperator("delta_star")
+    assert hash(op) == hash(("delta_star", "y"))
+    assert repr(op) == "DiffOperator(kind='delta_star', axis='y')"
+    for name in ("kind", "axis", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, "x")
+    with pytest.raises(ValueError, match="kind must be 'delta' or 'delta_star', got 'nabla'"):
+        DiffOperator(kind="nabla")
+    with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+        DiffOperator("delta", axis="z")
+    assert "__call__" in vars(DiffOperator)
+
+
 def test_operators_commute_with_partials():
     rng = random.Random(61)
     for _ in range(20):
