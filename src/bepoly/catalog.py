@@ -3,11 +3,13 @@
 Each entry builds LHS - RHS of one identity, after multiplying both
 sides by the entry's pole-clearing factor (recorded in ``pole``), as a
 Rat, Poly1, or Poly2.  The identity holds iff that residual is the
-zero element; there is no tolerance anywhere.  A polynomial builder
+zero element; there is no tolerance anywhere.  A univariate builder
 writes the residual as a list of weighted terms (w, f, g) or (w, f)
-and reduces it with one ``lincomb`` call; where a pole factor such as
-(x - y), (x - y)^3 or y multiplies an inner sum, an outer ``lincomb``
-takes the inner result as a factor.
+and reduces it with one ``lincomb`` call.  Each bivariate sum is one
+``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
+argument pairs (L1, L2); where a pole factor such as (x - y),
+(x - y)^3 or y multiplies it, an outer ``lincomb`` takes it as a factor
+and adds the one-factor pole terms.
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -134,46 +136,48 @@ def _r_cor_1_2(n: int) -> Rat:
 
 
 # -- bivariate Bernoulli identities ------------------------------------------
+#
+# Inner sums are Poly2.sheared groups.  1.4, 1.8 and 1.9 sum at the argument
+# pairs (x, y), (x - y, y), (y - x, x); their shifted forms 2.3, 2.4 and 2.5
+# sum the same terms at the pairs (x, y) -> (x + y, x) makes of these.
+
+_BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
+_SHIFTED = (((1, 1), (1, 0)), ((0, 1), (1, 0)), ((0, -1), (1, 1)))
+_ONE = Poly1((1,))
+
+
+def _inner_1_4(n: int, pairs) -> Poly2:
+    b, h = bernoulli_poly, harmonic(n - 1) / n
+    conv = [(Rat(1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    conv += [(-h, b(n), _ONE), (-h, _ONE, b(n))]
+    mixed = [(-binomial(n - 1, l - 1) / (l * l), b(l), b(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared(zip(pairs, (conv, mixed, mixed)))
+
 
 def _r_1_4(n: int) -> Poly2:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
-    bx, by = _bern2(n, 1, 0), _bern2(n, 0, 1)
-    h = harmonic(n - 1) / n
-    terms = [(Rat(1, k * (n - k)), _bern2(k, 1, 0), _bern2(n - k, 0, 1))
-             for k in range(1, n)]
-    for l in range(1, n + 1):
-        w = -binomial(n - 1, l - 1) / (l * l)
-        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
-                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
-    terms += [(-h, bx), (-h, by)]
-    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)), (Rat(-1, n), bx), (Rat(1, n), by)])
+    return Poly2.lincomb([(1, _XMY, _inner_1_4(n, _BASE)),
+                          (Rat(-1, n), _bern2(n, 1, 0)), (Rat(1, n), _bern2(n, 0, 1))])
 
 
 def _r_1_4p(n: int) -> Poly2:
     # the 1.4 chain multiplied through by n, with the 1/k-weighted double
     # sum written symmetrically in its two arguments
-    bx, by = _bern2(n, 1, 0), _bern2(n, 0, 1)
-    h = harmonic(n - 1)
-    terms = []
-    for k in range(1, n):
-        terms += [(Rat(1, k), _bern2(k, 1, 0), _bern2(n - k, 0, 1)),
-                  (Rat(1, k), _bern2(k, 0, 1), _bern2(n - k, 1, 0))]
-    terms += [(-h, bx), (-h, by)]
-    for l in range(1, n + 1):
-        w = -binomial(n, l) / l
-        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
-                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
-    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)), (-1, bx), (1, by)])
+    b, h = bernoulli_poly, harmonic(n - 1)
+    conv = [(Rat(1, k), b(k), b(n - k)) for k in range(1, n)]
+    conv += [(Rat(1, k), b(n - k), b(k)) for k in range(1, n)]
+    conv += [(-h, b(n), _ONE), (-h, _ONE, b(n))]
+    mixed = [(-binomial(n, l) / l, b(l), b(n - l)) for l in range(1, n + 1)]
+    return Poly2.lincomb([(1, _XMY, Poly2.sheared(zip(_BASE, (conv, mixed, mixed)))),
+                          (-1, _bern2(n, 1, 0)), (1, _bern2(n, 0, 1))])
 
 
 def _r_1_5(n: int) -> Poly2:
-    terms = [(1, _bern2(k, 1, 0), _bern2(n - k, 0, 1)) for k in range(0, n + 1)]
-    for l in range(0, n + 1):
-        w = -binomial(n + 1, l + 1) / (l + 2)
-        terms += [(w, _bern2(l, 1, -1), _bern2(n - l, 0, 1)),
-                  (w, _bern2(l, -1, 1), _bern2(n - l, 1, 0))]
-    return Poly2.lincomb([(n + 2, _XMY3, Poly2.lincomb(terms)),
+    b = bernoulli_poly
+    conv = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
+    mixed = [(-binomial(n + 1, l + 1) / (l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
+    return Poly2.lincomb([(n + 2, _XMY3, Poly2.sheared(zip(_BASE, (conv, mixed, mixed)))),
                           (-(n + 2), _XMY, _bern2(n + 1, 1, 0)),
                           (-(n + 2), _XMY, _bern2(n + 1, 0, 1)),
                           (2, _bern2(n + 2, 1, 0)), (-2, _bern2(n + 2, 0, 1))])
@@ -200,36 +204,41 @@ def _r_1_7(n: int) -> Poly1:
 
 # -- bivariate Euler/Bernoulli identities -------------------------------------
 
+def _inner_1_8(n: int, pairs) -> Poly2:
+    e = euler_poly
+    conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
+    mixed = [(2 * binomial(n + 1, l) / (l + 1), e(l), bernoulli_poly(n + 1 - l))
+             for l in range(0, n + 2)]
+    return Poly2.sheared(zip(pairs, (conv, mixed, mixed)))
+
+
 def _r_1_8(n: int) -> Poly2:
-    terms = [(1, _eul2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(0, n + 1)]
-    for l in range(0, n + 2):
-        w = 2 * binomial(n + 1, l) / (l + 1)
-        terms += [(w, _eul2(l, 1, -1), _bern2(n + 1 - l, 0, 1)),
-                  (w, _eul2(l, -1, 1), _bern2(n + 1 - l, 1, 0))]
-    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)),
+    return Poly2.lincomb([(1, _XMY, _inner_1_8(n, _BASE)),
                           (Rat(-4, n + 2), _bern2(n + 2, 1, 0)),
                           (Rat(4, n + 2), _bern2(n + 2, 0, 1))])
 
 
+def _inner_1_9(n: int, pairs) -> Poly2:
+    b, e = bernoulli_poly, euler_poly
+    conv = [(Rat(1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    conv.append((-harmonic(n), _ONE, e(n)))
+    left = [(-binomial(n, l) / l, b(l), e(n - l)) for l in range(1, n + 1)]
+    right = [(binomial(n, l) / 2, e(l - 1), e(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared(zip(pairs, (conv, left, right)))
+
+
 def _r_1_9(n: int) -> Poly2:
-    terms = [(Rat(1, k), _bern2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(1, n + 1)]
-    terms.append((-harmonic(n), _eul2(n, 0, 1)))
-    for l in range(1, n + 1):
-        c = binomial(n, l)
-        terms += [(-c / l, _bern2(l, 1, -1), _eul2(n - l, 0, 1)),
-                  (c / 2, _eul2(l - 1, -1, 1), _eul2(n - l, 1, 0))]
-    return Poly2.lincomb([(1, _XMY, Poly2.lincomb(terms)),
+    return Poly2.lincomb([(1, _XMY, _inner_1_9(n, _BASE)),
                           (-1, _eul2(n, 1, 0)), (1, _eul2(n, 0, 1))])
 
 
 def _r_1_10(n: int) -> Poly2:
-    terms = [(1, _bern2(k, 1, 0), _eul2(n - k, 0, 1)) for k in range(0, n + 1)]
-    for l in range(1, n + 1):
-        c = binomial(n + 1, l + 1)
-        terms += [(-c, _bern2(l, 1, -1), _eul2(n - l, 0, 1)),
-                  (c / 2, _eul2(l - 1, -1, 1), _eul2(n - l, 1, 0))]
-    terms.append((-(n + 1), _eul2(n, 0, 1)))
-    return Poly2.lincomb([(1, _XMY2, Poly2.lincomb(terms)),
+    b, e = bernoulli_poly, euler_poly
+    conv = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
+    conv.append((-(n + 1), _ONE, e(n)))
+    left = [(-binomial(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
+    right = [(binomial(n + 1, l + 1) / 2, e(l - 1), e(n - l)) for l in range(1, n + 1)]
+    return Poly2.lincomb([(1, _XMY2, Poly2.sheared(zip(_BASE, (conv, left, right)))),
                           (-(n + 1), _XMY, _eul2(n, 1, 0)),
                           (1, _eul2(n + 1, 1, 0)), (-1, _eul2(n + 1, 0, 1))])
 
@@ -278,39 +287,20 @@ def _r_2_2(n: int) -> Poly2:
 
 def _r_2_3(n: int) -> Poly2:
     # y -> x + y form of 1.4, both sides multiplied by y
-    bs, bx = _bern2(n, 1, 1), _bern2(n, 1, 0)
-    h = harmonic(n - 1) / n
-    terms = [(Rat(1, k * (n - k)), _bern2(k, 1, 1), _bern2(n - k, 1, 0))
-             for k in range(1, n)]
-    for l in range(1, n + 1):
-        w = -binomial(n - 1, l - 1) / (l * l)
-        terms += [(w, _bern2(l, 0, 1), _bern2(n - l, 1, 0)),
-                  (w, _bern2(l, 0, -1), _bern2(n - l, 1, 1))]
-    terms += [(-h, bs), (-h, bx)]
-    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)), (Rat(-1, n), bs), (Rat(1, n), bx)])
+    return Poly2.lincomb([(1, _Y, _inner_1_4(n, _SHIFTED)),
+                          (Rat(-1, n), _bern2(n, 1, 1)), (Rat(1, n), _bern2(n, 1, 0))])
 
 
 def _r_2_4(n: int) -> Poly2:
     # y -> x + y form of 1.8, both sides multiplied by y
-    terms = [(1, _eul2(k, 1, 1), _eul2(n - k, 1, 0)) for k in range(0, n + 1)]
-    for l in range(0, n + 2):
-        w = 2 * binomial(n + 1, l) / (l + 1)
-        terms += [(w, _eul2(l, 0, 1), _bern2(n + 1 - l, 1, 0)),
-                  (w, _eul2(l, 0, -1), _bern2(n + 1 - l, 1, 1))]
-    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)),
+    return Poly2.lincomb([(1, _Y, _inner_1_8(n, _SHIFTED)),
                           (Rat(-4, n + 2), _bern2(n + 2, 1, 1)),
                           (Rat(4, n + 2), _bern2(n + 2, 1, 0))])
 
 
 def _r_2_5(n: int) -> Poly2:
     # (x, y) -> (x + y, x) form of 1.9, both sides multiplied by y
-    terms = [(Rat(1, k), _bern2(k, 1, 1), _eul2(n - k, 1, 0)) for k in range(1, n + 1)]
-    terms.append((-harmonic(n), _eul2(n, 1, 0)))
-    for l in range(1, n + 1):
-        c = binomial(n, l)
-        terms += [(-c / l, _bern2(l, 0, 1), _eul2(n - l, 1, 0)),
-                  (c / 2, _eul2(l - 1, 0, -1), _eul2(n - l, 1, 1))]
-    return Poly2.lincomb([(1, _Y, Poly2.lincomb(terms)),
+    return Poly2.lincomb([(1, _Y, _inner_1_9(n, _SHIFTED)),
                           (-1, _eul2(n, 1, 1)), (1, _eul2(n, 1, 0))])
 
 

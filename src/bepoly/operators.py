@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .arith import Rat, binomial
 from .polynomials import Poly1, Poly2, _poly1
-from .sequences import _bern2, _eul2, harmonic
+from .sequences import bernoulli_poly, euler_poly, harmonic
 
 __all__ = [
     "DiffOperator",
@@ -127,13 +127,17 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
     )
 
 
+# argument pairs (x + y, x) and (y, x) of Poly2.sheared, a*x + b*y written (a, b)
+_XPY_X, _Y_X = ((1, 1), (1, 0)), ((0, 1), (1, 0))
+
+
 def _bernoulli_shift_lhs(n: int) -> Poly2:
     """sum_{k=1}^{n} B_k(x+y)/k * x^{n-k}, the left side shared by 2.1
     and its unweighted negative control."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Poly2.lincomb([(Rat(1, k), _bern2(k, 1, 1), Poly2.monomial(n - k, 0))
-                          for k in range(1, n + 1)])
+    return Poly2.sheared([(_XPY_X, [(Rat(1, k), bernoulli_poly(k), Poly1.monomial(n - k))
+                                    for k in range(1, n + 1)])])
 
 
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -143,9 +147,9 @@ def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
     lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.lincomb([(harmonic(n), Poly2.monomial(n, 0))]
-                        + [(binomial(n, l) / l, _bern2(l, 0, 1), Poly2.monomial(n - l, 0))
-                           for l in range(1, n + 1)])
+    rhs = Poly2.sheared([(_Y_X, [(harmonic(n), Poly1.monomial(0), Poly1.monomial(n))]
+                          + [(binomial(n, l) / l, bernoulli_poly(l), Poly1.monomial(n - l))
+                             for l in range(1, n + 1)])])
     return lhs, rhs
 
 
@@ -156,9 +160,9 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     control that demonstrates the zero-test has teeth.
     """
     lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.lincomb([(harmonic(n), Poly2.monomial(n, 0))]
-                        + [(Rat(1, l), _bern2(l, 0, 1), Poly2.monomial(n - l, 0))
-                           for l in range(1, n + 1)])
+    rhs = Poly2.sheared([(_Y_X, [(harmonic(n), Poly1.monomial(0), Poly1.monomial(n))]
+                          + [(Rat(1, l), bernoulli_poly(l), Poly1.monomial(n - l))
+                             for l in range(1, n + 1)])])
     return lhs, rhs
 
 
@@ -170,10 +174,10 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    lhs = Poly2.lincomb([(1, _eul2(k, 1, 1), Poly2.monomial(n - k, 0))
-                         for k in range(0, n + 1)])
-    rhs = Poly2.lincomb([(comb(n + 1, l + 1), _eul2(l, 0, 1), Poly2.monomial(n - l, 0))
-                         for l in range(0, n + 1)])
+    lhs = Poly2.sheared([(_XPY_X, [(1, euler_poly(k), Poly1.monomial(n - k))
+                                   for k in range(0, n + 1)])])
+    rhs = Poly2.sheared([(_Y_X, [(comb(n + 1, l + 1), euler_poly(l), Poly1.monomial(n - l))
+                                 for l in range(0, n + 1)])])
     return lhs, rhs
 
 

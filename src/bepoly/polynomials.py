@@ -14,23 +14,27 @@ the lcm of the reduced coefficient denominators, so the form is unique:
 structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
-Every operation runs on the stored integers.  The one kernel is
-``lincomb``: a weighted sum of products sum w * f * g, with terms
-(w, f, g) or (w, f), scales every term to the lcm of the term
-denominators, adds each product straight into one integer grid
-(``_convolve``, the module's only convolution loop) and brings the
+Every operation runs on the stored integers, through two kernels.
+``lincomb`` sums weighted products w * f * g, terms (w, f, g) or (w, f):
+it scales every term to the lcm of the term denominators, adds each
+product straight into one integer grid (``_convolve``, the module's only
+convolution loop; a one-factor term is scaled and added) and brings the
 result to canonical form once.  Sums, differences and products are
 lincombs of one or two terms; a scalar touches only the numerators and
-the denominator.  The ring operations, ``lincomb`` and equality are
-written once, in the shared base ``_Poly``; each class adds only its
-constructors, evaluation, calculus and rendering.  ``coeffs``, ``rows``
-and ``coeff()`` hand out reduced ``Fraction`` values, computed on read.
+the denominator.  ``Poly2.sheared`` sums separable terms
+w * f(L1) * g(L2) with Poly1 factors at six unimodular argument pairs
+(L1, L2) by outer products and integer shears: O(n^3) for degree n,
+where products of bivariate embeddings cost O(n^4).  The ring
+operations, ``lincomb`` and equality are written once, in the shared
+base ``_Poly``; each class adds only its constructors, evaluation,
+calculus and rendering.  ``coeffs``, ``rows`` and ``coeff()`` hand out
+reduced ``Fraction`` values, computed on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -121,6 +125,12 @@ def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
     width = max(len(a[0]) + len(b[0]) for _, a, b in parts) - 1
     out = [[0] * width for _ in range(max(len(a) + len(b) for _, a, b in parts) - 1)]
     for s, a, b in parts:
+        if b is _ONE:  # a one-factor term: scale and add
+            for row, ra in zip(out, a):
+                for j, v in enumerate(ra):
+                    if v:
+                        row[j] += v * s
+            continue
         b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
         for i, ra in enumerate(a):
             ra = [(j, v * s) for j, v in enumerate(ra) if v]
@@ -159,6 +169,13 @@ def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
         return [], 1
     d = lcm(*(den for _, den, _, _ in parts))
     return _convolve((num * (d // den), a, b) for num, den, a, b in parts), d
+
+
+# (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
+# for (x, y), (y, x), (x - y, y), (y - x, x), (x + y, x) and (-y, x + y); each
+# step substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v
+_SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf",
+           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st", ((0, -1), (1, 1)): "fts"}
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -307,7 +324,8 @@ class Poly1(_Poly):
     def monomial(cls, power: int, coeff: Rat | int = 1) -> Poly1:
         if power < 0:
             raise ValueError("power must be >= 0")
-        return cls([0] * power + [coeff])
+        k = _as_rat(coeff)
+        return _poly1([[0] * power + [k.numerator]], k.denominator)
 
     @property
     def coeffs(self) -> tuple[Rat, ...]:
@@ -415,6 +433,61 @@ class Poly2(_Poly):
 
     def _rows(self) -> Grid:
         return self._num
+
+    @classmethod
+    def sheared(cls, groups: Iterable[tuple[tuple, Iterable[tuple]]]) -> Poly2:
+        """The sum of w * f(L1) * g(L2) over groups ((L1, L2), terms).
+
+        Terms are (w, f, g) with an int or Rat weight and Poly1 factors,
+        and (L1, L2) is a pair of ``_SHEARS``.  Its steps before "s" act on
+        the factors.  The outer products go over one denominator into one
+        integer grid per (shear, steps after it), held as total-degree
+        slices, slice m listing the numerators of x^(m-j) y^j by j.  There
+        "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j), done by
+        repeated synthetic division as prefix sums (additions only), "f"
+        negates the odd x-degrees and "t" reverses the slice.
+        """
+        parts, dens = [], []
+        for pair, terms in groups:
+            pre, shear, post = _SHEARS[pair].partition("s")
+            for w, f, g in terms:
+                if not (isinstance(w, Scalar) and isinstance(f, Poly1) and isinstance(g, Poly1)):
+                    raise TypeError("Poly2.sheared terms are (w, f, g) with an int or Rat "
+                                    "weight and Poly1 factors")
+                if w and f._num and g._num:
+                    a, b = f._num, g._num
+                    for step in pre:  # "f" negates the odd coefficients of f, "t" swaps f, g
+                        a, b = ((b, a) if step == "t"
+                                else ([-v if i % 2 else v for i, v in enumerate(a)], b))
+                    dens.append(w.denominator * f._den * g._den)
+                    parts.append(((shear, post), w.numerator, dens[-1], a, b))
+        if not parts:
+            return cls()
+        d = lcm(*dens)
+        top = max(len(a) + len(b) for *_, a, b in parts) - 1
+        grids = {key: [[0] * (m + 1) for m in range(top)]
+                 for key in dict.fromkeys(p[0] for p in parts)}
+        for key, num, den, a, b in parts:
+            grid, s, lb = grids[key], num * (d // den), len(b)
+            b = [(j, v) for j, v in enumerate(b) if v]
+            for i, va in enumerate(a):
+                if va:
+                    va *= s
+                    band = grid[i:i + lb]  # band[j] is slice i + j
+                    for j, vb in b:
+                        band[j][j] += va * vb
+        for (shear, post), grid in grids.items():
+            for m, c in enumerate(grid):
+                if shear:
+                    for stop in range(m + 1, 1, -1):
+                        c[:stop] = accumulate(c[:stop])
+                for step in post:
+                    if step == "f":
+                        c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
+                    else:
+                        c.reverse()
+        out = [[sum(v) for v in zip(*cs)] for cs in zip(*grids.values())]
+        return _poly2([[out[i + j][j] for j in range(top - i)] for i in range(top)], d)
 
     @classmethod
     def constant(cls, c: Rat | int) -> Poly2:

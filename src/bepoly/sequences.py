@@ -27,7 +27,7 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .arith import Rat, beta_int
-from .polynomials import Poly1, Poly2
+from .polynomials import Poly1, Poly2, _poly1
 
 __all__ = [
     "BernoulliCache",
@@ -131,7 +131,10 @@ def bernoulli_poly(n: int) -> Poly1:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^{n-k}."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return Poly1([comb(n, n - i) * bernoulli_number(n - i) for i in range(n + 1)])
+    bs = [bernoulli_number(n - i) for i in range(n + 1)]  # B_{n-i} goes with x^i
+    den = lcm(*(b.denominator for b in bs))
+    return _poly1([[comb(n, i) * b.numerator * (den // b.denominator)
+                    for i, b in enumerate(bs)]], den)
 
 
 def _euler_from_bernoulli(n: int) -> Poly1:
@@ -161,7 +164,7 @@ def euler_poly(n: int) -> Poly1:
 
 
 # Two-variable embeddings: _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise
-# _eul2 for Euler polynomials.  The bivariate builders reuse them heavily.
+# _eul2 for Euler polynomials; the bivariate builders' pole terms read them.
 
 @cache
 def _bern2(k: int, cx: int, cy: int) -> Poly2:

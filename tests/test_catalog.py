@@ -296,6 +296,37 @@ def test_bivariate_term_groups_are_symmetric():
         assert core.swap_xy() == core
 
 
+def test_bivariate_builders_match_the_embedding_route(monkeypatch):
+    # every Poly2.sheared call the bivariate builders make is checked
+    # against Poly2.lincomb over the embeddings f(L1) and g(L2)
+    kernel = Poly2.sheared.__func__
+    calls = []
+
+    def checked(cls, groups):
+        groups = [(pair, list(terms)) for pair, terms in groups]
+        result = kernel(cls, groups)
+        assert result == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
+                                        for (l1, l2), terms in groups for w, f, g in terms])
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(Poly2, "sheared", classmethod(checked))
+    bivariate = [key for key, spec in catalog.CATALOG.items() if spec.arity == "bivariate"]
+    assert "2.1-as-printed" in bivariate and len(bivariate) == 12
+    for key in bivariate:
+        for n in range(catalog.CATALOG[key].n_min, 11):
+            before = len(calls)
+            assert build_residual(key, n).is_zero is (key != "2.1-as-printed" or n == 1)
+            assert len(calls) > before
+
+
+def test_embedding_memos_still_answer_cache_info():
+    # perfbench/spans.py snapshot() reads these two memos' cache_info();
+    # they may go only together with that read (ROADMAP item 2a)
+    for memo in (catalog._bern2, catalog._eul2):
+        assert memo.cache_info().maxsize is None
+
+
 # -- specializations -------------------------------------------------------------
 
 def test_rearranged_scalar_form_of_diagonal():

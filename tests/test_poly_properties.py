@@ -6,8 +6,10 @@ zero fringe, with the zero polynomial stored as () over 1.  Sums and
 products are compared with a naive dict-of-monomials Fraction oracle
 that shares no code with the package, and so is the fused sum of
 products ``lincomb``, which must also equal the same sum taken with the
-ring operators.  Each property runs on seeded random inputs; the
-hypothesis versions run when hypothesis is installed.
+ring operators.  The sheared kernel ``Poly2.sheared`` must equal
+``lincomb`` over ``compose_xy`` embeddings at each of its six argument
+pairs.  Each property runs on seeded random inputs; the hypothesis
+versions run when hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -222,6 +224,68 @@ def test_lincomb_rejects_mixed_and_malformed_terms():
             Poly2.lincomb(terms)
 
 
+# -- the sheared kernel ------------------------------------------------------------------
+
+# the six argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b)
+PAIRS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (0, 1)),
+         ((-1, 1), (1, 0)), ((1, 1), (1, 0)), ((0, -1), (1, 1))]
+
+
+def check_sheared(groups: list[tuple]) -> None:
+    """Poly2.sheared against Poly2.lincomb over compose_xy embeddings."""
+    fused = Poly2.sheared(groups)
+    assert_canonical(fused)
+    assert fused == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
+                                   for (l1, l2), terms in groups for w, f, g in terms])
+
+
+def rand_sheared_groups(rng: random.Random, pairs: list) -> list[tuple]:
+    """One group per pair, 0..4 terms each; weights and factors are sometimes zero."""
+    return [(pair, [(rng.choice([0, rng.randint(-5, 5), rand_rat(rng)]),
+                     poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)),
+                     poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)))
+                    for _ in range(rng.randint(0, 4))])
+            for pair in pairs]
+
+
+def test_sheared_each_pair_seeded():
+    rng = random.Random(109)
+    for pair in PAIRS:
+        for _ in range(40):
+            check_sheared(rand_sheared_groups(rng, [pair]))
+    for _ in range(40):
+        check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, 6))))
+
+
+def test_sheared_deterministic_cases():
+    f, g = Poly1((Fraction(1, 3), 0, -2, 1)), Poly1((Fraction(-5, 4), 7))
+    zero, one = Poly1(), Poly1((1,))
+    for pair in PAIRS:
+        check_sheared([(pair, [(Fraction(2, 3), f, g), (-1, g, f), (1, one, one)])])
+        check_sheared([(pair, [(0, f, g), (3, zero, g), (Fraction(1, 2), f, zero)])])
+        check_sheared([(pair, [])])
+        check_sheared([(pair, [(1, f, g)]), (pair, [(-1, f, g)])])  # an all-zero sum
+        assert Poly2.sheared(iter([(pair, iter([(1, f, g), (-1, f, g)]))])) == Poly2.zero()
+    assert Poly2.sheared([]) == Poly2.zero()
+    x = Poly1((0, 1))
+    # x^2 at each pair, against the expansion by hand
+    X2, XY, Y2 = Poly2.monomial(2, 0), Poly2.monomial(1, 1), Poly2.monomial(0, 2)
+    expected = [X2, Y2, X2 - 2 * XY + Y2, X2 - 2 * XY + Y2, X2 + 2 * XY + Y2, Y2]
+    for pair, want in zip(PAIRS, expected):
+        assert Poly2.sheared([(pair, [(1, x * x, one)])]) == want
+
+
+def test_sheared_rejects_unknown_pairs_and_malformed_terms():
+    f = Poly1((1, 2))
+    with pytest.raises(KeyError):
+        Poly2.sheared([(((1, 0), (1, 0)), [(1, f, f)])])
+    for term in ((1, f, X), (1, X, f), (1.5, f, f), (1, f, None)):
+        with pytest.raises(TypeError):
+            Poly2.sheared([(PAIRS[0], [term])])
+    with pytest.raises(ValueError):
+        Poly2.sheared([(PAIRS[0], [(1, f)])])
+
+
 # -- hypothesis versions ---------------------------------------------------------------
 
 def _strategies():
@@ -274,5 +338,20 @@ def test_lincomb_hypothesis():
     def run(terms1, terms2):
         check_lincomb(Poly1, terms1)
         check_lincomb(Poly2, terms2)
+
+    run()
+
+
+def test_sheared_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    factors = term_dicts(6, 0).map(poly1_of)
+    terms = st.lists(st.tuples(st.one_of(st.just(0), st.integers(-20, 20), rats),
+                               factors, factors), max_size=4)
+
+    @settings
+    @given(st.lists(st.tuples(st.sampled_from(PAIRS), terms), max_size=6))
+    def run(groups):
+        check_sheared(groups)
 
     run()
