@@ -1,20 +1,22 @@
-"""Exact scalar arithmetic: rationals, binomials, and integer-argument
-gamma/beta values.
+"""Exact scalar arithmetic: rationals, binomials, integer-argument
+gamma/beta values, and sums of integer fractions.
 
 ``Rat`` is the scalar type used by the whole package: the stdlib
 ``fractions.Fraction``, which already stores every value canonically
-reduced with a positive denominator and compares exactly.  Nothing in
-this package ever touches floating point.
+reduced with a positive denominator and compares exactly; since each
+operation costs a gcd, long sums go as integer pairs through
+``frac_sum``.  Nothing in this package ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from typing import Iterable
 
 Rat = Fraction
 
-__all__ = ["Rat", "binomial", "beta_int", "gamma_ratio"]
+__all__ = ["Rat", "binomial", "beta_int", "gamma_ratio", "frac_sum"]
 
 
 def binomial(n: int, k: int) -> Rat:
@@ -52,3 +54,11 @@ def gamma_ratio(a: int, m: int) -> Rat:
     if m < 0:
         raise ValueError(f"gamma_ratio: length must be >= 0, got {m}")
     return Rat(prod(range(a, a + m)))
+
+
+def frac_sum(pairs: Iterable[tuple[int, int]]) -> Rat:
+    """The sum of num/den over integer pairs (num, den), den nonzero, added
+    as ints over the lcm of the denominators and reduced once."""
+    pairs = list(pairs)
+    d = lcm(*(den for _, den in pairs))
+    return Rat(sum(num * (d // den) for num, den in pairs), d)

@@ -3,9 +3,12 @@
 Each entry builds LHS - RHS of one identity, after multiplying both
 sides by the entry's pole-clearing factor (recorded in ``pole``), as a
 Rat, Poly1, or Poly2.  The identity holds iff that residual is the
-zero element; there is no tolerance anywhere.  A univariate builder
-writes the residual as a list of weighted terms (w, f, g) or (w, f)
-and reduces it with one ``lincomb`` call.  Each bivariate sum is one
+zero element; there is no tolerance anywhere.  A scalar builder writes
+its sums as integer (numerator, denominator) pairs and adds them with
+one ``frac_sum``.  A univariate builder writes the residual as a list of
+terms (w, f, g) or (w, f), each weight one Rat built from ints, for one
+``lincomb`` call, which convolves a repeated product such as
+B_k(x) B_{n-k}(x) in a symmetric sum once.  Each bivariate sum is one
 ``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
 argument pairs (L1, L2); where a pole factor such as (x - y),
 (x - y)^3 or y multiplies it, an outer ``lincomb`` takes it as a factor
@@ -39,7 +42,7 @@ import time
 from math import comb, factorial, perm
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .arith import Rat, beta_int, binomial
+from .arith import Rat, beta_int, binomial, frac_sum
 from .operators import (
     bernoulli_shift_sum,
     bernoulli_shift_sum_unweighted,
@@ -92,56 +95,54 @@ _XMY3 = _XMY ** 3
 
 # -- scalar convolution identities ------------------------------------------
 
+def _frac(num: int, den: int, a: Rat, b: Rat = 1) -> tuple[int, int]:
+    """num * a * b / den as an integer pair (numerator, denominator)."""
+    return num * a.numerator * b.numerator, den * a.denominator * b.denominator
+
+
 def _r_1_1(n: int) -> Rat:
-    lhs = Rat(0)
-    for k in range(2, n - 1):
-        lhs += bernoulli_number(k) * bernoulli_number(n - k) * Rat(1, k * (n - k))
-    for l in range(2, n - 1):
-        lhs -= binomial(n, l) * bernoulli_number(l) * bernoulli_number(n - l) * Rat(1, l * (n - l))
-    rhs = Rat(2, n) * harmonic(n) * bernoulli_number(n)
-    return lhs - rhs
+    b = bernoulli_number
+    terms = [_frac(1 - comb(n, k), k * (n - k), b(k), b(n - k)) for k in range(2, n - 1)]
+    terms.append(_frac(-2, n, harmonic(n), b(n)))
+    return frac_sum(terms)
 
 
 def _r_1_2(n: int) -> Rat:
-    lhs = Rat(0)
-    for k in range(2, n - 1):
-        lhs += bernoulli_number(k) / k * bernoulli_number(n - k)
-    for l in range(2, n - 1):
-        lhs -= binomial(n, l) * bernoulli_number(l) / l * bernoulli_number(n - l)
-    return lhs - harmonic(n) * bernoulli_number(n)
+    b = bernoulli_number
+    terms = [_frac(1 - comb(n, k), k, b(k), b(n - k)) for k in range(2, n - 1)]
+    terms.append(_frac(-1, 1, harmonic(n), b(n)))
+    return frac_sum(terms)
 
 
 def _r_1_3(n: int) -> Rat:
-    lhs = Rat(0)
-    for k in range(2, n - 1):
-        lhs += (n + 2) * bernoulli_number(k) * bernoulli_number(n - k)
-    for l in range(2, n - 1):
-        lhs -= 2 * binomial(n + 2, l) * bernoulli_number(l) * bernoulli_number(n - l)
-    return lhs - Rat(n * (n + 1)) * bernoulli_number(n)
+    b = bernoulli_number
+    terms = [_frac(n + 2 - 2 * comb(n + 2, k), 1, b(k), b(n - k)) for k in range(2, n - 1)]
+    terms.append(_frac(-n * (n + 1), 1, b(n)))
+    return frac_sum(terms)
 
 
 def _r_cor_1_2(n: int) -> Rat:
-    """Chain of three expressions; residual is the first nonzero gap."""
-    e1 = Rat(0)
-    e2 = Rat(0)
-    for k in range(2, n - 1):
-        e1 += bbar(k) / k * bbar(n - k)
-        e2 += bbar(k) * bbar(n - k) * Rat(1, k * (n - k))
-    e2 *= Rat(n, 2)
-    e3 = harmonic(n - 1) * bbar(n)
-    for k in range(2, n + 1):
-        e3 += binomial(n, k) * bernoulli_number(k) / k * bbar(n - k)
-    first = e1 - e2
-    return first if first else e2 - e3
+    """Chain of three expressions e1 = e2 = e3; the residual is the first
+    nonzero gap, e1 - e2 with the weight 1/k - n/(2k(n-k)), else e2 - e3."""
+    bb = [(bbar(k), bbar(n - k), k) for k in range(2, n - 1)]
+    first = frac_sum(_frac(n - 2 * k, 2 * k * (n - k), u, v) for u, v, k in bb)
+    if first:
+        return first
+    terms = [_frac(n, 2 * k * (n - k), u, v) for u, v, k in bb]
+    terms.append(_frac(-1, 1, harmonic(n - 1), bbar(n)))
+    terms += [_frac(-comb(n, k), k, bernoulli_number(k), bbar(n - k)) for k in range(2, n + 1)]
+    return frac_sum(terms)
 
 
 # -- bivariate Bernoulli identities ------------------------------------------
 #
 # Inner sums are Poly2.sheared groups.  1.4, 1.8 and 1.9 sum at the argument
 # pairs (x, y), (x - y, y), (y - x, x); their shifted forms 2.3, 2.4 and 2.5
-# sum the same terms at the pairs (x, y) -> (x + y, x) makes of these.
+# sum the same terms at the pairs (x, y) -> (x + y, x) makes of these.  _PAIRED
+# names (x - y, y) and (y - x, x) as one set for one list; zip drops the copy.
 
 _BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
+_PAIRED = (_BASE[0], _BASE[1:])
 _SHIFTED = (((1, 1), (1, 0)), ((0, 1), (1, 0)), ((0, -1), (1, 1)))
 _ONE = Poly1((1,))
 
@@ -157,7 +158,7 @@ def _inner_1_4(n: int, pairs) -> Poly2:
 def _r_1_4(n: int) -> Poly2:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
-    return Poly2.lincomb([(1, _XMY, _inner_1_4(n, _BASE)),
+    return Poly2.lincomb([(1, _XMY, _inner_1_4(n, _PAIRED)),
                           (Rat(-1, n), _bern2(n, 1, 0)), (Rat(1, n), _bern2(n, 0, 1))])
 
 
@@ -169,7 +170,7 @@ def _r_1_4p(n: int) -> Poly2:
     conv += [(Rat(1, k), b(n - k), b(k)) for k in range(1, n)]
     conv += [(-h, b(n), _ONE), (-h, _ONE, b(n))]
     mixed = [(-binomial(n, l) / l, b(l), b(n - l)) for l in range(1, n + 1)]
-    return Poly2.lincomb([(1, _XMY, Poly2.sheared(zip(_BASE, (conv, mixed, mixed)))),
+    return Poly2.lincomb([(1, _XMY, Poly2.sheared(zip(_PAIRED, (conv, mixed)))),
                           (-1, _bern2(n, 1, 0)), (1, _bern2(n, 0, 1))])
 
 
@@ -177,7 +178,7 @@ def _r_1_5(n: int) -> Poly2:
     b = bernoulli_poly
     conv = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
     mixed = [(-binomial(n + 1, l + 1) / (l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
-    return Poly2.lincomb([(n + 2, _XMY3, Poly2.sheared(zip(_BASE, (conv, mixed, mixed)))),
+    return Poly2.lincomb([(n + 2, _XMY3, Poly2.sheared(zip(_PAIRED, (conv, mixed)))),
                           (-(n + 2), _XMY, _bern2(n + 1, 1, 0)),
                           (-(n + 2), _XMY, _bern2(n + 1, 0, 1)),
                           (2, _bern2(n + 2, 1, 0)), (-2, _bern2(n + 2, 0, 1))])
@@ -186,19 +187,20 @@ def _r_1_5(n: int) -> Poly2:
 # -- univariate (diagonal) Bernoulli identities -------------------------------
 
 def _r_1_6(n: int) -> Poly1:
-    terms = [(Rat(1, k * (n - k)), bernoulli_poly(k), bernoulli_poly(n - k))
-             for k in range(1, n)]
-    terms += [(-2 * binomial(n - 1, l - 1) * bernoulli_number(l) / (l * l),
-               bernoulli_poly(n - l)) for l in range(2, n + 1)]
-    terms.append((-2 * harmonic(n - 1) / n, bernoulli_poly(n)))
+    b = bernoulli_poly
+    terms = [(Rat(1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    terms += [(Rat(*_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l))), b(n - l))
+              for l in range(2, n + 1)]
+    terms.append((Rat(*_frac(-2, n, harmonic(n - 1))), b(n)))
     return Poly1.lincomb(terms)
 
 
 def _r_1_7(n: int) -> Poly1:
-    terms = [(1, bernoulli_poly(k), bernoulli_poly(n - k)) for k in range(0, n + 1)]
-    terms += [(-2 * binomial(n + 1, l + 1) * bernoulli_number(l) / (l + 2),
-               bernoulli_poly(n - l)) for l in range(2, n + 1)]
-    terms.append((-(n + 1), bernoulli_poly(n)))
+    b = bernoulli_poly
+    terms = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
+    terms += [(Rat(*_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l))), b(n - l))
+              for l in range(2, n + 1)]
+    terms.append((-(n + 1), b(n)))
     return Poly1.lincomb(terms)
 
 
@@ -213,7 +215,7 @@ def _inner_1_8(n: int, pairs) -> Poly2:
 
 
 def _r_1_8(n: int) -> Poly2:
-    return Poly2.lincomb([(1, _XMY, _inner_1_8(n, _BASE)),
+    return Poly2.lincomb([(1, _XMY, _inner_1_8(n, _PAIRED)),
                           (Rat(-4, n + 2), _bern2(n + 2, 1, 0)),
                           (Rat(4, n + 2), _bern2(n + 2, 0, 1))])
 
@@ -246,25 +248,28 @@ def _r_1_10(n: int) -> Poly2:
 # -- univariate (diagonal) Euler identities -----------------------------------
 
 def _r_1_11(n: int) -> Poly1:
-    terms = [(n + 2, euler_poly(k), euler_poly(n - k)) for k in range(0, n + 1)]
-    terms += [(-8 * binomial(n + 2, l) * (2 ** l - 1) * bernoulli_number(l) / l,
+    e = euler_poly
+    terms = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
+    terms += [(Rat(*_frac(-8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l))),
                bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
     return Poly1.lincomb(terms)
 
 
 def _r_1_12(n: int) -> Poly1:
-    terms = [(Rat(1, k), bernoulli_poly(k), euler_poly(n - k)) for k in range(1, n + 1)]
-    terms += [(-binomial(n, l) * 2 ** l * bernoulli_number(l) / l, euler_poly(n - l))
+    b, e = bernoulli_poly, euler_poly
+    terms = [(Rat(1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    terms += [(Rat(*_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l))), e(n - l))
               for l in range(2, n + 1)]
-    terms.append((-harmonic(n), euler_poly(n)))
+    terms.append((-harmonic(n), e(n)))
     return Poly1.lincomb(terms)
 
 
 def _r_1_13(n: int) -> Poly1:
-    terms = [(1, bernoulli_poly(k), euler_poly(n - k)) for k in range(0, n + 1)]
-    terms += [(-binomial(n + 1, l + 1) * (2 ** l + l - 1) * bernoulli_number(l) / l,
-               euler_poly(n - l)) for l in range(2, n + 1)]
-    terms.append((-(n + 1), euler_poly(n)))
+    b, e = bernoulli_poly, euler_poly
+    terms = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
+    terms += [(Rat(*_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l))),
+               e(n - l)) for l in range(2, n + 1)]
+    terms.append((-(n + 1), e(n)))
     return Poly1.lincomb(terms)
 
 
@@ -333,7 +338,8 @@ def _r_3_1(n: int, p: int, q: int) -> Poly1:
     terms = [(_w_3_1_lhs(n, k, p, q), bernoulli_poly(k), bernoulli_poly(n - k))
              for k in range(1, n)]
     terms += [(-_w_3_1_rhs(n, l, p, q), bernoulli_poly(n - l)) for l in range(2, n + 1)]
-    terms.append((-(h_pq(n, p, q) + h_pq(n, q, p)) / n, bernoulli_poly(n)))
+    terms.append((frac_sum([_frac(-1, n, h_pq(n, p, q)), _frac(-1, n, h_pq(n, q, p))]),
+                  bernoulli_poly(n)))
     return Poly1.lincomb(terms)
 
 
@@ -351,24 +357,20 @@ def _r_3_2(n: int, l: int, p: int, q: int) -> Rat:
 
 def _r_ds(n: int, p: int) -> Rat:
     """Even-index convolution identity with rising-factorial weights
-    (the p = q, x = 0 slice of 3.1 with the index doubled)."""
-    def g(m: int) -> int:
-        return factorial(m - 1)  # Gamma(m) for integer m >= 1
-
-    lhs = Rat(0)
-    for k in range(1, n):
-        num = (bernoulli_number(2 * k) * bernoulli_number(2 * n - 2 * k)
-               * g(2 * k + p) * g(2 * n - 2 * k + p))
-        lhs += Rat(num, 8 * k * (n - k) * g(2 * k) * g(2 * n - 2 * k))
-    lhs /= g(2 * n + 2 * p)
-    rhs = Rat(0)
+    (the p = q, x = 0 slice of 3.1 with the index doubled).  With
+    Gamma(m) = (m-1)!, the left weight Gamma(2k+p) Gamma(2n-2k+p) /
+    (Gamma(2k) Gamma(2n-2k)) is perm(2k+p-1, p) perm(2n-2k+p-1, p)."""
+    b, f = bernoulli_number, factorial
+    terms = []
     for k in range(1, n + 1):
-        rhs += (bernoulli_number(2 * k) * bernoulli_number(2 * n - 2 * k)
-                * g(2 * k + p)
-                / (factorial(2 * k) * factorial(2 * n - 2 * k) * g(2 * k + 2 * p + 1)))
-    rhs *= g(p + 1)
-    rhs += bernoulli_number(2 * n) / factorial(2 * n) * h_pq(2 * n, p, p)
-    return lhs - rhs
+        u, v = b(2 * k), b(2 * n - 2 * k)
+        if k < n:
+            terms.append(_frac(perm(2 * k + p - 1, p) * perm(2 * n - 2 * k + p - 1, p),
+                               8 * k * (n - k) * f(2 * n + 2 * p - 1), u, v))
+        terms.append(_frac(-f(2 * k + p - 1) * f(p),
+                           f(2 * k) * f(2 * n - 2 * k) * f(2 * k + 2 * p), u, v))
+    terms.append(_frac(-1, f(2 * n), b(2 * n), h_pq(2 * n, p, p)))
+    return frac_sum(terms)
 
 
 # -- catalog ------------------------------------------------------------------

@@ -16,15 +16,20 @@ polynomial" is the one comparison every identity check reduces to.
 
 Every operation runs on the stored integers, through two kernels.
 ``lincomb`` sums weighted products w * f * g, terms (w, f, g) or (w, f):
-it scales every term to the lcm of the term denominators, adds each
-product straight into one integer grid (``_convolve``, the module's only
-convolution loop; a one-factor term is scaled and added) and brings the
-result to canonical form once.  Sums, differences and products are
-lincombs of one or two terms; a scalar touches only the numerators and
-the denominator.  ``Poly2.sheared`` sums separable terms
-w * f(L1) * g(L2) with Poly1 factors at six unimodular argument pairs
-(L1, L2) by outer products and integer shears: O(n^3) for degree n,
-where products of bivariate embeddings cost O(n^4).  The ring
+it scales every weight to the lcm of the term denominators, adds the
+weights of terms with the same factors in either order, keyed on the
+identity of each factor's stored numerator tuple (one object is one
+grid whatever the denominator, which the weights carry, so a merge can
+be missed but never wrong), adds each product straight into one
+integer grid (``_convolve``, the module's only convolution loop; a
+one-factor term is scaled and added) and brings the result to canonical
+form once.  Sums, differences and products are lincombs of one or two
+terms; a scalar touches only the numerators and the denominator.
+``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) with Poly1
+factors at six unimodular argument pairs (L1, L2) by outer products and
+integer shears: O(n^3) for degree n, where products of bivariate
+embeddings cost O(n^4); a list at both (x - y, y) and (y - x, x) is
+sheared once and added to its transpose.  The ring
 operations, ``lincomb`` and equality are written once, in the shared
 base ``_Poly``; each class adds only its constructors, evaluation,
 calculus and rendering.  ``coeffs``, ``rows`` and ``coeff()`` hand out
@@ -149,33 +154,40 @@ _ONE: Grid = ((1,),)
 def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
 
-    Each term is (w, f) or (w, f, g) with w an int or Rat.  Every product
-    goes over the lcm D of the term denominators and is added into one
-    grid by ``_convolve``.
+    Each term is (w, f) or (w, f, g) with w an int or Rat.  The weights go
+    over the lcm D of the term denominators and are added per unordered
+    pair of stored grids; ``_convolve`` adds each nonzero product into one grid.
     """
-    parts = []
+    parts = []  # holds the factors, so the grid ids below stay valid
     for term in terms:
         w, f, g = (*term, None) if len(term) == 2 else term
         if not (isinstance(w, Scalar) and isinstance(f, cls)
                 and (len(term) == 2 or isinstance(g, cls))):
             raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with "
                             f"an int or Rat weight and {cls.__name__} factors")
-        if w and f._num:
-            if g is None:
-                parts.append((w.numerator, w.denominator * f._den, f._rows(), _ONE))
-            elif g._num:
-                parts.append((w.numerator, w.denominator * f._den * g._den, f._rows(), g._rows()))
+        if w and f._num and (g is None or g._num):
+            den = w.denominator * f._den * (1 if g is None else g._den)
+            parts.append((w.numerator, den, f, g))
+    d = lcm(*(den for _, den, _, _ in parts))
+    merged: dict[tuple[int, int], list] = {}
+    for num, den, f, g in parts:
+        ka, kb = id(f._num), 0 if g is None else id(g._num)
+        entry = merged.setdefault((ka, kb) if ka < kb else (kb, ka), [0, f, g])
+        entry[0] += num * (d // den)
+    parts = [(s, f._rows(), _ONE if g is None else g._rows())
+             for s, f, g in merged.values() if s]
     if not parts:
         return [], 1
-    d = lcm(*(den for _, den, _, _ in parts))
-    return _convolve((num * (d // den), a, b) for num, den, a, b in parts), d
+    return _convolve(parts), d
 
 
 # (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
 # for (x, y), (y, x), (x - y, y), (y - x, x), (x + y, x) and (-y, x + y); each
-# step substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v
+# step substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v;
+# the set ((x - y, y), (y - x, x)) takes H(x - y, y) and "T" adds its transpose H(y - x, x)
 _SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf",
-           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st", ((0, -1), (1, 1)): "fts"}
+           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st", ((0, -1), (1, 1)): "fts",
+           (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -439,13 +451,14 @@ class Poly2(_Poly):
         """The sum of w * f(L1) * g(L2) over groups ((L1, L2), terms).
 
         Terms are (w, f, g) with an int or Rat weight and Poly1 factors,
-        and (L1, L2) is a pair of ``_SHEARS``.  Its steps before "s" act on
-        the factors.  The outer products go over one denominator into one
-        integer grid per (shear, steps after it), held as total-degree
-        slices, slice m listing the numerators of x^(m-j) y^j by j.  There
-        "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j), done by
-        repeated synthetic division as prefix sums (additions only), "f"
-        negates the odd x-degrees and "t" reverses the slice.
+        and (L1, L2) is a pair of ``_SHEARS``, or its one set of two pairs.
+        Its steps before "s" act on the factors.  The outer products go
+        over one denominator into one integer grid per (shear, steps after
+        it), held as total-degree slices, slice m listing the numerators of
+        x^(m-j) y^j by j.  There "s" is the Taylor shift r -> r + 1 of
+        sum c_j r^(m-j), done by repeated synthetic division as prefix sums
+        (additions only), "f" negates the odd x-degrees, "t" reverses the
+        slice and "T" adds its reversal.
         """
         parts, dens = [], []
         for pair, terms in groups:
@@ -484,8 +497,10 @@ class Poly2(_Poly):
                 for step in post:
                     if step == "f":
                         c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
-                    else:
+                    elif step == "t":
                         c.reverse()
+                    else:
+                        c[:] = [u + v for u, v in zip(c, c[::-1])]
         out = [[sum(v) for v in zip(*cs)] for cs in zip(*grids.values())]
         return _poly2([[out[i + j][j] for j in range(top - i)] for i in range(top)], d)
 

@@ -298,15 +298,18 @@ def test_bivariate_term_groups_are_symmetric():
 
 def test_bivariate_builders_match_the_embedding_route(monkeypatch):
     # every Poly2.sheared call the bivariate builders make is checked
-    # against Poly2.lincomb over the embeddings f(L1) and g(L2)
+    # against Poly2.lincomb over the embeddings f(L1) and g(L2); a group
+    # keyed by a set of two pairs sums its terms at both
     kernel = Poly2.sheared.__func__
     calls = []
 
     def checked(cls, groups):
-        groups = [(pair, list(terms)) for pair, terms in groups]
+        groups = [(key, list(terms)) for key, terms in groups]
         result = kernel(cls, groups)
+        pairs = [(key if isinstance(key[0][0], tuple) else (key,), terms) for key, terms in groups]
         assert result == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
-                                        for (l1, l2), terms in groups for w, f, g in terms])
+                                        for keys, terms in pairs for l1, l2 in keys
+                                        for w, f, g in terms])
         calls.append(result)
         return result
 
@@ -431,6 +434,152 @@ def test_gamma_beta_weights_match_direct_transcription():
                     direct = sum(binomial(n - l, k - l) * beta_int(k + p, n - k + q)
                                  for k in range(l, n + 1))
                     assert catalog._sum_3_2(n, l, p, q) == direct
+
+
+# -- integer sums against the Fraction transcriptions ------------------------------
+#
+# The Fraction-chain transcriptions of the scalar identities and of the
+# univariate weights are the reference for the integer pairs and single-Rat
+# weights the catalog builds.  Both read B_k, H_n, Bbar_k and h_pq through the
+# catalog module, which the test perturbs, so the residuals are nonzero and a
+# dropped or wrong factor anywhere changes them.
+
+def _ref_1_1(n: int) -> Fraction:
+    b = catalog.bernoulli_number
+    lhs = Fraction(0)
+    for k in range(2, n - 1):
+        lhs += b(k) * b(n - k) * Fraction(1, k * (n - k))
+    for l in range(2, n - 1):
+        lhs -= binomial(n, l) * b(l) * b(n - l) * Fraction(1, l * (n - l))
+    return lhs - Fraction(2, n) * catalog.harmonic(n) * b(n)
+
+
+def _ref_1_2(n: int) -> Fraction:
+    b = catalog.bernoulli_number
+    lhs = Fraction(0)
+    for k in range(2, n - 1):
+        lhs += b(k) / k * b(n - k)
+    for l in range(2, n - 1):
+        lhs -= binomial(n, l) * b(l) / l * b(n - l)
+    return lhs - catalog.harmonic(n) * b(n)
+
+
+def _ref_1_3(n: int) -> Fraction:
+    b = catalog.bernoulli_number
+    lhs = Fraction(0)
+    for k in range(2, n - 1):
+        lhs += (n + 2) * b(k) * b(n - k)
+    for l in range(2, n - 1):
+        lhs -= 2 * binomial(n + 2, l) * b(l) * b(n - l)
+    return lhs - Fraction(n * (n + 1)) * b(n)
+
+
+def _ref_cor_1_2(n: int) -> Fraction:
+    bb = catalog.bbar
+    e1 = Fraction(0)
+    e2 = Fraction(0)
+    for k in range(2, n - 1):
+        e1 += bb(k) / k * bb(n - k)
+        e2 += bb(k) * bb(n - k) * Fraction(1, k * (n - k))
+    e2 *= Fraction(n, 2)
+    e3 = catalog.harmonic(n - 1) * bb(n)
+    for k in range(2, n + 1):
+        e3 += binomial(n, k) * catalog.bernoulli_number(k) / k * bb(n - k)
+    first = e1 - e2
+    return first if first else e2 - e3
+
+
+def _ref_ds(n: int, p: int) -> Fraction:
+    b = catalog.bernoulli_number
+
+    def g(m: int) -> int:
+        return factorial(m - 1)
+
+    lhs = Fraction(0)
+    for k in range(1, n):
+        num = b(2 * k) * b(2 * n - 2 * k) * g(2 * k + p) * g(2 * n - 2 * k + p)
+        lhs += Fraction(num, 8 * k * (n - k) * g(2 * k) * g(2 * n - 2 * k))
+    lhs /= g(2 * n + 2 * p)
+    rhs = Fraction(0)
+    for k in range(1, n + 1):
+        rhs += (b(2 * k) * b(2 * n - 2 * k) * g(2 * k + p)
+                / (factorial(2 * k) * factorial(2 * n - 2 * k) * g(2 * k + 2 * p + 1)))
+    rhs *= g(p + 1)
+    rhs += b(2 * n) / factorial(2 * n) * catalog.h_pq(2 * n, p, p)
+    return lhs - rhs
+
+
+def _ref_1_6(n: int) -> Poly1:
+    b = bernoulli_poly
+    terms = [(Fraction(1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    terms += [(-2 * binomial(n - 1, l - 1) * catalog.bernoulli_number(l) / (l * l), b(n - l))
+              for l in range(2, n + 1)]
+    terms.append((-2 * catalog.harmonic(n - 1) / n, b(n)))
+    return Poly1.lincomb(terms)
+
+
+def _ref_1_7(n: int) -> Poly1:
+    b = bernoulli_poly
+    terms = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
+    terms += [(-2 * binomial(n + 1, l + 1) * catalog.bernoulli_number(l) / (l + 2), b(n - l))
+              for l in range(2, n + 1)]
+    terms.append((-(n + 1), b(n)))
+    return Poly1.lincomb(terms)
+
+
+def _ref_1_11(n: int) -> Poly1:
+    e = euler_poly
+    terms = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
+    terms += [(-8 * binomial(n + 2, l) * (2 ** l - 1) * catalog.bernoulli_number(l) / l,
+               bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
+    return Poly1.lincomb(terms)
+
+
+def _ref_1_12(n: int) -> Poly1:
+    b, e = bernoulli_poly, euler_poly
+    terms = [(Fraction(1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    terms += [(-binomial(n, l) * 2 ** l * catalog.bernoulli_number(l) / l, e(n - l))
+              for l in range(2, n + 1)]
+    terms.append((-catalog.harmonic(n), e(n)))
+    return Poly1.lincomb(terms)
+
+
+def _ref_1_13(n: int) -> Poly1:
+    b, e = bernoulli_poly, euler_poly
+    terms = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
+    terms += [(-binomial(n + 1, l + 1) * (2 ** l + l - 1) * catalog.bernoulli_number(l) / l,
+               e(n - l)) for l in range(2, n + 1)]
+    terms.append((-(n + 1), e(n)))
+    return Poly1.lincomb(terms)
+
+
+def _ref_3_1(n: int, p: int, q: int) -> Poly1:
+    b = bernoulli_poly
+    terms = [(catalog._w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
+    terms += [(-catalog._w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1)]
+    terms.append((-(catalog.h_pq(n, p, q) + catalog.h_pq(n, q, p)) / n, b(n)))
+    return Poly1.lincomb(terms)
+
+
+def test_integer_builders_match_fraction_transcriptions(monkeypatch):
+    monkeypatch.setattr(catalog, "bernoulli_number", lambda k: B(k) + Fraction(1, k + 3))
+    monkeypatch.setattr(catalog, "harmonic", lambda n: H(n) + Fraction(2, 3 * n + 1))
+    monkeypatch.setattr(catalog, "bbar", lambda k: bbar(k) - Fraction(k, 5))
+    monkeypatch.setattr(catalog, "h_pq", lambda n, p, q: h_pq(n, p, q) + Fraction(p + 1, n + q + 2))
+    cases = [(key, (n,), ref) for key, ref in (("1.1", _ref_1_1), ("1.2", _ref_1_2),
+                                               ("1.3", _ref_1_3), ("cor1.2", _ref_cor_1_2),
+                                               ("1.6", _ref_1_6), ("1.7", _ref_1_7),
+                                               ("1.11", _ref_1_11), ("1.12", _ref_1_12),
+                                               ("1.13", _ref_1_13))
+             for n in range(catalog.CATALOG[key].n_min, 31)]
+    cases += [("ds", (n, p), _ref_ds) for n in range(2, 31) for p in range(5)]
+    cases += [("3.1", (n, p, q), _ref_3_1) for n in range(2, 31) for p, q in ((0, 0), (2, 1))]
+    nonzero = 0
+    for key, args, ref in cases:
+        residual = catalog.CATALOG[key].build(*args)
+        assert residual == ref(*args), (key, args)
+        nonzero += residual != 0
+    assert nonzero >= 0.95 * len(cases)
 
 
 # -- the negative control and a one-sided variant -----------------------------------

@@ -21,6 +21,7 @@ from math import gcd
 import pytest
 
 from bepoly import Poly1, Poly2
+from bepoly.polynomials import _wrap
 
 X = Poly2.variable("x")
 Y = Poly2.variable("y")
@@ -203,13 +204,81 @@ def test_lincomb_seeded():
 
 
 def test_lincomb_zero_cases():
-    for cls, p in ((Poly1, Poly1((Fraction(1, 3), 2))), (Poly2, X - Y / 2)):
+    for cls, p, q in ((Poly1, Poly1((Fraction(1, 3), 2)), Poly1((0, 5, -1))),
+                      (Poly2, X - Y / 2, X * Y + 1)):
+        s = _wrap(cls, p._num, 3 * p._den)  # p's own grid over another denominator
         for terms in ([], [(0, p), (Fraction(0), p, p)],
                       [(3, cls.zero()), (Fraction(1, 2), p, cls.zero())],
-                      [(1, p, p), (-1, p * p)]):
+                      [(1, p, p), (-1, p * p)],
+                      [(Fraction(2, 3), p, q), (Fraction(-2, 3), q, p)],
+                      [(1, p, q), (1, q, p), (-1, q, p), (-1, p, q), (2, p), (-2, p)],
+                      [(1, p, s), (-3, s, s)], [(1, p), (-3, s)]):
             r = cls.lincomb(terms)
             assert r == cls.zero()
             assert_canonical(r)
+            if terms:
+                check_lincomb(cls, terms)
+
+
+def shared_terms(rng: random.Random, pool: list, terms: list[tuple]) -> list[tuple]:
+    """``terms`` with factors drawn by index from ``pool``, so that grids
+    repeat by identity, followed by one, two or no copies of each term
+    with its factors swapped."""
+    out = [(w, *(pool[i % len(pool)] for i in picks)) for w, *picks in terms]
+    copies = rng.randint(0, 2)
+    return out + [(w, *reversed(factors)) for w, *factors in out] * copies
+
+
+def share_a_grid(pool: list) -> list:
+    """``pool`` plus a polynomial holding the first one's grid over 7 times its
+    denominator, if that is still canonical."""
+    p = pool[0]
+    rows = (p._num,) if isinstance(p, Poly1) else p._num
+    content = gcd(*(v for row in rows for v in row))
+    return pool + [_wrap(type(p), p._num, 7 * p._den)] if content % 7 else pool
+
+
+def check_merged(cls, pool: list, picks: list[tuple], rng: random.Random) -> None:
+    """lincomb over repeated, swapped and cancelling factors."""
+    pool = share_a_grid(pool) if pool[0]._num else pool
+    terms = shared_terms(rng, pool, picks)
+    check_lincomb(cls, terms)
+    cancelled = cls.lincomb(terms + [(-w, *reversed(fs)) for w, *fs in terms])
+    assert cancelled == cls.zero()
+    assert_canonical(cancelled)
+
+
+def rand_picks(rng: random.Random) -> list[tuple]:
+    """0..8 weighted picks of one or two pool indices."""
+    return [(rng.choice([0, rng.randint(-5, 5), rand_rat(rng)]),
+             *(rng.randrange(4) for _ in range(rng.randint(1, 2))))
+            for _ in range(rng.randint(0, 8))]
+
+
+def test_lincomb_merges_repeated_products_seeded():
+    rng = random.Random(113)
+    for _ in range(100):
+        pool = [poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)) for _ in range(3)]
+        check_merged(Poly1, pool, rand_picks(rng), rng)
+    for _ in range(50):
+        pool = [poly2_of(rand_terms(rng, rng.randint(-1, 3), rng.randint(0, 3))) for _ in range(3)]
+        check_merged(Poly2, pool, rand_picks(rng), rng)
+
+
+def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
+    # 1.6 at n = 10 sums B_k(x) B_{10-k}(x) for k = 1..9: the nine products
+    # are five unordered pairs of stored grids, so five two-factor parts
+    from bepoly import build_residual, polynomials
+    convolve, seen = polynomials._convolve, []
+
+    def counted(parts):
+        parts = list(parts)
+        seen.append(sum(b is not polynomials._ONE for _, _, b in parts))
+        return convolve(parts)
+
+    monkeypatch.setattr(polynomials, "_convolve", counted)
+    assert build_residual("1.6", 10).is_zero
+    assert seen == [5]
 
 
 def test_lincomb_rejects_mixed_and_malformed_terms():
@@ -226,9 +295,16 @@ def test_lincomb_rejects_mixed_and_malformed_terms():
 
 # -- the sheared kernel ------------------------------------------------------------------
 
-# the six argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b)
+# the six argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b),
+# and its one set of two pairs, ((x - y, y), (y - x, x))
 PAIRS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (0, 1)),
-         ((-1, 1), (1, 0)), ((1, 1), (1, 0)), ((0, -1), (1, 1))]
+         ((-1, 1), (1, 0)), ((1, 1), (1, 0)), ((0, -1), (1, 1)),
+         (((1, -1), (0, 1)), ((-1, 1), (1, 0)))]
+
+
+def pairs_of(key: tuple) -> tuple:
+    """The argument pairs a group key stands for: itself, or the two of a set."""
+    return key if isinstance(key[0][0], tuple) else (key,)
 
 
 def check_sheared(groups: list[tuple]) -> None:
@@ -236,7 +312,8 @@ def check_sheared(groups: list[tuple]) -> None:
     fused = Poly2.sheared(groups)
     assert_canonical(fused)
     assert fused == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
-                                   for (l1, l2), terms in groups for w, f, g in terms])
+                                   for key, terms in groups for l1, l2 in pairs_of(key)
+                                   for w, f, g in terms])
 
 
 def rand_sheared_groups(rng: random.Random, pairs: list) -> list[tuple]:
@@ -254,7 +331,7 @@ def test_sheared_each_pair_seeded():
         for _ in range(40):
             check_sheared(rand_sheared_groups(rng, [pair]))
     for _ in range(40):
-        check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, 6))))
+        check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, 7))))
 
 
 def test_sheared_deterministic_cases():
@@ -270,7 +347,8 @@ def test_sheared_deterministic_cases():
     x = Poly1((0, 1))
     # x^2 at each pair, against the expansion by hand
     X2, XY, Y2 = Poly2.monomial(2, 0), Poly2.monomial(1, 1), Poly2.monomial(0, 2)
-    expected = [X2, Y2, X2 - 2 * XY + Y2, X2 - 2 * XY + Y2, X2 + 2 * XY + Y2, Y2]
+    expected = [X2, Y2, X2 - 2 * XY + Y2, X2 - 2 * XY + Y2, X2 + 2 * XY + Y2, Y2,
+                2 * (X2 - 2 * XY + Y2)]
     for pair, want in zip(PAIRS, expected):
         assert Poly2.sheared([(pair, [(1, x * x, one)])]) == want
 
@@ -338,6 +416,25 @@ def test_lincomb_hypothesis():
     def run(terms1, terms2):
         check_lincomb(Poly1, terms1)
         check_lincomb(Poly2, terms2)
+
+    run()
+
+
+def test_lincomb_merges_repeated_products_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.one_of(st.just(0), st.integers(-20, 20), rats)
+    picks = st.lists(st.one_of(st.tuples(weights, st.integers(0, 3)),
+                               st.tuples(weights, st.integers(0, 3), st.integers(0, 3))),
+                     max_size=8)
+
+    @settings
+    @given(st.lists(term_dicts(6, 0).map(poly1_of), min_size=1, max_size=3),
+           st.lists(term_dicts(3, 3).map(poly2_of), min_size=1, max_size=3),
+           picks, picks, st.randoms(use_true_random=False))
+    def run(pool1, pool2, picks1, picks2, rng):
+        check_merged(Poly1, pool1, picks1, rng)
+        check_merged(Poly2, pool2, picks2, rng)
 
     run()
 
