@@ -6,10 +6,11 @@ zero fringe, with the zero polynomial stored as () over 1.  Sums and
 products are compared with a naive dict-of-monomials Fraction oracle
 that shares no code with the package, and so is the fused sum of
 products ``lincomb``, which must also equal the same sum taken with the
-ring operators.  The sheared kernel ``Poly2.sheared`` must equal
-``lincomb`` over ``compose_xy`` embeddings at each of its six argument
-pairs.  Each property runs on seeded random inputs; the hypothesis
-versions run when hypothesis is installed.
+ring operators, also where factors repeat, swap or cancel so that its
+merge of repeated products acts.  The sheared kernel ``Poly2.sheared``
+must equal ``lincomb`` over ``compose_xy`` embeddings at each of its six
+argument pairs and its one set of two.  Each property runs on seeded
+random inputs; the hypothesis versions run when hypothesis is installed.
 """
 
 from __future__ import annotations
