@@ -122,13 +122,10 @@ def _r_1_3(n: int) -> Rat:
 
 
 def _r_cor_1_2(n: int) -> Rat:
-    """Chain of three expressions e1 = e2 = e3; the residual is the first
-    nonzero gap, e1 - e2 with the weight 1/k - n/(2k(n-k)), else e2 - e3."""
-    bb = [(bbar(k), bbar(n - k), k) for k in range(2, n - 1)]
-    first = frac_sum(_frac(n - 2 * k, 2 * k * (n - k), u, v) for u, v, k in bb)
-    if first:
-        return first
-    terms = [_frac(n, 2 * k * (n - k), u, v) for u, v, k in bb]
+    """Chain of three expressions e1 = e2 = e3; the residual is e2 - e3.  The
+    first link checks nothing: e1 - e2 = sum (n-2k)/(2k(n-k)) Bbar_k Bbar_{n-k}
+    is 0 for any sequence, its weight being antisymmetric under k <-> n-k."""
+    terms = [_frac(n, 2 * k * (n - k), bbar(k), bbar(n - k)) for k in range(2, n - 1)]
     terms.append(_frac(-1, 1, harmonic(n - 1), bbar(n)))
     terms += [_frac(-comb(n, k), k, bernoulli_number(k), bbar(n - k)) for k in range(2, n + 1)]
     return frac_sum(terms)

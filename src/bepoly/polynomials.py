@@ -29,18 +29,20 @@ terms; a scalar touches only the numerators and the denominator.
 factors at six unimodular argument pairs (L1, L2) by outer products and
 integer shears: O(n^3) for degree n, where products of bivariate
 embeddings cost O(n^4); a list at both (x - y, y) and (y - x, x) is
-sheared once and added to its transpose.  The ring
-operations, ``lincomb`` and equality are written once, in the shared
-base ``_Poly``; each class adds only its constructors, evaluation,
-calculus and rendering.  ``coeffs``, ``rows`` and ``coeff()`` hand out
-reduced ``Fraction`` values, computed on read.
+sheared once and added to its transpose.  Its shear and
+``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  The
+ring operations, ``lincomb`` and equality are written once, in the
+shared base ``_Poly``; each class adds only its constructors,
+evaluation, calculus and rendering.  ``coeffs``, ``rows`` and
+``coeff()`` hand out reduced ``Fraction`` values, computed on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb, gcd, lcm
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .arith import Rat
@@ -149,6 +151,17 @@ def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
 
 # the unit grid: the second factor of a one-factor term (w, f)
 _ONE: Grid = ((1,),)
+
+
+def _shift_by_one(c: list[int]) -> None:
+    """Taylor shift h(r) -> h(r + 1) in place of c, top degree first: prefix sums."""
+    for stop in range(len(c), 1, -1):
+        c[:stop] = accumulate(c[:stop])
+
+
+def _by_powers(c: Sequence[int], x: int, op=mul) -> list[int]:
+    """op(c_j, x^j) for each j; no arithmetic when x is 1."""
+    return list(c) if x == 1 else [*map(op, c, accumulate(repeat(x, len(c)), mul, initial=1))]
 
 
 def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
@@ -368,21 +381,22 @@ class Poly1(_Poly):
         return _poly1([[i * v for i, v in enumerate(self._num)][1:]], self._den)
 
     def compose_affine(self, a: Rat | int, b: Rat | int) -> Poly1:
-        """p(a*x + b), expanded exactly."""
+        """p(a*x + b), expanded exactly by scaling and a Taylor shift.
+
+        With a = ai/q, b = bi/q and d the degree, p(a*x + b) q^d = P(ai*x + bi)
+        for P(y) = sum n_i q^(d-i) y^i, and P(y + bi) is P(bi*y) shifted by one
+        with y^j divided by bi^j (von zur Gathen and Gerhard, ISSAC 1997)."""
         a, b = _as_rat(a), _as_rat(b)
         if self.is_zero or (a == 1 and b == 0):
             return self
-        # a*x + b = (ai*x + bi)/q, so p(a*x + b) is the integer Horner sum
-        # sum_i n_i (ai*x + bi)^i q^(d-i) over den * q^d, d the degree
         q = lcm(a.denominator, b.denominator)
         ai, bi = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-        acc: list[int] = []
-        scale = 1
-        for c in reversed(self._num):
-            acc = [bi * u + ai * v for u, v in zip(acc + [0], [0] + acc)]
-            acc[0] += c * scale
-            scale *= q
-        return _poly1([acc], self._den * scale // q)
+        c = _by_powers(self._num[::-1], q)[::-1]
+        if bi:
+            c = _by_powers(c, bi)[::-1]
+            _shift_by_one(c)
+            c = _by_powers(c[::-1], bi, floordiv)
+        return _poly1([_by_powers(c, ai)], self._den * q ** (len(c) - 1))
 
     def compose_xy(self, cx: Rat | int, cy: Rat | int) -> Poly2:
         """p(cx*x + cy*y) as a bivariate polynomial.
@@ -456,9 +470,8 @@ class Poly2(_Poly):
         over one denominator into one integer grid per (shear, steps after
         it), held as total-degree slices, slice m listing the numerators of
         x^(m-j) y^j by j.  There "s" is the Taylor shift r -> r + 1 of
-        sum c_j r^(m-j), done by repeated synthetic division as prefix sums
-        (additions only), "f" negates the odd x-degrees, "t" reverses the
-        slice and "T" adds its reversal.
+        sum c_j r^(m-j) (``_shift_by_one``), "f" negates the odd x-degrees,
+        "t" reverses the slice and "T" adds its reversal.
         """
         parts, dens = [], []
         for pair, terms in groups:
@@ -492,8 +505,7 @@ class Poly2(_Poly):
         for (shear, post), grid in grids.items():
             for m, c in enumerate(grid):
                 if shear:
-                    for stop in range(m + 1, 1, -1):
-                        c[:stop] = accumulate(c[:stop])
+                    _shift_by_one(c)
                 for step in post:
                     if step == "f":
                         c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]

@@ -95,13 +95,14 @@ class BernoulliCache:
             return list(self._table)
 
     def seed(self, values: Sequence[Rat]) -> None:
-        """Adopt externally supplied values after revalidating every entry.
+        """Adopt externally supplied values after comparing each with the process's own.
 
-        The values are compared with a fresh computation of as many
-        entries; the first mismatch raises CacheIntegrityError naming
-        the index and nothing is adopted.
+        Only the entries the process lacks are computed.  The first
+        mismatch raises CacheIntegrityError naming the index; nothing is adopted.
         """
         fresh = BernoulliCache()
+        with self._lock:  # _extend appends to _table but only replaces _row
+            fresh._table, fresh._row = list(self._table), self._row
         fresh._extend(len(values) - 1)
         for m, (value, expected) in enumerate(zip(values, fresh._table)):
             if value != expected:

@@ -7,10 +7,12 @@ products are compared with a naive dict-of-monomials Fraction oracle
 that shares no code with the package, and so is the fused sum of
 products ``lincomb``, which must also equal the same sum taken with the
 ring operators, also where factors repeat, swap or cancel so that its
-merge of repeated products acts.  The sheared kernel ``Poly2.sheared``
-must equal ``lincomb`` over ``compose_xy`` embeddings at each of its six
-argument pairs and its one set of two.  Each property runs on seeded
-random inputs; the hypothesis versions run when hypothesis is installed.
+merge of repeated products acts.  ``Poly1.compose_affine`` must equal
+sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
+``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
+at each of its six argument pairs and its one set of two.  Each property
+runs on seeded random inputs; the hypothesis versions run when
+hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -294,6 +296,42 @@ def test_lincomb_rejects_mixed_and_malformed_terms():
             Poly2.lincomb(terms)
 
 
+# -- affine composition ------------------------------------------------------------------
+
+def oracle_affine(tp: Terms, a: Fraction, b: Fraction) -> Terms:
+    """sum c_i (a x + b)^i, expanded by the dict oracle."""
+    line = {key: c for key, c in (((1, 0), a), ((0, 0), b)) if c}
+    out: Terms = {}
+    power: Terms = {(0, 0): Fraction(1)}
+    for i in range(max((i for i, _ in tp), default=-1) + 1):
+        out = oracle_add(out, oracle_mul(power, {(0, 0): tp[i, 0]} if (i, 0) in tp else {}))
+        power = oracle_mul(power, line)
+    return out
+
+
+def check_affine(tp: Terms, a: Fraction | int, b: Fraction | int) -> None:
+    r = poly1_of(tp).compose_affine(a, b)
+    assert_canonical(r)
+    assert terms_of(r) == oracle_affine(tp, Fraction(a), Fraction(b))
+
+
+# (a, b) = (ai/q, bi/q): rational, negative and zero a and b, b = 0, bi = 1
+# and bi = -1 with q = 1 and q > 1, and negative bi (exact floor division)
+AFFINE = [(Fraction(1, 2), 0), (1, 1), (1, -1), (-1, 1), (0, 0), (0, Fraction(-3, 2)),
+          (Fraction(1, 3), Fraction(1, 3)), (Fraction(-2, 3), Fraction(-1, 3)),
+          (Fraction(-3, 5), Fraction(7, 4)), (2, -3), (Fraction(4, 7), Fraction(-9, 2)),
+          (5, 0), (Fraction(-7, 4), 0), (1, 0)]
+
+
+def test_compose_affine_matches_power_sum_seeded():
+    rng = random.Random(127)
+    polys = [{}, {(0, 0): Fraction(-5, 3)}, {(0, 0): Fraction(2)}, {(3, 0): Fraction(2)}]
+    polys += [rand_terms(rng, rng.randint(-1, 9), 0) for _ in range(40)]
+    for tp in polys:
+        for a, b in AFFINE + [(rand_rat(rng), rand_rat(rng)) for _ in range(3)]:
+            check_affine(tp, a, b)
+
+
 # -- the sheared kernel ------------------------------------------------------------------
 
 # the six argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b),
@@ -451,5 +489,18 @@ def test_sheared_hypothesis():
     @given(st.lists(st.tuples(st.sampled_from(PAIRS), terms), max_size=6))
     def run(groups):
         check_sheared(groups)
+
+    run()
+
+
+def test_compose_affine_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    scalars = st.one_of(st.integers(-3, 3), rats)
+
+    @settings
+    @given(term_dicts(9, 0), scalars, scalars)
+    def run(tp, a, b):
+        check_affine(tp, a, b)
 
     run()

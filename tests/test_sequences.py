@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -289,16 +290,40 @@ def test_cache_seed_round_trip():
     assert other.values() == cache.values()
 
 
-def test_cache_seed_rejects_tampered_entry():
+@pytest.mark.parametrize("held", [1, 5, 21], ids=lambda n: f"holds-{n}")
+def test_cache_seed_rejects_tampered_entry(held):
+    # the tampered index 12 lies past the receiving cache's highest index
+    # (1 or 5 entries held) or below it (21 entries held)
     cache = BernoulliCache()
     cache.get(20)
     values = cache.values()
     values[12] = values[12] + Fraction(1, 7)
-    fresh = BernoulliCache()
+    receiving = BernoulliCache()
+    receiving.get(held - 1)
+    before = receiving.values()
     with pytest.raises(CacheIntegrityError) as excinfo:
-        fresh.seed(values)
+        receiving.seed(values)
     assert excinfo.value.index == 12
-    assert fresh.highest == 0  # nothing adopted
+    assert receiving.values() == before  # nothing adopted
+
+
+def test_cache_seed_computes_only_missing_entries(monkeypatch):
+    # one boustrophedon row (one accumulate call) per index computed: seeding
+    # with the values the cache holds builds none, five more entries five
+    cache = BernoulliCache()
+    cache.get(40)
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(args)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "accumulate", counted)
+    cache.seed(cache.values())
+    assert rows == []
+    cache.seed(recurrence_oracle(45))
+    assert len(rows) == 5
+    assert cache.values() == list(recurrence_oracle(45))
 
 
 def test_cache_concurrent_reads_are_consistent():
