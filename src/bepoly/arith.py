@@ -10,11 +10,17 @@ operation costs a gcd, long sums go as integer pairs through
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from functools import cache
+from math import comb, lcm, prod
 from typing import Iterable
 
 Rat = Fraction
+
+# n!, memoised: the gamma/beta weights ask for the same few dozen values
+# thousands of times (functools.cache is safe to share between threads)
+factorial = cache(math.factorial)
 
 __all__ = ["Rat", "binomial", "beta_int", "gamma_ratio", "frac_sum"]
 

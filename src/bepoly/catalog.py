@@ -6,8 +6,9 @@ Rat, Poly1, or Poly2.  The identity holds iff that residual is the
 zero element; there is no tolerance anywhere.  A scalar builder writes
 its sums as integer (numerator, denominator) pairs and adds them with
 one ``frac_sum``.  A univariate builder writes the residual as a list of
-terms (w, f, g) or (w, f), each weight one Rat built from ints, for one
-``lincomb`` call, which convolves a repeated product such as
+terms (w, f, g) or (w, f), each weight an int or an unreduced integer
+pair (numerator, denominator), for one ``lincomb`` call, which reduces
+only the result and convolves a repeated product such as
 B_k(x) B_{n-k}(x) in a symmetric sum once.  Each bivariate sum is one
 ``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
 argument pairs (L1, L2); where a pole factor such as (x - y),
@@ -39,10 +40,10 @@ x = 0).
 from __future__ import annotations
 
 import time
-from math import comb, factorial, perm
+from math import comb, perm
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .arith import Rat, beta_int, binomial, frac_sum
+from .arith import Rat, beta_int, binomial, factorial, frac_sum
 from .operators import (
     bernoulli_shift_sum,
     bernoulli_shift_sum_unweighted,
@@ -185,17 +186,17 @@ def _r_1_5(n: int) -> Poly2:
 
 def _r_1_6(n: int) -> Poly1:
     b = bernoulli_poly
-    terms = [(Rat(1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
-    terms += [(Rat(*_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l))), b(n - l))
+    terms = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    terms += [(_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l)), b(n - l))
               for l in range(2, n + 1)]
-    terms.append((Rat(*_frac(-2, n, harmonic(n - 1))), b(n)))
+    terms.append((_frac(-2, n, harmonic(n - 1)), b(n)))
     return Poly1.lincomb(terms)
 
 
 def _r_1_7(n: int) -> Poly1:
     b = bernoulli_poly
     terms = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
-    terms += [(Rat(*_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l))), b(n - l))
+    terms += [(_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l)), b(n - l))
               for l in range(2, n + 1)]
     terms.append((-(n + 1), b(n)))
     return Poly1.lincomb(terms)
@@ -247,24 +248,24 @@ def _r_1_10(n: int) -> Poly2:
 def _r_1_11(n: int) -> Poly1:
     e = euler_poly
     terms = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
-    terms += [(Rat(*_frac(-8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l))),
+    terms += [(_frac(-8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l)),
                bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
     return Poly1.lincomb(terms)
 
 
 def _r_1_12(n: int) -> Poly1:
     b, e = bernoulli_poly, euler_poly
-    terms = [(Rat(1, k), b(k), e(n - k)) for k in range(1, n + 1)]
-    terms += [(Rat(*_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l))), e(n - l))
+    terms = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    terms += [(_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l)), e(n - l))
               for l in range(2, n + 1)]
-    terms.append((-harmonic(n), e(n)))
+    terms.append((_frac(-1, 1, harmonic(n)), e(n)))
     return Poly1.lincomb(terms)
 
 
 def _r_1_13(n: int) -> Poly1:
     b, e = bernoulli_poly, euler_poly
     terms = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
-    terms += [(Rat(*_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l))),
+    terms += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l)),
                e(n - l)) for l in range(2, n + 1)]
     terms.append((-(n + 1), e(n)))
     return Poly1.lincomb(terms)
@@ -313,30 +314,29 @@ def _r_chu(n: int, l: int) -> Rat:
 
 # -- gamma/beta-weighted family -----------------------------------------------
 
-def _w_3_1_lhs(n: int, k: int, p: int, q: int) -> Rat:
-    """Left-side weight of 3.1 as one Rat,
+def _w_3_1_lhs(n: int, k: int, p: int, q: int) -> tuple[int, int]:
+    """Left-side weight of 3.1 as an integer pair,
     Gamma(k+p) Gamma(n-k+q) / (k! (n-k)! rising(n, p+q)), which is
     rising(k, p) rising(n-k, q) / (k (n-k) rising(n, p+q)), with the
     rising factorial rising(a, m) = perm(a+m-1, m)."""
-    return Rat(perm(k + p - 1, p) * perm(n - k + q - 1, q),
-               k * (n - k) * perm(n + p + q - 1, p + q))
+    return (perm(k + p - 1, p) * perm(n - k + q - 1, q),
+            k * (n - k) * perm(n + p + q - 1, p + q))
 
 
-def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> Rat:
-    """C(n-1, l-1) B_l / l * (beta(l+p, q+1) + beta(l+q, p+1)), the two betas
-    over their common denominator (l+p+q)!."""
-    b = bernoulli_number(l)
+def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> tuple[int, int]:
+    """C(n-1, l-1) B_l / l * (beta(l+p, q+1) + beta(l+q, p+1)) as an integer
+    pair, the two betas over their common denominator (l+p+q)!."""
     beta_num = factorial(l + p - 1) * factorial(q) + factorial(l + q - 1) * factorial(p)
-    return Rat(comb(n - 1, l - 1) * beta_num * b.numerator,
-               l * factorial(l + p + q) * b.denominator)
+    return _frac(comb(n - 1, l - 1) * beta_num, l * factorial(l + p + q), bernoulli_number(l))
 
 
 def _r_3_1(n: int, p: int, q: int) -> Poly1:
-    terms = [(_w_3_1_lhs(n, k, p, q), bernoulli_poly(k), bernoulli_poly(n - k))
-             for k in range(1, n)]
-    terms += [(-_w_3_1_rhs(n, l, p, q), bernoulli_poly(n - l)) for l in range(2, n + 1)]
-    terms.append((frac_sum([_frac(-1, n, h_pq(n, p, q)), _frac(-1, n, h_pq(n, q, p))]),
-                  bernoulli_poly(n)))
+    b = bernoulli_poly
+    terms = [(_w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
+    for l in range(2, n + 1):
+        num, den = _w_3_1_rhs(n, l, p, q)
+        terms.append(((-num, den), b(n - l)))
+    terms += [(_frac(-1, n, h_pq(n, p, q)), b(n)), (_frac(-1, n, h_pq(n, q, p)), b(n))]
     return Poly1.lincomb(terms)
 
 

@@ -31,7 +31,7 @@ from math import comb
 from typing import NamedTuple
 
 from .arith import Rat, binomial
-from .polynomials import Poly1, Poly2, _poly1
+from .polynomials import Poly1, Poly2, _poly1, _poly2, _shift_by_one
 from .sequences import bernoulli_poly, euler_poly, harmonic
 
 __all__ = [
@@ -48,9 +48,15 @@ __all__ = [
 
 
 def _shift_one(p: Poly1 | Poly2, axis: str) -> Poly1 | Poly2:
+    """p with the axis variable shifted by one: a Taylor shift by additions
+    only, per column of a Poly2 for x and per row for y."""
     if isinstance(p, Poly1):
         return p.compose_affine(1, 1)
-    return p.subst(axis, Poly2.variable(axis) + 1)
+    lines = [list(c[::-1]) for c in (zip(*p._num) if axis == "x" else p._num)]
+    for c in lines:
+        _shift_by_one(c)
+    lines = [c[::-1] for c in lines]
+    return _poly2([*zip(*lines)] if axis == "x" else lines, p._den)
 
 
 class _OperatorFields(NamedTuple):

@@ -15,13 +15,16 @@ structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
 Every operation runs on the stored integers, through two kernels.
-``lincomb`` sums weighted products w * f * g, terms (w, f, g) or (w, f):
-it scales every weight to the lcm of the term denominators, adds the
+``lincomb`` sums weighted products w * f * g, terms (w, f, g) or (w, f),
+each weight an int, a Rat or an unreduced integer pair (num, den): it
+scales every weight to the lcm of the term denominators, adds the
 weights of terms with the same factors in either order, keyed on the
 identity of each factor's stored numerator tuple (one object is one
 grid whatever the denominator, which the weights carry, so a merge can
-be missed but never wrong), adds each product straight into one
-integer grid (``_convolve``, the module's only convolution loop; a
+be missed but never wrong), divides out the weights' common factor with
+that lcm, adds each product straight into one integer grid
+(``_convolve``, the module's only convolution loop, over each factor's
+nonzero entries, listed once per polynomial in its ``_nz`` slot; a
 one-factor term is scaled and added) and brings the result to canonical
 form once.  Sums, differences and products are lincombs of one or two
 terms; a scalar touches only the numerators and the denominator.
@@ -53,6 +56,8 @@ Scalar = (int, Fraction)
 
 # integer rows: a bivariate numerator grid, or a univariate one as a single row
 Grid = Sequence[Sequence[int]]
+# a grid's nonzero entries, row by row as (index, value) pairs, and its row width
+Sparse = tuple[list[list[tuple[int, int]]], int]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -122,15 +127,23 @@ def _poly2(rows: Grid, den: int) -> Poly2:
     return _wrap(Poly2, *_canonical(rows, den))
 
 
-def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
+def _nonzero(rows: Grid) -> Sparse:
+    """The nonzero entries of each integer row as (index, value) pairs, and the row width."""
+    return [[(j, v) for j, v in enumerate(r) if v] for r in rows], len(rows[0])
+
+
+def _convolve(parts: Iterable[tuple[int, Sparse | Grid, Sparse | Grid]]) -> list[list[int]]:
     """One integer grid holding the sum of s * a * b over ``parts``.
 
-    The grids are nonempty and rectangular; the result is sized for the
-    largest product, and every product is added into it.
+    The two factors of a product are nonempty sparse grids
+    (``_nonzero``); a one-factor term is a dense grid a with b = ``_ONE``.
+    The result is sized for the largest term, and every term is added into it.
     """
     parts = list(parts)
-    width = max(len(a[0]) + len(b[0]) for _, a, b in parts) - 1
-    out = [[0] * width for _ in range(max(len(a) + len(b) for _, a, b in parts) - 1)]
+    shapes = [(len(a), len(a[0])) if b is _ONE else (len(a[0]) + len(b[0]) - 1, a[1] + b[1] - 1)
+              for _, a, b in parts]
+    width = max(w for _, w in shapes)
+    out = [[0] * width for _ in range(max(h for h, _ in shapes))]
     for s, a, b in parts:
         if b is _ONE:  # a one-factor term: scale and add
             for row, ra in zip(out, a):
@@ -138,9 +151,10 @@ def _convolve(parts: Iterable[tuple[int, Grid, Grid]]) -> list[list[int]]:
                     if v:
                         row[j] += v * s
             continue
-        b = [[(t, v) for t, v in enumerate(rb) if v] for rb in b]
+        # the smaller factor goes outside: fewer entries to scale, longer inner loops
+        a, b = (a[0], b[0]) if len(a[0]) * a[1] <= len(b[0]) * b[1] else (b[0], a[0])
         for i, ra in enumerate(a):
-            ra = [(j, v * s) for j, v in enumerate(ra) if v]
+            ra = [(j, v * s) for j, v in ra]
             for k, rb in enumerate(b):
                 row = out[i + k]
                 for j, va in ra:
@@ -167,31 +181,41 @@ def _by_powers(c: Sequence[int], x: int, op=mul) -> list[int]:
 def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
 
-    Each term is (w, f) or (w, f, g) with w an int or Rat.  The weights go
-    over the lcm D of the term denominators and are added per unordered
-    pair of stored grids; ``_convolve`` adds each nonzero product into one grid.
+    Each term is (w, f) or (w, f, g) with w an int, a Rat or an unreduced
+    integer pair (num, den), den > 0.  The weights go over the lcm D of
+    the term denominators and are added per unordered pair of stored
+    grids; their common factor with D is divided out, so the products run
+    on the smallest integers, and ``_convolve`` adds each nonzero product
+    into one grid.
     """
     parts = []  # holds the factors, so the grid ids below stay valid
     for term in terms:
         w, f, g = (*term, None) if len(term) == 2 else term
-        if not (isinstance(w, Scalar) and isinstance(f, cls)
-                and (len(term) == 2 or isinstance(g, cls))):
-            raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with "
-                            f"an int or Rat weight and {cls.__name__} factors")
-        if w and f._num and (g is None or g._num):
-            den = w.denominator * f._den * (1 if g is None else g._den)
-            parts.append((w.numerator, den, f, g))
+        # the pair test comes first: a tuple would reach Fraction's slow abc check
+        if (type(w) is tuple and len(w) == 2 and isinstance(w[0], int)
+                and isinstance(w[1], int) and w[1] > 0):
+            num, den = w
+        elif isinstance(w, Scalar):
+            num, den = w.numerator, w.denominator
+        else:
+            num = None
+        if num is None or not (isinstance(f, cls) and (len(term) == 2 or isinstance(g, cls))):
+            raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with an "
+                            f"int, Rat or (num, den) weight and {cls.__name__} factors")
+        if num and f._num and (g is None or g._num):
+            parts.append((num, den * f._den * (1 if g is None else g._den), f, g))
     d = lcm(*(den for _, den, _, _ in parts))
     merged: dict[tuple[int, int], list] = {}
     for num, den, f, g in parts:
         ka, kb = id(f._num), 0 if g is None else id(g._num)
         entry = merged.setdefault((ka, kb) if ka < kb else (kb, ka), [0, f, g])
         entry[0] += num * (d // den)
-    parts = [(s, f._rows(), _ONE if g is None else g._rows())
+    c = gcd(d, *(s for s, _, _ in merged.values()))
+    parts = [(s // c, f._rows(), _ONE) if g is None else (s // c, f._sparse(), g._sparse())
              for s, f, g in merged.values() if s]
     if not parts:
         return [], 1
-    return _convolve(parts), d
+    return _convolve(parts), d // c
 
 
 # (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
@@ -232,7 +256,7 @@ class _Poly:
     c.denominator)``.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_nz")
 
     def __setattr__(self, name, value):  # value semantics
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -250,6 +274,16 @@ class _Poly:
         if isinstance(other, Scalar):
             return self._of([[other.numerator]], other.denominator)
         return other if isinstance(other, type(self)) else None
+
+    def _sparse(self) -> Sparse:
+        """``_nonzero`` of the stored rows, listed on first use and kept in ``_nz``;
+        threads that race compute the same value, and ``_nz`` is not part of
+        the value (``__eq__``, ``__hash__``)."""
+        nz = getattr(self, "_nz", None)
+        if nz is None:
+            nz = _nonzero(self._rows())
+            object.__setattr__(self, "_nz", nz)
+        return nz
 
     def _scaled(self, num: int, den: int):
         return self._of([[v * num for v in row] for row in self._rows()], self._den * den)
@@ -588,7 +622,7 @@ class Poly2(_Poly):
         acc: Grid = ()
         scale = 1
         for row in reversed(self._num):
-            parts = [(1, acc, value._num)] if acc and value._num else []
+            parts = [(1, _nonzero(acc), value._sparse())] if acc and value._num else []
             acc = _convolve(parts + [(scale, (row,), _ONE)])
             scale *= value._den
         return _poly2(acc, self._den * scale // value._den)

@@ -23,10 +23,10 @@ import threading
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Sequence
 
-from .arith import Rat, beta_int
+from .arith import Rat, beta_int, factorial
 from .polynomials import Poly1, Poly2, _poly1
 
 __all__ = [

@@ -422,11 +422,11 @@ def test_gamma_beta_weights_match_direct_transcription():
                 for k in range(1, n):
                     direct = (gamma_ratio(k, p) * gamma_ratio(n - k, q)
                               * Fraction(1, k * (n - k)) / g)
-                    assert catalog._w_3_1_lhs(n, k, p, q) == direct
+                    assert Fraction(*catalog._w_3_1_lhs(n, k, p, q)) == direct
                 for l in range(2, n + 1):
                     direct = (binomial(n - 1, l - 1) * B(l) / l
                               * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)))
-                    assert catalog._w_3_1_rhs(n, l, p, q) == direct
+                    assert Fraction(*catalog._w_3_1_rhs(n, l, p, q)) == direct
     for n in range(1, 26):
         for l in range(1, n + 1):
             for p in range(5):
@@ -555,8 +555,8 @@ def _ref_1_13(n: int) -> Poly1:
 
 def _ref_3_1(n: int, p: int, q: int) -> Poly1:
     b = bernoulli_poly
-    terms = [(catalog._w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
-    terms += [(-catalog._w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1)]
+    terms = [(Fraction(*catalog._w_3_1_lhs(n, k, p, q)), b(k), b(n - k)) for k in range(1, n)]
+    terms += [(-Fraction(*catalog._w_3_1_rhs(n, l, p, q)), b(n - l)) for l in range(2, n + 1)]
     terms.append((-(catalog.h_pq(n, p, q) + catalog.h_pq(n, q, p)) / n, b(n)))
     return Poly1.lincomb(terms)
 

@@ -63,6 +63,17 @@ def test_operators_on_poly2_axes():
     assert delta_star(p, axis="y") == X * X * (2 * Y + 1)
 
 
+def test_poly2_operators_match_substitution_on_both_axes():
+    # the per-axis Taylor shift against P(x + 1, y) and P(x, y + 1) by subst
+    rng = random.Random(59)
+    for _ in range(60):
+        p = rand_poly2(rng, rng.randint(0, 5), rng.randint(0, 5)) * rng.randint(0, 1)
+        for axis, var in (("x", X), ("y", Y)):
+            shifted = p.subst(axis, var + 1)
+            assert delta(p, axis) == shifted - p
+            assert delta_star(p, axis) == shifted + p
+
+
 def test_diff_operator_objects():
     op = DiffOperator("delta", "x")
     assert op(bernoulli_poly(4)) == Poly1.monomial(3, 4)

@@ -7,7 +7,8 @@ products are compared with a naive dict-of-monomials Fraction oracle
 that shares no code with the package, and so is the fused sum of
 products ``lincomb``, which must also equal the same sum taken with the
 ring operators, also where factors repeat, swap or cancel so that its
-merge of repeated products acts.  ``Poly1.compose_affine`` must equal
+merge of repeated products acts, and with its weights written as
+unreduced integer pairs.  ``Poly1.compose_affine`` must equal
 sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
 at each of its six argument pairs and its one set of two.  Each property
@@ -18,6 +19,8 @@ hypothesis is installed.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -288,12 +291,69 @@ def test_lincomb_rejects_mixed_and_malformed_terms():
     p1, p2 = Poly1((1, 2)), X + Y
     for cls, terms in ((Poly1, [(1, p1, p2)]), (Poly1, [(1, p2)]),
                        (Poly2, [(1, p2, p1)]), (Poly2, [(1, p1)]),
-                       (Poly2, [(1.5, p2)]), (Poly2, [(1, p2, None)])):
+                       (Poly2, [(1.5, p2)]), (Poly2, [(1, p2, None)]),
+                       # integer-pair weights need two ints and den > 0
+                       (Poly1, [((1, 0), p1)]), (Poly1, [((1, -2), p1)]),
+                       (Poly1, [((1.0, 2), p1)]), (Poly2, [((1, 2.5), p2, p2)]),
+                       (Poly1, [((1, 2, 3), p1)]), (Poly1, [([1, 2], p1)])):
         with pytest.raises(TypeError):
             cls.lincomb(terms)
     for terms in ([(1,)], [(1, p2, p2, p2)]):
         with pytest.raises(ValueError):
             Poly2.lincomb(terms)
+
+
+def test_sparse_rows_match_the_dense_numerators_and_stay_out_of_the_value():
+    rng = random.Random(127)
+    for _ in range(60):
+        tp = rand_terms(rng, rng.randint(0, 5), rng.randint(0, 4))
+        if not tp:
+            continue
+        t1 = {(i, 0): c for (i, j), c in tp.items() if not j}
+        for make, t in ((poly2_of, tp), (poly1_of, t1)):
+            p, q = make(t), make(t)
+            if p.is_zero:
+                continue
+            key, rows = hash(q), (p._num,) if isinstance(p, Poly1) else p._num
+            assert not hasattr(p, "_nz")  # filled on first use only
+            sparse, width = p._sparse()
+            assert p._sparse() is p._nz
+            assert width == len(rows[0]) and len(sparse) == len(rows)
+            for row, nz in zip(rows, sparse):
+                assert nz == [(j, v) for j, v in enumerate(row) if v]
+            assert all(v for row in sparse for _, v in row)
+            assert p == q and hash(p) == hash(q) == key
+
+
+def test_lincomb_on_shared_factors_under_threads():
+    # 8 threads sum the same products of factors whose sparse rows are not yet
+    # listed, switching every microsecond; each gets the serial result
+    rng = random.Random(131)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            rows = [[rand_rat(rng) for _ in range(12)] for _ in range(4)]
+            expected = Poly1.lincomb([((k, 7), Poly1(a), Poly1(b))
+                                      for k, (a, b) in enumerate(zip(rows, rows[1:]), 1)])
+            pool = [Poly1(r) for r in rows]
+            terms = [((k, 7), a, b) for k, (a, b) in enumerate(zip(pool, pool[1:]), 1)]
+            barrier = threading.Barrier(8)
+            seen: list[Poly1] = []
+
+            def worker() -> None:
+                barrier.wait()
+                seen.append(Poly1.lincomb(terms))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(r == expected for r in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- affine composition ------------------------------------------------------------------
@@ -455,6 +515,34 @@ def test_lincomb_hypothesis():
     def run(terms1, terms2):
         check_lincomb(Poly1, terms1)
         check_lincomb(Poly2, terms2)
+
+    run()
+
+
+def test_lincomb_pair_weights_match_rat_weights_hypothesis():
+    # unreduced integer pairs (num, den), mixed with ints and Rats, give the
+    # lincomb of the same weights as Rats
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.one_of(st.tuples(st.integers(-60, 60), st.integers(1, 60)),
+                        st.integers(-20, 20), rats)
+
+    def term_lists(factors):
+        return st.lists(st.one_of(st.tuples(weights, factors),
+                                  st.tuples(weights, factors, factors)), max_size=6)
+
+    def as_rats(terms):
+        return [(Fraction(*w) if isinstance(w, tuple) else w, *fs) for w, *fs in terms]
+
+    @settings
+    @given(term_lists(term_dicts(6, 0).map(poly1_of)),
+           term_lists(term_dicts(3, 3).map(poly2_of)))
+    def run(terms1, terms2):
+        for cls, terms in ((Poly1, terms1), (Poly2, terms2)):
+            fused = cls.lincomb(terms)
+            assert_canonical(fused)
+            assert fused == cls.lincomb(as_rats(terms))
+            check_lincomb(cls, as_rats(terms))
 
     run()
 
