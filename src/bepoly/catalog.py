@@ -9,11 +9,11 @@ one ``frac_sum``.  A univariate builder writes the residual as a list of
 terms (w, f, g) or (w, f), each weight an int or an unreduced integer
 pair (numerator, denominator), for one ``lincomb`` call, which reduces
 only the result and convolves a repeated product such as
-B_k(x) B_{n-k}(x) in a symmetric sum once.  Each bivariate sum is one
-``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
-argument pairs (L1, L2); where a pole factor such as (x - y),
-(x - y)^3 or y multiplies it, an outer ``lincomb`` takes it as a factor
-and adds the one-factor pole terms.
+B_k(x) B_{n-k}(x) in a symmetric sum once.  Each bivariate residual is
+one ``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
+argument pairs (L1, L2), with the same weights; a group may carry a pole
+factor such as (x - y), (x - y)^3 or y, and a one-factor pole term f(x)
+is the term (w, f, 1), so no product follows the call.
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -40,26 +40,15 @@ x = 0).
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from math import comb, perm
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, beta_int, binomial, factorial, frac_sum
-from .operators import (
-    bernoulli_shift_sum,
-    bernoulli_shift_sum_unweighted,
-    euler_shift_sum,
-)
+from .operators import _bernoulli_shift_groups, _euler_shift_groups
 from .polynomials import Poly1, Poly2
-from .sequences import (
-    _bern2,
-    _eul2,
-    bbar,
-    bernoulli_number,
-    bernoulli_poly,
-    euler_poly,
-    harmonic,
-    h_pq,
-)
+from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 4a)
+from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
 
 __all__ = [
     "Residual",
@@ -85,13 +74,6 @@ class UnknownIdentityError(KeyError):
 
     def __str__(self) -> str:
         return f"unknown identity id {self.key!r}; catalog: {', '.join(CATALOG)}"
-
-
-_X = Poly2.variable("x")
-_Y = Poly2.variable("y")
-_XMY = _X - _Y
-_XMY2 = _XMY ** 2
-_XMY3 = _XMY ** 3
 
 
 # -- scalar convolution identities ------------------------------------------
@@ -134,52 +116,52 @@ def _r_cor_1_2(n: int) -> Rat:
 
 # -- bivariate Bernoulli identities ------------------------------------------
 #
-# Inner sums are Poly2.sheared groups.  1.4, 1.8 and 1.9 sum at the argument
-# pairs (x, y), (x - y, y), (y - x, x); their shifted forms 2.3, 2.4 and 2.5
-# sum the same terms at the pairs (x, y) -> (x + y, x) makes of these.  _PAIRED
-# names (x - y, y) and (y - x, x) as one set for one list; zip drops the copy.
+# 1.4, 1.8 and 1.9 sum at the argument pairs (x, y), (x - y, y), (y - x, x)
+# times the pole x - y; their shifted forms 2.3, 2.4 and 2.5 sum the same terms
+# at the pairs (x, y) -> (x + y, x) makes of these, times y.  The pole terms
+# (w, f, 1) and (w, 1, f) sit at the first pair: f(x) and f(y), or f(x + y) and
+# f(x).  _PAIRED names (x - y, y) and (y - x, x) as one set for one list; zip
+# drops the copy.
 
 _BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
 _PAIRED = (_BASE[0], _BASE[1:])
 _SHIFTED = (((1, 1), (1, 0)), ((0, 1), (1, 0)), ((0, -1), (1, 1)))
 _ONE = Poly1((1,))
+_DIFF, _ONLY_Y = (1, -1), (0, 1)  # the linear forms x - y and y of the poles
 
 
-def _inner_1_4(n: int, pairs) -> Poly2:
-    b, h = bernoulli_poly, harmonic(n - 1) / n
-    conv = [(Rat(1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
-    conv += [(-h, b(n), _ONE), (-h, _ONE, b(n))]
-    mixed = [(-binomial(n - 1, l - 1) / (l * l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared(zip(pairs, (conv, mixed, mixed)))
-
-
-def _r_1_4(n: int) -> Poly2:
+def _r_1_4(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> Poly2:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
-    return Poly2.lincomb([(1, _XMY, _inner_1_4(n, _PAIRED)),
-                          (Rat(-1, n), _bern2(n, 1, 0)), (Rat(1, n), _bern2(n, 0, 1))])
+    b, h = bernoulli_poly, harmonic(n - 1)
+    hw = (-h.numerator, h.denominator * n)
+    conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    conv += [(hw, b(n), _ONE), (hw, _ONE, b(n))]
+    mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared([*zip(pairs, (conv, mixed, mixed), repeat(pole)),
+                          (pairs[0], [((-1, n), b(n), _ONE), ((1, n), _ONE, b(n))])])
 
 
 def _r_1_4p(n: int) -> Poly2:
     # the 1.4 chain multiplied through by n, with the 1/k-weighted double
     # sum written symmetrically in its two arguments
     b, h = bernoulli_poly, harmonic(n - 1)
-    conv = [(Rat(1, k), b(k), b(n - k)) for k in range(1, n)]
-    conv += [(Rat(1, k), b(n - k), b(k)) for k in range(1, n)]
-    conv += [(-h, b(n), _ONE), (-h, _ONE, b(n))]
-    mixed = [(-binomial(n, l) / l, b(l), b(n - l)) for l in range(1, n + 1)]
-    return Poly2.lincomb([(1, _XMY, Poly2.sheared(zip(_PAIRED, (conv, mixed)))),
-                          (-1, _bern2(n, 1, 0)), (1, _bern2(n, 0, 1))])
+    hw = (-h.numerator, h.denominator)
+    conv = [((1, k), b(k), b(n - k)) for k in range(1, n)]
+    conv += [((1, k), b(n - k), b(k)) for k in range(1, n)]
+    conv += [(hw, b(n), _ONE), (hw, _ONE, b(n))]
+    mixed = [((-comb(n, l), l), b(l), b(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 1))),
+                          (_BASE[0], [(-1, b(n), _ONE), (1, _ONE, b(n))])])
 
 
 def _r_1_5(n: int) -> Poly2:
-    b = bernoulli_poly
-    conv = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
-    mixed = [(-binomial(n + 1, l + 1) / (l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
-    return Poly2.lincomb([(n + 2, _XMY3, Poly2.sheared(zip(_PAIRED, (conv, mixed)))),
-                          (-(n + 2), _XMY, _bern2(n + 1, 1, 0)),
-                          (-(n + 2), _XMY, _bern2(n + 1, 0, 1)),
-                          (2, _bern2(n + 2, 1, 0)), (-2, _bern2(n + 2, 0, 1))])
+    b, w = bernoulli_poly, n + 2
+    conv = [(w, b(k), b(n - k)) for k in range(0, n + 1)]
+    mixed = [((-w * comb(n + 1, l + 1), l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
+    return Poly2.sheared([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 3))),
+                          (_BASE[0], [(-w, b(n + 1), _ONE), (-w, _ONE, b(n + 1))], (_DIFF, 1)),
+                          (_BASE[0], [(2, b(n + 2), _ONE), (-2, _ONE, b(n + 2))])])
 
 
 # -- univariate (diagonal) Bernoulli identities -------------------------------
@@ -204,43 +186,33 @@ def _r_1_7(n: int) -> Poly1:
 
 # -- bivariate Euler/Bernoulli identities -------------------------------------
 
-def _inner_1_8(n: int, pairs) -> Poly2:
-    e = euler_poly
+def _r_1_8(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> Poly2:
+    b, e, m = bernoulli_poly, euler_poly, n + 2
     conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
-    mixed = [(2 * binomial(n + 1, l) / (l + 1), e(l), bernoulli_poly(n + 1 - l))
-             for l in range(0, n + 2)]
-    return Poly2.sheared(zip(pairs, (conv, mixed, mixed)))
+    mixed = [((2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
+    return Poly2.sheared([*zip(pairs, (conv, mixed, mixed), repeat(pole)),
+                          (pairs[0], [((-4, m), b(m), _ONE), ((4, m), _ONE, b(m))])])
 
 
-def _r_1_8(n: int) -> Poly2:
-    return Poly2.lincomb([(1, _XMY, _inner_1_8(n, _PAIRED)),
-                          (Rat(-4, n + 2), _bern2(n + 2, 1, 0)),
-                          (Rat(4, n + 2), _bern2(n + 2, 0, 1))])
-
-
-def _inner_1_9(n: int, pairs) -> Poly2:
-    b, e = bernoulli_poly, euler_poly
-    conv = [(Rat(1, k), b(k), e(n - k)) for k in range(1, n + 1)]
-    conv.append((-harmonic(n), _ONE, e(n)))
-    left = [(-binomial(n, l) / l, b(l), e(n - l)) for l in range(1, n + 1)]
-    right = [(binomial(n, l) / 2, e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared(zip(pairs, (conv, left, right)))
-
-
-def _r_1_9(n: int) -> Poly2:
-    return Poly2.lincomb([(1, _XMY, _inner_1_9(n, _BASE)),
-                          (-1, _eul2(n, 1, 0)), (1, _eul2(n, 0, 1))])
+def _r_1_9(n: int, pairs=_BASE, pole=(_DIFF, 1)) -> Poly2:
+    b, e, h = bernoulli_poly, euler_poly, harmonic(n)
+    conv = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    conv.append(((-h.numerator, h.denominator), _ONE, e(n)))
+    left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
+    right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared([*zip(pairs, (conv, left, right), repeat(pole)),
+                          (pairs[0], [(-1, e(n), _ONE), (1, _ONE, e(n))])])
 
 
 def _r_1_10(n: int) -> Poly2:
     b, e = bernoulli_poly, euler_poly
     conv = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
     conv.append((-(n + 1), _ONE, e(n)))
-    left = [(-binomial(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
-    right = [(binomial(n + 1, l + 1) / 2, e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return Poly2.lincomb([(1, _XMY2, Poly2.sheared(zip(_BASE, (conv, left, right)))),
-                          (-(n + 1), _XMY, _eul2(n, 1, 0)),
-                          (1, _eul2(n + 1, 1, 0)), (-1, _eul2(n + 1, 0, 1))])
+    left = [(-comb(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
+    right = [((comb(n + 1, l + 1), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
+    return Poly2.sheared([*zip(_BASE, (conv, left, right), repeat((_DIFF, 2))),
+                          (_BASE[0], [(-(n + 1), e(n), _ONE)], (_DIFF, 1)),
+                          (_BASE[0], [(1, e(n + 1), _ONE), (-1, _ONE, e(n + 1))])])
 
 
 # -- univariate (diagonal) Euler identities -----------------------------------
@@ -274,37 +246,30 @@ def _r_1_13(n: int) -> Poly1:
 # -- shift-convolution sums and shifted forms ---------------------------------
 
 def _r_2_1(n: int) -> Poly2:
-    lhs, rhs = bernoulli_shift_sum(n)
-    return lhs - rhs
+    return Poly2.sheared(_bernoulli_shift_groups(n, True, -1))
 
 
 def _r_2_1_as_printed(n: int) -> Poly2:
-    lhs, rhs = bernoulli_shift_sum_unweighted(n)
-    return lhs - rhs
+    return Poly2.sheared(_bernoulli_shift_groups(n, False, -1))
 
 
 def _r_2_2(n: int) -> Poly2:
-    lhs, rhs = euler_shift_sum(n)
-    return lhs - rhs
+    return Poly2.sheared(_euler_shift_groups(n, -1))
 
 
 def _r_2_3(n: int) -> Poly2:
     # y -> x + y form of 1.4, both sides multiplied by y
-    return Poly2.lincomb([(1, _Y, _inner_1_4(n, _SHIFTED)),
-                          (Rat(-1, n), _bern2(n, 1, 1)), (Rat(1, n), _bern2(n, 1, 0))])
+    return _r_1_4(n, _SHIFTED, (_ONLY_Y, 1))
 
 
 def _r_2_4(n: int) -> Poly2:
     # y -> x + y form of 1.8, both sides multiplied by y
-    return Poly2.lincomb([(1, _Y, _inner_1_8(n, _SHIFTED)),
-                          (Rat(-4, n + 2), _bern2(n + 2, 1, 1)),
-                          (Rat(4, n + 2), _bern2(n + 2, 1, 0))])
+    return _r_1_8(n, _SHIFTED, (_ONLY_Y, 1))
 
 
 def _r_2_5(n: int) -> Poly2:
     # (x, y) -> (x + y, x) form of 1.9, both sides multiplied by y
-    return Poly2.lincomb([(1, _Y, _inner_1_9(n, _SHIFTED)),
-                          (-1, _eul2(n, 1, 1)), (1, _eul2(n, 1, 0))])
+    return _r_1_9(n, _SHIFTED, (_ONLY_Y, 1))
 
 
 def _r_chu(n: int, l: int) -> Rat:

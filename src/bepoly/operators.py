@@ -27,6 +27,7 @@ the first summation.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import NamedTuple
 
@@ -135,15 +136,30 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
 
 # argument pairs (x + y, x) and (y, x) of Poly2.sheared, a*x + b*y written (a, b)
 _XPY_X, _Y_X = ((1, 1), (1, 0)), ((0, 1), (1, 0))
+_x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
 
 
-def _bernoulli_shift_lhs(n: int) -> Poly2:
-    """sum_{k=1}^{n} B_k(x+y)/k * x^{n-k}, the left side shared by 2.1
-    and its unweighted negative control."""
+def _bernoulli_shift_groups(n: int, weighted: bool, sign: int = 1) -> list[tuple]:
+    """Poly2.sheared groups of the Bernoulli shift sum: its left side at
+    (x + y, x), then its right side at (y, x) with every weight times sign;
+    unless weighted, the right side drops C(n,l)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Poly2.sheared([(_XPY_X, [(Rat(1, k), bernoulli_poly(k), Poly1.monomial(n - k))
-                                    for k in range(1, n + 1)])])
+    h = harmonic(n)
+    lhs = [((1, k), bernoulli_poly(k), _x_to(n - k)) for k in range(1, n + 1)]
+    rhs = [((sign * h.numerator, h.denominator), _x_to(0), _x_to(n))]
+    rhs += [((sign * comb(n, l) if weighted else sign, l), bernoulli_poly(l), _x_to(n - l))
+            for l in range(1, n + 1)]
+    return [(_XPY_X, lhs), (_Y_X, rhs)]
+
+
+def _euler_shift_groups(n: int, sign: int = 1) -> list[tuple]:
+    """Poly2.sheared groups of the Euler shift sum, as for the Bernoulli one."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    lhs = [(1, euler_poly(k), _x_to(n - k)) for k in range(0, n + 1)]
+    rhs = [(sign * comb(n + 1, l + 1), euler_poly(l), _x_to(n - l)) for l in range(0, n + 1)]
+    return [(_XPY_X, lhs), (_Y_X, rhs)]
 
 
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -152,11 +168,8 @@ def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     LHS = sum_{k=1}^{n} B_k(x+y)/k * x^{n-k},
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
-    lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.sheared([(_Y_X, [(harmonic(n), Poly1.monomial(0), Poly1.monomial(n))]
-                          + [(binomial(n, l) / l, bernoulli_poly(l), Poly1.monomial(n - l))
-                             for l in range(1, n + 1)])])
-    return lhs, rhs
+    lhs, rhs = _bernoulli_shift_groups(n, True)
+    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
 
 
 def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
@@ -165,11 +178,8 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     This version is FALSE for n >= 2; it is kept as the negative
     control that demonstrates the zero-test has teeth.
     """
-    lhs = _bernoulli_shift_lhs(n)
-    rhs = Poly2.sheared([(_Y_X, [(harmonic(n), Poly1.monomial(0), Poly1.monomial(n))]
-                          + [(Rat(1, l), bernoulli_poly(l), Poly1.monomial(n - l))
-                             for l in range(1, n + 1)])])
-    return lhs, rhs
+    lhs, rhs = _bernoulli_shift_groups(n, False)
+    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
 
 
 def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -178,13 +188,8 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     LHS = sum_{k=0}^{n} E_k(x+y) * x^{n-k},
     RHS = sum_{l=0}^{n} C(n+1,l+1) E_l(y) * x^{n-l}.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    lhs = Poly2.sheared([(_XPY_X, [(1, euler_poly(k), Poly1.monomial(n - k))
-                                   for k in range(0, n + 1)])])
-    rhs = Poly2.sheared([(_Y_X, [(comb(n + 1, l + 1), euler_poly(l), Poly1.monomial(n - l))
-                                 for l in range(0, n + 1)])])
-    return lhs, rhs
+    lhs, rhs = _euler_shift_groups(n)
+    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
 
 
 def chu_identity(n: int, l: int) -> bool:

@@ -28,11 +28,12 @@ nonzero entries, listed once per polynomial in its ``_nz`` slot; a
 one-factor term is scaled and added) and brings the result to canonical
 form once.  Sums, differences and products are lincombs of one or two
 terms; a scalar touches only the numerators and the denominator.
-``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) with Poly1
-factors at six unimodular argument pairs (L1, L2) by outer products and
-integer shears: O(n^3) for degree n, where products of bivariate
-embeddings cost O(n^4); a list at both (x - y, y) and (y - x, x) is
-sheared once and added to its transpose.  Its shear and
+``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * pole, with
+Poly1 factors and the same weights, at six unimodular argument pairs
+(L1, L2) by outer products and integer shears: O(n^3) for degree n,
+where products of bivariate embeddings cost O(n^4); a list at both
+(x - y, y) and (y - x, x) is sheared once and added to its transpose,
+and a pole (x - y)^k or y^k is k O(n) steps per slice.  Its shear and
 ``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  The
 ring operations, ``lincomb`` and equality are written once, in the
 shared base ``_Poly``; each class adds only its constructors,
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import comb, gcd, lcm
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 from typing import Iterable, Sequence
 
 from .arith import Rat
@@ -178,6 +179,17 @@ def _by_powers(c: Sequence[int], x: int, op=mul) -> list[int]:
     return list(c) if x == 1 else [*map(op, c, accumulate(repeat(x, len(c)), mul, initial=1))]
 
 
+def _weight(w) -> tuple[int, int] | tuple[None, None]:
+    """(num, den) of an int, a Rat or an integer pair (num, den), den > 0; else (None, None)."""
+    # the pair test comes first: a tuple would reach Fraction's slow abc check
+    if (type(w) is tuple and len(w) == 2 and isinstance(w[0], int)
+            and isinstance(w[1], int) and w[1] > 0):
+        return w
+    if isinstance(w, Scalar):
+        return w.numerator, w.denominator
+    return None, None
+
+
 def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
 
@@ -191,14 +203,7 @@ def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     parts = []  # holds the factors, so the grid ids below stay valid
     for term in terms:
         w, f, g = (*term, None) if len(term) == 2 else term
-        # the pair test comes first: a tuple would reach Fraction's slow abc check
-        if (type(w) is tuple and len(w) == 2 and isinstance(w[0], int)
-                and isinstance(w[1], int) and w[1] > 0):
-            num, den = w
-        elif isinstance(w, Scalar):
-            num, den = w.numerator, w.denominator
-        else:
-            num = None
+        num, den = _weight(w)
         if num is None or not (isinstance(f, cls) and (len(term) == 2 or isinstance(g, cls))):
             raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with an "
                             f"int, Rat or (num, den) weight and {cls.__name__} factors")
@@ -225,6 +230,16 @@ def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
 _SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf",
            ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st", ((0, -1), (1, 1)): "fts",
            (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
+
+_POLES = {(1, -1): "m", (0, 1): "y"}
+
+
+def _pole_steps(pole=((0, 1), 0)) -> str:
+    """A group's pole ((a, b), k) as k steps, "m" for x - y or "y" for y; none without one."""
+    if not (type(pole) is tuple and len(pole) == 2 and type(pole[0]) is tuple
+            and pole[0] in _POLES and type(pole[1]) is int and pole[1] >= 0):
+        raise TypeError("a Poly2.sheared pole is ((1, -1), k) or ((0, 1), k), an int k >= 0")
+    return _POLES[pole[0]] * pole[1]
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -495,40 +510,46 @@ class Poly2(_Poly):
         return self._num
 
     @classmethod
-    def sheared(cls, groups: Iterable[tuple[tuple, Iterable[tuple]]]) -> Poly2:
-        """The sum of w * f(L1) * g(L2) over groups ((L1, L2), terms).
+    def sheared(cls, groups: Iterable[tuple]) -> Poly2:
+        """The sum of w * f(L1) * g(L2) * pole over groups ((L1, L2), terms[, pole]).
 
-        Terms are (w, f, g) with an int or Rat weight and Poly1 factors,
-        and (L1, L2) is a pair of ``_SHEARS``, or its one set of two pairs.
-        Its steps before "s" act on the factors.  The outer products go
-        over one denominator into one integer grid per (shear, steps after
-        it), held as total-degree slices, slice m listing the numerators of
-        x^(m-j) y^j by j.  There "s" is the Taylor shift r -> r + 1 of
-        sum c_j r^(m-j) (``_shift_by_one``), "f" negates the odd x-degrees,
-        "t" reverses the slice and "T" adds its reversal.
+        Terms are (w, f, g) with Poly1 factors and a ``lincomb`` weight, (L1, L2)
+        is a pair of ``_SHEARS``, or its one set of two pairs, and a pole
+        ((1, -1), k) or ((0, 1), k) is (x - y)^k or y^k.  The steps before "s"
+        act on the factors.  The weights go over the lcm of the term
+        denominators, reduced as in ``lincomb``, and the outer products into
+        one integer grid per (shear, steps after it, pole), held as
+        total-degree slices, slice m listing the numerators of x^(m-j) y^j by
+        j.  There "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
+        (``_shift_by_one``), "f" negates the odd x-degrees, "t" reverses the
+        slice, "T" adds its reversal, and the pole's "m" (c_j - c_(j-1)) and
+        "y" (c_(j-1)) make slice m + 1 of it.
         """
-        parts, dens = [], []
-        for pair, terms in groups:
+        parts = []
+        for pair, terms, *pole in groups:
             pre, shear, post = _SHEARS[pair].partition("s")
+            key = (shear, post, _pole_steps(*pole))
             for w, f, g in terms:
-                if not (isinstance(w, Scalar) and isinstance(f, Poly1) and isinstance(g, Poly1)):
-                    raise TypeError("Poly2.sheared terms are (w, f, g) with an int or Rat "
-                                    "weight and Poly1 factors")
-                if w and f._num and g._num:
+                num, den = _weight(w)
+                if num is None or not (isinstance(f, Poly1) and isinstance(g, Poly1)):
+                    raise TypeError("Poly2.sheared terms are (w, f, g) with an int, Rat "
+                                    "or (num, den) weight and Poly1 factors")
+                if num and f._num and g._num:
                     a, b = f._num, g._num
                     for step in pre:  # "f" negates the odd coefficients of f, "t" swaps f, g
                         a, b = ((b, a) if step == "t"
                                 else ([-v if i % 2 else v for i, v in enumerate(a)], b))
-                    dens.append(w.denominator * f._den * g._den)
-                    parts.append(((shear, post), w.numerator, dens[-1], a, b))
+                    parts.append((key, num, den * f._den * g._den, a, b))
         if not parts:
             return cls()
-        d = lcm(*dens)
+        d = lcm(*(den for _, _, den, _, _ in parts))
+        scaled = [num * (d // den) for _, num, den, _, _ in parts]
+        g = gcd(d, *scaled)
         top = max(len(a) + len(b) for *_, a, b in parts) - 1
         grids = {key: [[0] * (m + 1) for m in range(top)]
                  for key in dict.fromkeys(p[0] for p in parts)}
-        for key, num, den, a, b in parts:
-            grid, s, lb = grids[key], num * (d // den), len(b)
+        for (key, _, _, a, b), s in zip(parts, scaled):
+            grid, s, lb = grids[key], s // g, len(b)
             b = [(j, v) for j, v in enumerate(b) if v]
             for i, va in enumerate(a):
                 if va:
@@ -536,19 +557,26 @@ class Poly2(_Poly):
                     band = grid[i:i + lb]  # band[j] is slice i + j
                     for j, vb in b:
                         band[j][j] += va * vb
-        for (shear, post), grid in grids.items():
+        size = top + max(len(pole) for _, _, pole in grids)
+        out = [[0] * (m + 1) for m in range(size)]
+        for (shear, post, pole), grid in grids.items():
             for m, c in enumerate(grid):
                 if shear:
                     _shift_by_one(c)
-                for step in post:
+                for step in post + pole:
                     if step == "f":
                         c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
                     elif step == "t":
                         c.reverse()
-                    else:
+                    elif step == "T":
                         c[:] = [u + v for u, v in zip(c, c[::-1])]
-        out = [[sum(v) for v in zip(*cs)] for cs in zip(*grids.values())]
-        return _poly2([[out[i + j][j] for j in range(top - i)] for i in range(top)], d)
+                    elif step == "m":
+                        c = [u - v for u, v in zip([*c, 0], [0, *c])]
+                    else:
+                        c = [0, *c]
+                row = out[len(c) - 1]
+                row[:] = map(add, row, c)
+        return _poly2([[out[i + j][j] for j in range(size - i)] for i in range(size)], d // g)
 
     @classmethod
     def constant(cls, c: Rat | int) -> Poly2:

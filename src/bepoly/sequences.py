@@ -164,8 +164,8 @@ def euler_poly(n: int) -> Poly1:
     return e
 
 
-# Two-variable embeddings: _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise
-# _eul2 for Euler polynomials; the bivariate builders' pole terms read them.
+# _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise _eul2; no builder reads them, they
+# stay for the cache_info() that perfbench/spans.py snapshot() reads (ROADMAP item 4a)
 
 @cache
 def _bern2(k: int, cx: int, cy: int) -> Poly2:
@@ -201,6 +201,7 @@ def euler_at_zero(l: int) -> Rat:
     return Rat(2) * (1 - 2 ** (l + 1)) * bernoulli_number(l + 1) / (l + 1)
 
 
+@cache
 def h_pq(n: int, p: int, q: int) -> Rat:
     """Partial beta sum H_n(p, q) = sum_{k=1}^{n-1} beta(k+q, p+1).
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bepoly import catalog
+from bepoly import catalog, operators
 from bepoly import (
     Poly1,
     Poly2,
@@ -296,36 +296,78 @@ def test_bivariate_term_groups_are_symmetric():
         assert core.swap_xy() == core
 
 
+def _embedding_route(groups: list) -> Poly2:
+    """The sum of Poly2.sheared groups by Poly2.lincomb over the embeddings
+    f(L1) and g(L2), each group's sum times its pole as a Poly2 power."""
+    total = Poly2.zero()
+    for key, terms, *pole in groups:
+        (form, k), = pole or [((0, 1), 0)]
+        pairs = key if isinstance(key[0][0], tuple) else (key,)
+        total += {(1, -1): X - Y, (0, 1): Y}[form] ** k * Poly2.lincomb(
+            [(Fraction(*w) if isinstance(w, tuple) else w, f.compose_xy(*l1), g.compose_xy(*l2))
+             for l1, l2 in pairs for w, f, g in terms])
+    return total
+
+
 def test_bivariate_builders_match_the_embedding_route(monkeypatch):
-    # every Poly2.sheared call the bivariate builders make is checked
-    # against Poly2.lincomb over the embeddings f(L1) and g(L2); a group
-    # keyed by a set of two pairs sums its terms at both
-    kernel = Poly2.sheared.__func__
-    calls = []
+    # each bivariate builder is one Poly2.sheared call and no Poly2.lincomb
+    # call, and that call equals the embedding route with its poles applied;
+    # with the sequences perturbed every residual is nonzero, so a wrong pole
+    # power, sign or side cannot hide behind 0 = 0
+    kernel, lincomb = Poly2.sheared.__func__, Poly2.lincomb.__func__
+    sheared_calls, lincomb_calls, in_oracle = [], [], []
 
     def checked(cls, groups):
-        groups = [(key, list(terms)) for key, terms in groups]
+        groups = [(key, list(terms), *pole) for key, terms, *pole in groups]
         result = kernel(cls, groups)
-        pairs = [(key if isinstance(key[0][0], tuple) else (key,), terms) for key, terms in groups]
-        assert result == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
-                                        for keys, terms in pairs for l1, l2 in keys
-                                        for w, f, g in terms])
-        calls.append(result)
+        in_oracle.append(True)
+        try:
+            assert result == _embedding_route(groups)
+        finally:
+            in_oracle.pop()
+        sheared_calls.append(result)
         return result
 
+    def counted(cls, terms):
+        if not in_oracle:
+            lincomb_calls.append(terms)
+        return lincomb(cls, terms)
+
+    def sweep(perturbed: bool) -> None:
+        for key in bivariate:
+            for n in range(catalog.CATALOG[key].n_min, 11):
+                before = len(sheared_calls)
+                residual = build_residual(key, n)
+                assert len(sheared_calls) == before + 1 and not lincomb_calls
+                assert residual is sheared_calls[-1]
+                holds = not perturbed and (key != "2.1-as-printed" or n == 1)
+                assert residual.is_zero is holds
+
     monkeypatch.setattr(Poly2, "sheared", classmethod(checked))
+    monkeypatch.setattr(Poly2, "lincomb", classmethod(counted))
     bivariate = [key for key, spec in catalog.CATALOG.items() if spec.arity == "bivariate"]
     assert "2.1-as-printed" in bivariate and len(bivariate) == 12
-    for key in bivariate:
-        for n in range(catalog.CATALOG[key].n_min, 11):
-            before = len(calls)
-            assert build_residual(key, n).is_zero is (key != "2.1-as-printed" or n == 1)
-            assert len(calls) > before
+    sweep(perturbed=False)
+    memos = b, e, h = catalog.bernoulli_poly, catalog.euler_poly, catalog.harmonic
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            for module in (catalog, operators):
+                patch.setattr(module, "bernoulli_poly",
+                              lambda k: b(k) + Poly1.monomial(k % 3, Fraction(k + 1, 7)))
+                patch.setattr(module, "euler_poly",
+                              lambda k: e(k) - Poly1.monomial((k + 1) % 4, Fraction(2 * k + 1, 5)))
+                patch.setattr(module, "harmonic", lambda n: h(n) + Fraction(1, n + 3))
+            sweep(perturbed=True)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_embedding_memos_still_answer_cache_info():
     # perfbench/spans.py snapshot() reads these two memos' cache_info();
-    # they may go only together with that read (ROADMAP item 2a)
+    # they may go only together with that read (ROADMAP item 4a)
     for memo in (catalog._bern2, catalog._eul2):
         assert memo.cache_info().maxsize is None
 

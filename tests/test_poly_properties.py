@@ -11,7 +11,9 @@ merge of repeated products acts, and with its weights written as
 unreduced integer pairs.  ``Poly1.compose_affine`` must equal
 sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
-at each of its six argument pairs and its one set of two.  Each property
+at each of its six argument pairs and its one set of two, with pair
+weights and with each group's pole, (x - y)^k or y^k, applied as a
+``Poly2`` power.  Each property
 runs on seeded random inputs; the hypothesis versions run when
 hypothesis is installed.
 """
@@ -406,22 +408,47 @@ def pairs_of(key: tuple) -> tuple:
     return key if isinstance(key[0][0], tuple) else (key,)
 
 
+# the linear forms of the poles ((a, b), k), (a*x + b*y)^k, as polynomials
+POLE_FORMS = {(1, -1): X - Y, (0, 1): Y}
+
+
+def as_rat(w) -> Fraction | int:
+    """A weight as a Rat or an int; an integer pair (num, den) is num/den."""
+    return Fraction(*w) if isinstance(w, tuple) else w
+
+
 def check_sheared(groups: list[tuple]) -> None:
-    """Poly2.sheared against Poly2.lincomb over compose_xy embeddings."""
+    """Poly2.sheared against Poly2.lincomb over compose_xy embeddings, each
+    group's sum times its pole taken as a Poly2 power."""
     fused = Poly2.sheared(groups)
     assert_canonical(fused)
-    assert fused == Poly2.lincomb([(w, f.compose_xy(*l1), g.compose_xy(*l2))
-                                   for key, terms in groups for l1, l2 in pairs_of(key)
-                                   for w, f, g in terms])
+    expected = Poly2.zero()
+    for key, terms, *pole in groups:
+        (form, k), = pole or [((0, 1), 0)]
+        expected += POLE_FORMS[form] ** k * Poly2.lincomb(
+            [(as_rat(w), f.compose_xy(*l1), g.compose_xy(*l2))
+             for l1, l2 in pairs_of(key) for w, f, g in terms])
+    assert fused == expected
+
+
+def rand_weight(rng: random.Random):
+    """0, an int, a Rat or an integer pair (num, den), often unreduced."""
+    k = rng.randint(1, 6)
+    return rng.choice([0, rng.randint(-5, 5), rand_rat(rng),
+                       (rng.randint(-9, 9) * k, rng.randint(1, 9) * k)])
 
 
 def rand_sheared_groups(rng: random.Random, pairs: list) -> list[tuple]:
-    """One group per pair, 0..4 terms each; weights and factors are sometimes zero."""
-    return [(pair, [(rng.choice([0, rng.randint(-5, 5), rand_rat(rng)]),
-                     poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)),
-                     poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)))
-                    for _ in range(rng.randint(0, 4))])
-            for pair in pairs]
+    """One group per pair, 0..4 terms each, with or without a pole (x - y)^k
+    or y^k, k in 0..3; weights and factors are sometimes zero."""
+    groups = []
+    for pair in pairs:
+        terms = [(rand_weight(rng), poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)),
+                  poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)))
+                 for _ in range(rng.randint(0, 4))]
+        pole = rng.choice([(), ((rng.choice(list(POLE_FORMS)), rng.randint(0, 3)),)])
+        groups.append((pair, terms, *pole))
+    return groups
 
 
 def test_sheared_each_pair_seeded():
@@ -429,6 +456,10 @@ def test_sheared_each_pair_seeded():
     for pair in PAIRS:
         for _ in range(40):
             check_sheared(rand_sheared_groups(rng, [pair]))
+        for form in POLE_FORMS:  # every pole power at every pair
+            for k in range(4):
+                groups = rand_sheared_groups(rng, [pair])
+                check_sheared([(pair, groups[0][1], (form, k))])
     for _ in range(40):
         check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, 7))))
 
@@ -450,17 +481,32 @@ def test_sheared_deterministic_cases():
                 2 * (X2 - 2 * XY + Y2)]
     for pair, want in zip(PAIRS, expected):
         assert Poly2.sheared([(pair, [(1, x * x, one)])]) == want
+    # poles by hand: x (x - y)^2 and x y^3, and (x - y)^0 changes nothing
+    X3, X2Y, XY2 = Poly2.monomial(3, 0), Poly2.monomial(2, 1), Poly2.monomial(1, 2)
+    assert Poly2.sheared([(PAIRS[0], [(1, x, one)], ((1, -1), 2))]) == X3 - 2 * X2Y + XY2
+    assert Poly2.sheared([(PAIRS[0], [((3, 3), x, one)], ((0, 1), 3))]) == Poly2.monomial(1, 3)
+    assert Poly2.sheared([(PAIRS[0], [(1, x, one)], ((1, -1), 0))]) == X
 
 
 def test_sheared_rejects_unknown_pairs_and_malformed_terms():
     f = Poly1((1, 2))
     with pytest.raises(KeyError):
         Poly2.sheared([(((1, 0), (1, 0)), [(1, f, f)])])
-    for term in ((1, f, X), (1, X, f), (1.5, f, f), (1, f, None)):
+    for term in ((1, f, X), (1, X, f), (1.5, f, f), (1, f, None),
+                 # integer-pair weights need two ints and den > 0, as in lincomb
+                 ((1, 0), f, f), ((1, -2), f, f), ((1.0, 2), f, f), ((1, 2.5), f, f),
+                 ((1, 2, 3), f, f), ([1, 2], f, f)):
         with pytest.raises(TypeError):
             Poly2.sheared([(PAIRS[0], [term])])
     with pytest.raises(ValueError):
         Poly2.sheared([(PAIRS[0], [(1, f)])])
+    # a pole is ((1, -1), k) or ((0, 1), k) with an int k >= 0
+    for pole in (((1, 1), 1), ((1, -1), -1), ((0, 1), 1.0), ((0, 1),), [(0, 1), 1],
+                 ([1, -1], 1), ((1, -1), 1, 2), "y", None):
+        with pytest.raises(TypeError):
+            Poly2.sheared([(PAIRS[0], [(1, f, f)], pole)])
+    with pytest.raises(TypeError):  # at most one pole per group
+        Poly2.sheared([(PAIRS[0], [(1, f, f)], ((0, 1), 1), ((0, 1), 1))])
 
 
 # -- hypothesis versions ---------------------------------------------------------------
@@ -570,11 +616,15 @@ def test_sheared_hypothesis():
     given, settings, rats, term_dicts = _strategies()
     st = pytest.importorskip("hypothesis.strategies")
     factors = term_dicts(6, 0).map(poly1_of)
-    terms = st.lists(st.tuples(st.one_of(st.just(0), st.integers(-20, 20), rats),
-                               factors, factors), max_size=4)
+    weights = st.one_of(st.just(0), st.integers(-20, 20), rats,
+                        st.tuples(st.integers(-60, 60), st.integers(1, 60)))
+    terms = st.lists(st.tuples(weights, factors, factors), max_size=4)
+    poles = st.tuples(st.sampled_from(list(POLE_FORMS)), st.integers(0, 3))
+    groups = st.one_of(st.tuples(st.sampled_from(PAIRS), terms),
+                       st.tuples(st.sampled_from(PAIRS), terms, poles))
 
     @settings
-    @given(st.lists(st.tuples(st.sampled_from(PAIRS), terms), max_size=6))
+    @given(st.lists(groups, max_size=6))
     def run(groups):
         check_sheared(groups)
 

@@ -19,6 +19,7 @@ from bepoly import (
     bbar,
     bernoulli_number,
     bernoulli_poly,
+    beta_int,
     euler_at_zero,
     euler_poly,
     h_pq,
@@ -170,6 +171,7 @@ _MEMO_ARGS = {
     "euler_poly": [(n,) for n in range(41)],
     "bbar": [(k,) for k in range(201)],
     "_bern2": [(k, cx, cy) for k in range(31) for cx, cy in ((1, 1), (0, 1), (1, -1))],
+    "h_pq": [(n, p, q) for n in range(2, 26) for p in range(4) for q in range(4)],
 }
 
 
@@ -237,12 +239,34 @@ def test_h_pq_values():
 
 
 def test_h_pq_closed_form_cross_check():
-    from bepoly import beta_int
-
     for n in range(2, 21):
         for p in range(1, 5):
             for q in range(0, 5):
                 assert h_pq(n, p, q) == beta_int(p, q + 1) - beta_int(p, n + q)
+
+
+def test_h_pq_closed_form_check_raises_through_the_memo(monkeypatch):
+    # a wrong beta_int must still fail the closed-form check: the memo is
+    # cleared before, so nothing answers from it, and after, so nothing wrong stays
+    monkeypatch.setattr(sequences, "beta_int", lambda a, b: 2 * beta_int(a, b))
+    h_pq.cache_clear()
+    try:
+        for n, p, q in ((2, 1, 0), (7, 2, 3), (12, 4, 1)):
+            with pytest.raises(RuntimeError, match="partial beta sum mismatch"):
+                h_pq(n, p, q)
+    finally:
+        monkeypatch.undo()
+        h_pq.cache_clear()
+    assert h_pq(7, 2, 3) == beta_int(2, 4) - beta_int(2, 10)
+
+
+def test_h_pq_repeated_call_is_a_cache_hit():
+    h_pq.cache_clear()
+    first = h_pq(9, 2, 1)
+    before = h_pq.cache_info()
+    assert h_pq(9, 2, 1) is first
+    after = h_pq.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_h_pq_rejects_small_n():
