@@ -1,19 +1,21 @@
 """The identity catalog: every checkable identity as an exact zero test.
 
-Each entry builds LHS - RHS of one identity, after multiplying both
-sides by the entry's pole-clearing factor (recorded in ``pole``), as a
-Rat, Poly1, or Poly2.  The identity holds iff that residual is the
-zero element; there is no tolerance anywhere.  A scalar builder writes
-its sums as integer (numerator, denominator) pairs and adds them with
-one ``frac_sum``.  A univariate builder writes the residual as a list of
-terms (w, f, g) or (w, f), each weight an int or an unreduced integer
-pair (numerator, denominator), for one ``lincomb`` call, which reduces
-only the result and convolves a repeated product such as
-B_k(x) B_{n-k}(x) in a symmetric sum once.  Each bivariate residual is
-one ``Poly2.sheared`` call over groups of terms w * f(L1) * g(L2) at
-argument pairs (L1, L2), with the same weights; a group may carry a pole
-factor such as (x - y), (x - y)^3 or y, and a one-factor pole term f(x)
-is the term (w, f, 1), so no product follows the call.
+Each entry builds the two sides (LHS, RHS) of one identity, both
+multiplied by the entry's pole-clearing factor (recorded in ``pole``),
+as data for the kernel of its arity; ``build_residual`` makes the one
+kernel call on the left side and the right side with every weight
+negated, giving LHS - RHS as a Rat, Poly1, or Poly2.  The identity holds
+iff that residual is the zero element; there is no tolerance anywhere.
+A scalar side is a list of integer (numerator, denominator) pairs, for
+``frac_sum``.  A univariate side is a list of terms (w, f, g) or (w, f),
+each weight an int or an unreduced integer pair (numerator,
+denominator), for ``lincomb``, which reduces only the result and
+convolves a repeated product such as B_k(x) B_{n-k}(x) in a symmetric
+sum once.  A bivariate side is a list of ``Poly2.sheared`` groups of
+terms w * f(L1) * g(L2) at argument pairs (L1, L2), with the same
+weights; a group may carry a pole factor such as (x - y), (x - y)^3 or
+y, and a one-factor pole term f(x) is the term (w, f, 1), so no product
+follows the call.
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -35,17 +37,22 @@ control: it must FAIL for n >= 2), chu is the hockey-stick summation,
 and 3.1 / 3.2 / ds are the gamma/beta-weighted generalizations at
 integer parameters (ds being the even-index p = q specialization at
 x = 0).
+
+The left sides hold the sums, the right sides the harmonic, closed-form
+and divided-difference terms; 1.8 and 1.11 put the Euler convolution
+alone on the left.  ``operators`` builds the sides of 2.1, 2.2 and chu.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import repeat
+from functools import partial
+from itertools import product, repeat
 from math import comb, perm
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .arith import Rat, beta_int, binomial, factorial, frac_sum
-from .operators import _bernoulli_shift_groups, _euler_shift_groups
+from .arith import Rat, factorial, frac_sum
+from .operators import _bernoulli_shift_groups, _euler_shift_groups, _hockey_stick_sides
 from .polynomials import Poly1, Poly2
 from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 4a)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
@@ -83,35 +90,32 @@ def _frac(num: int, den: int, a: Rat, b: Rat = 1) -> tuple[int, int]:
     return num * a.numerator * b.numerator, den * a.denominator * b.denominator
 
 
-def _r_1_1(n: int) -> Rat:
+def _r_1_1(n: int) -> tuple[list, list]:
     b = bernoulli_number
-    terms = [_frac(1 - comb(n, k), k * (n - k), b(k), b(n - k)) for k in range(2, n - 1)]
-    terms.append(_frac(-2, n, harmonic(n), b(n)))
-    return frac_sum(terms)
+    lhs = [_frac(1 - comb(n, k), k * (n - k), b(k), b(n - k)) for k in range(2, n - 1)]
+    return lhs, [_frac(2, n, harmonic(n), b(n))]
 
 
-def _r_1_2(n: int) -> Rat:
+def _r_1_2(n: int) -> tuple[list, list]:
     b = bernoulli_number
-    terms = [_frac(1 - comb(n, k), k, b(k), b(n - k)) for k in range(2, n - 1)]
-    terms.append(_frac(-1, 1, harmonic(n), b(n)))
-    return frac_sum(terms)
+    lhs = [_frac(1 - comb(n, k), k, b(k), b(n - k)) for k in range(2, n - 1)]
+    return lhs, [_frac(1, 1, harmonic(n), b(n))]
 
 
-def _r_1_3(n: int) -> Rat:
+def _r_1_3(n: int) -> tuple[list, list]:
     b = bernoulli_number
-    terms = [_frac(n + 2 - 2 * comb(n + 2, k), 1, b(k), b(n - k)) for k in range(2, n - 1)]
-    terms.append(_frac(-n * (n + 1), 1, b(n)))
-    return frac_sum(terms)
+    lhs = [_frac(n + 2 - 2 * comb(n + 2, k), 1, b(k), b(n - k)) for k in range(2, n - 1)]
+    return lhs, [_frac(n * (n + 1), 1, b(n))]
 
 
-def _r_cor_1_2(n: int) -> Rat:
-    """Chain of three expressions e1 = e2 = e3; the residual is e2 - e3.  The
+def _r_cor_1_2(n: int) -> tuple[list, list]:
+    """Chain of three expressions e1 = e2 = e3; the sides are e2 and e3.  The
     first link checks nothing: e1 - e2 = sum (n-2k)/(2k(n-k)) Bbar_k Bbar_{n-k}
     is 0 for any sequence, its weight being antisymmetric under k <-> n-k."""
-    terms = [_frac(n, 2 * k * (n - k), bbar(k), bbar(n - k)) for k in range(2, n - 1)]
-    terms.append(_frac(-1, 1, harmonic(n - 1), bbar(n)))
-    terms += [_frac(-comb(n, k), k, bernoulli_number(k), bbar(n - k)) for k in range(2, n + 1)]
-    return frac_sum(terms)
+    lhs = [_frac(n, 2 * k * (n - k), bbar(k), bbar(n - k)) for k in range(2, n - 1)]
+    rhs = [_frac(1, 1, harmonic(n - 1), bbar(n))]
+    rhs += [_frac(comb(n, k), k, bernoulli_number(k), bbar(n - k)) for k in range(2, n + 1)]
+    return lhs, rhs
 
 
 # -- bivariate Bernoulli identities ------------------------------------------
@@ -130,151 +134,116 @@ _ONE = Poly1((1,))
 _DIFF, _ONLY_Y = (1, -1), (0, 1)  # the linear forms x - y and y of the poles
 
 
-def _r_1_4(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> Poly2:
+def _r_1_4(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> tuple[list, list]:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
     b, h = bernoulli_poly, harmonic(n - 1)
-    hw = (-h.numerator, h.denominator * n)
+    hw = (h.numerator, h.denominator * n)
     conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
-    conv += [(hw, b(n), _ONE), (hw, _ONE, b(n))]
     mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared([*zip(pairs, (conv, mixed, mixed), repeat(pole)),
-                          (pairs[0], [((-1, n), b(n), _ONE), ((1, n), _ONE, b(n))])])
+    return ([*zip(pairs, (conv, mixed, mixed), repeat(pole))],
+            [(pairs[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], pole),
+             (pairs[0], [((1, n), b(n), _ONE), ((-1, n), _ONE, b(n))])])
 
 
-def _r_1_4p(n: int) -> Poly2:
-    # the 1.4 chain multiplied through by n, with the 1/k-weighted double
+def _r_1_4p(n: int) -> tuple[list, list]:
+    # the 1.4 sides multiplied through by n, with the 1/k-weighted double
     # sum written symmetrically in its two arguments
     b, h = bernoulli_poly, harmonic(n - 1)
-    hw = (-h.numerator, h.denominator)
+    hw = (h.numerator, h.denominator)
     conv = [((1, k), b(k), b(n - k)) for k in range(1, n)]
     conv += [((1, k), b(n - k), b(k)) for k in range(1, n)]
-    conv += [(hw, b(n), _ONE), (hw, _ONE, b(n))]
     mixed = [((-comb(n, l), l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 1))),
-                          (_BASE[0], [(-1, b(n), _ONE), (1, _ONE, b(n))])])
+    return ([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 1)))],
+            [(_BASE[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], (_DIFF, 1)),
+             (_BASE[0], [(1, b(n), _ONE), (-1, _ONE, b(n))])])
 
 
-def _r_1_5(n: int) -> Poly2:
+def _r_1_5(n: int) -> tuple[list, list]:
     b, w = bernoulli_poly, n + 2
     conv = [(w, b(k), b(n - k)) for k in range(0, n + 1)]
     mixed = [((-w * comb(n + 1, l + 1), l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
-    return Poly2.sheared([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 3))),
-                          (_BASE[0], [(-w, b(n + 1), _ONE), (-w, _ONE, b(n + 1))], (_DIFF, 1)),
-                          (_BASE[0], [(2, b(n + 2), _ONE), (-2, _ONE, b(n + 2))])])
+    return ([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 3)))],
+            [(_BASE[0], [(w, b(n + 1), _ONE), (w, _ONE, b(n + 1))], (_DIFF, 1)),
+             (_BASE[0], [(-2, b(n + 2), _ONE), (2, _ONE, b(n + 2))])])
 
 
 # -- univariate (diagonal) Bernoulli identities -------------------------------
 
-def _r_1_6(n: int) -> Poly1:
+def _r_1_6(n: int) -> tuple[list, list]:
     b = bernoulli_poly
-    terms = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
-    terms += [(_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l)), b(n - l))
-              for l in range(2, n + 1)]
-    terms.append((_frac(-2, n, harmonic(n - 1)), b(n)))
-    return Poly1.lincomb(terms)
+    lhs = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
+    lhs += [(_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l)), b(n - l))
+            for l in range(2, n + 1)]
+    return lhs, [(_frac(2, n, harmonic(n - 1)), b(n))]
 
 
-def _r_1_7(n: int) -> Poly1:
+def _r_1_7(n: int) -> tuple[list, list]:
     b = bernoulli_poly
-    terms = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
-    terms += [(_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l)), b(n - l))
-              for l in range(2, n + 1)]
-    terms.append((-(n + 1), b(n)))
-    return Poly1.lincomb(terms)
+    lhs = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
+    lhs += [(_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l)), b(n - l))
+            for l in range(2, n + 1)]
+    return lhs, [(n + 1, b(n))]
 
 
 # -- bivariate Euler/Bernoulli identities -------------------------------------
 
-def _r_1_8(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> Poly2:
+def _r_1_8(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> tuple[list, list]:
+    # the Euler convolution against the Euler-Bernoulli sums
     b, e, m = bernoulli_poly, euler_poly, n + 2
     conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
-    mixed = [((2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
-    return Poly2.sheared([*zip(pairs, (conv, mixed, mixed), repeat(pole)),
-                          (pairs[0], [((-4, m), b(m), _ONE), ((4, m), _ONE, b(m))])])
+    mixed = [((-2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
+    return ([(pairs[0], conv, pole)],
+            [*zip(pairs[1:], (mixed, mixed), repeat(pole)),
+             (pairs[0], [((4, m), b(m), _ONE), ((-4, m), _ONE, b(m))])])
 
 
-def _r_1_9(n: int, pairs=_BASE, pole=(_DIFF, 1)) -> Poly2:
+def _r_1_9(n: int, pairs=_BASE, pole=(_DIFF, 1)) -> tuple[list, list]:
     b, e, h = bernoulli_poly, euler_poly, harmonic(n)
     conv = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
-    conv.append(((-h.numerator, h.denominator), _ONE, e(n)))
     left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared([*zip(pairs, (conv, left, right), repeat(pole)),
-                          (pairs[0], [(-1, e(n), _ONE), (1, _ONE, e(n))])])
+    return ([*zip(pairs, (conv, left, right), repeat(pole))],
+            [(pairs[0], [((h.numerator, h.denominator), _ONE, e(n))], pole),
+             (pairs[0], [(1, e(n), _ONE), (-1, _ONE, e(n))])])
 
 
-def _r_1_10(n: int) -> Poly2:
+def _r_1_10(n: int) -> tuple[list, list]:
     b, e = bernoulli_poly, euler_poly
     conv = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
-    conv.append((-(n + 1), _ONE, e(n)))
     left = [(-comb(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n + 1, l + 1), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return Poly2.sheared([*zip(_BASE, (conv, left, right), repeat((_DIFF, 2))),
-                          (_BASE[0], [(-(n + 1), e(n), _ONE)], (_DIFF, 1)),
-                          (_BASE[0], [(1, e(n + 1), _ONE), (-1, _ONE, e(n + 1))])])
+    return ([*zip(_BASE, (conv, left, right), repeat((_DIFF, 2)))],
+            [(_BASE[0], [(n + 1, _ONE, e(n))], (_DIFF, 2)),
+             (_BASE[0], [(n + 1, e(n), _ONE)], (_DIFF, 1)),
+             (_BASE[0], [(-1, e(n + 1), _ONE), (1, _ONE, e(n + 1))])])
 
 
 # -- univariate (diagonal) Euler identities -----------------------------------
 
-def _r_1_11(n: int) -> Poly1:
+def _r_1_11(n: int) -> tuple[list, list]:
+    # the Euler convolution against the Bernoulli sum
     e = euler_poly
-    terms = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
-    terms += [(_frac(-8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l)),
-               bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
-    return Poly1.lincomb(terms)
+    lhs = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
+    rhs = [(_frac(8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l)),
+            bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
+    return lhs, rhs
 
 
-def _r_1_12(n: int) -> Poly1:
+def _r_1_12(n: int) -> tuple[list, list]:
     b, e = bernoulli_poly, euler_poly
-    terms = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
-    terms += [(_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l)), e(n - l))
-              for l in range(2, n + 1)]
-    terms.append((_frac(-1, 1, harmonic(n)), e(n)))
-    return Poly1.lincomb(terms)
+    lhs = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
+    lhs += [(_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l)), e(n - l))
+            for l in range(2, n + 1)]
+    return lhs, [(_frac(1, 1, harmonic(n)), e(n))]
 
 
-def _r_1_13(n: int) -> Poly1:
+def _r_1_13(n: int) -> tuple[list, list]:
     b, e = bernoulli_poly, euler_poly
-    terms = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
-    terms += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l)),
-               e(n - l)) for l in range(2, n + 1)]
-    terms.append((-(n + 1), e(n)))
-    return Poly1.lincomb(terms)
-
-
-# -- shift-convolution sums and shifted forms ---------------------------------
-
-def _r_2_1(n: int) -> Poly2:
-    return Poly2.sheared(_bernoulli_shift_groups(n, True, -1))
-
-
-def _r_2_1_as_printed(n: int) -> Poly2:
-    return Poly2.sheared(_bernoulli_shift_groups(n, False, -1))
-
-
-def _r_2_2(n: int) -> Poly2:
-    return Poly2.sheared(_euler_shift_groups(n, -1))
-
-
-def _r_2_3(n: int) -> Poly2:
-    # y -> x + y form of 1.4, both sides multiplied by y
-    return _r_1_4(n, _SHIFTED, (_ONLY_Y, 1))
-
-
-def _r_2_4(n: int) -> Poly2:
-    # y -> x + y form of 1.8, both sides multiplied by y
-    return _r_1_8(n, _SHIFTED, (_ONLY_Y, 1))
-
-
-def _r_2_5(n: int) -> Poly2:
-    # (x, y) -> (x + y, x) form of 1.9, both sides multiplied by y
-    return _r_1_9(n, _SHIFTED, (_ONLY_Y, 1))
-
-
-def _r_chu(n: int, l: int) -> Rat:
-    total = sum(comb(k - 1, l - 1) for k in range(l, n + 1))
-    return Rat(total) - binomial(n, l)
+    lhs = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
+    lhs += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l)),
+             e(n - l)) for l in range(2, n + 1)]
+    return lhs, [(n + 1, e(n))]
 
 
 # -- gamma/beta-weighted family -----------------------------------------------
@@ -295,44 +264,41 @@ def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> tuple[int, int]:
     return _frac(comb(n - 1, l - 1) * beta_num, l * factorial(l + p + q), bernoulli_number(l))
 
 
-def _r_3_1(n: int, p: int, q: int) -> Poly1:
+def _r_3_1(n: int, p: int, q: int) -> tuple[list, list]:
     b = bernoulli_poly
-    terms = [(_w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
-    for l in range(2, n + 1):
-        num, den = _w_3_1_rhs(n, l, p, q)
-        terms.append(((-num, den), b(n - l)))
-    terms += [(_frac(-1, n, h_pq(n, p, q)), b(n)), (_frac(-1, n, h_pq(n, q, p)), b(n))]
-    return Poly1.lincomb(terms)
+    lhs = [(_w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
+    rhs = [(_w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1)]
+    rhs += [(_frac(1, n, h_pq(n, p, q)), b(n)), (_frac(1, n, h_pq(n, q, p)), b(n))]
+    return lhs, rhs
 
 
-def _sum_3_2(n: int, l: int, p: int, q: int) -> Rat:
-    """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q); every beta has the
-    denominator (n+p+q-1)!, so the numerators are summed as ints."""
+def _sum_3_2(n: int, l: int, p: int, q: int) -> tuple[int, int]:
+    """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q) as an integer pair; every
+    beta has the denominator (n+p+q-1)!, so the numerators are summed as ints."""
     total = sum(comb(n - l, k - l) * factorial(k + p - 1) * factorial(n - k + q - 1)
                 for k in range(l, n + 1))
-    return Rat(total, factorial(n + p + q - 1))
+    return total, factorial(n + p + q - 1)
 
 
-def _r_3_2(n: int, l: int, p: int, q: int) -> Rat:
-    return _sum_3_2(n, l, p, q) - beta_int(l + p, q)
+def _r_3_2(n: int, l: int, p: int, q: int) -> tuple[list, list]:
+    # the right side is beta(l+p, q)
+    return [_sum_3_2(n, l, p, q)], [(factorial(l + p - 1) * factorial(q - 1),
+                                     factorial(l + p + q - 1))]
 
 
-def _r_ds(n: int, p: int) -> Rat:
+def _r_ds(n: int, p: int) -> tuple[list, list]:
     """Even-index convolution identity with rising-factorial weights
     (the p = q, x = 0 slice of 3.1 with the index doubled).  With
     Gamma(m) = (m-1)!, the left weight Gamma(2k+p) Gamma(2n-2k+p) /
     (Gamma(2k) Gamma(2n-2k)) is perm(2k+p-1, p) perm(2n-2k+p-1, p)."""
     b, f = bernoulli_number, factorial
-    terms = []
-    for k in range(1, n + 1):
-        u, v = b(2 * k), b(2 * n - 2 * k)
-        if k < n:
-            terms.append(_frac(perm(2 * k + p - 1, p) * perm(2 * n - 2 * k + p - 1, p),
-                               8 * k * (n - k) * f(2 * n + 2 * p - 1), u, v))
-        terms.append(_frac(-f(2 * k + p - 1) * f(p),
-                           f(2 * k) * f(2 * n - 2 * k) * f(2 * k + 2 * p), u, v))
-    terms.append(_frac(-1, f(2 * n), b(2 * n), h_pq(2 * n, p, p)))
-    return frac_sum(terms)
+    lhs = [_frac(perm(2 * k + p - 1, p) * perm(2 * n - 2 * k + p - 1, p),
+                 8 * k * (n - k) * f(2 * n + 2 * p - 1), b(2 * k), b(2 * n - 2 * k))
+           for k in range(1, n)]
+    rhs = [_frac(f(2 * k + p - 1) * f(p), f(2 * k) * f(2 * n - 2 * k) * f(2 * k + 2 * p),
+                 b(2 * k), b(2 * n - 2 * k)) for k in range(1, n + 1)]
+    rhs.append(_frac(1, f(2 * n), b(2 * n), h_pq(2 * n, p, p)))
+    return lhs, rhs
 
 
 # -- catalog ------------------------------------------------------------------
@@ -341,17 +307,19 @@ class IdentitySpec(NamedTuple):
     """One catalog entry.
 
     ``build`` maps the parameters (n first, then any of l, p, q in the
-    order given by ``params``) to the residual LHS - RHS after both
-    sides were multiplied by ``pole``.  The residual is identically
-    zero for every in-domain parameter choice -- except for entries
-    flagged ``negative``, which exist to prove the harness can fail.
+    order given by ``params``) to the two sides (LHS, RHS), both
+    multiplied by ``pole``, in the data form of ``arity``: integer pairs
+    for ``frac_sum``, ``lincomb`` terms or ``sheared`` groups.  Their
+    residual LHS - RHS (``build_residual``) is identically zero for
+    every in-domain parameter choice -- except for entries flagged
+    ``negative``, which exist to prove the harness can fail.
     ``q_min`` is the smallest admissible q for entries that take one.
     """
 
     key: str
     arity: str  # "scalar" | "univariate" | "bivariate"
     n_min: int
-    build: Callable[..., Residual]
+    build: Callable[..., tuple[list, list]]
     summary: str
     pole: str = "none"
     params: tuple[str, ...] = ()
@@ -406,22 +374,26 @@ CATALOG: dict[str, IdentitySpec] = {
                      summary="diagonal of 1.9: H_n E_n(x)"),
         IdentitySpec(key="1.13", arity="univariate", n_min=0, build=_r_1_13,
                      summary="diagonal of 1.10: (n+1) E_n(x)"),
-        IdentitySpec(key="2.1", arity="bivariate", n_min=1, build=_r_2_1,
+        IdentitySpec(key="2.1", arity="bivariate", n_min=1,
+                     build=partial(_bernoulli_shift_groups, weighted=True),
                      summary="Bernoulli shift-convolution sum (binomial weights)"),
         IdentitySpec(key="2.1-as-printed", arity="bivariate", n_min=1,
-                     build=_r_2_1_as_printed,
+                     build=partial(_bernoulli_shift_groups, weighted=False),
                      summary="NEGATIVE CONTROL: 2.1 without the binomial weight; "
                              "fails for n >= 2",
                      negative=True),
-        IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_r_2_2,
+        IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_euler_shift_groups,
                      summary="Euler shift-convolution sum"),
-        IdentitySpec(key="2.3", arity="bivariate", n_min=2, build=_r_2_3,
+        IdentitySpec(key="2.3", arity="bivariate", n_min=2,
+                     build=partial(_r_1_4, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
                      summary="y -> x+y form of 1.4", pole="y"),
-        IdentitySpec(key="2.4", arity="bivariate", n_min=1, build=_r_2_4,
+        IdentitySpec(key="2.4", arity="bivariate", n_min=1,
+                     build=partial(_r_1_8, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
                      summary="y -> x+y form of 1.8", pole="y"),
-        IdentitySpec(key="2.5", arity="bivariate", n_min=1, build=_r_2_5,
+        IdentitySpec(key="2.5", arity="bivariate", n_min=1,
+                     build=partial(_r_1_9, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
                      summary="(x,y) -> (x+y,x) form of 1.9", pole="y"),
-        IdentitySpec(key="chu", arity="scalar", n_min=1, build=_r_chu,
+        IdentitySpec(key="chu", arity="scalar", n_min=1, build=_hockey_stick_sides,
                      summary="hockey-stick sum: sum C(k-1,l-1) = C(n,l)",
                      params=("l",)),
         IdentitySpec(key="3.1", arity="univariate", n_min=2, build=_r_3_1,
@@ -502,14 +474,37 @@ def _build_args(spec: IdentitySpec, n: int, l, p, q) -> list[int]:
     return args
 
 
+def _neg(w):
+    """-w for an int, a Rat or an integer pair (num, den)."""
+    return (-w[0], w[1]) if type(w) is tuple else -w
+
+
+def _neg_terms(terms: list) -> list:
+    return [(_neg(w), *factors) for w, *factors in terms]
+
+
+# arity -> (its kernel, a side of that arity with every weight negated); each
+# kernel is looked up at the call, so one patched or wrapped on its class runs
+_KERNELS = {
+    "scalar": (lambda parts: frac_sum(parts), lambda pairs: [_neg(w) for w in pairs]),
+    "univariate": (lambda parts: Poly1.lincomb(parts), _neg_terms),
+    "bivariate": (lambda parts: Poly2.sheared(parts),
+                  lambda groups: [(pair, _neg_terms(terms), *pole)
+                                  for pair, terms, *pole in groups]),
+}
+
+
 def build_residual(key: str, n: int, *, l: Optional[int] = None,
                    p: Optional[int] = None, q: Optional[int] = None) -> Residual:
-    """LHS - RHS of one identity instance after denominator clearing."""
+    """LHS - RHS of one identity instance after denominator clearing, by one
+    kernel call on the left side's data and the right side's, negated."""
     spec = _get_spec(key)
     args = _build_args(spec, n, l, p, q)
     if not spec.in_domain(n, l, p, q):
         raise ValueError(f"parameters out of domain for {key!r}: n={n}, l={l}, p={p}, q={q}")
-    return spec.build(*args)
+    kernel, negated = _KERNELS[spec.arity]
+    lhs, rhs = spec.build(*args)
+    return kernel([*lhs, *negated(rhs)])
 
 
 def _is_zero(residual: Residual) -> bool:
@@ -552,24 +547,18 @@ def verify_sweep(keys: Iterable[str], n_range: Iterable[int],
     keys = list(keys)
     for key in keys:
         _get_spec(key)
-    n_values = list(n_range)
     p_req = list(p_range) if p_range is not None else None
     q_req = list(q_range) if q_range is not None else None
     reports: list[VerifyReport] = []
-    for key in keys:
+    for key, n in product(keys, n_range):
         spec = CATALOG[key]
-        for n in n_values:
-            if n < spec.n_min:
-                reports.append(VerifyReport(key, n, skipped=True))
-                continue
-            ls: list[Optional[int]] = list(range(1, n + 1)) if "l" in spec.params else [None]
-            ps = _param_values(spec, "p", p_req)
-            qs = _param_values(spec, "q", q_req)
-            for l in ls:
-                for p in ps:
-                    for q in qs:
-                        if not spec.in_domain(n, l, p, q):
-                            reports.append(VerifyReport(key, n, l=l, p=p, q=q, skipped=True))
-                            continue
-                        reports.append(verify(key, n, l=l, p=p, q=q))
+        if n < spec.n_min:
+            points = [(None, None, None)]
+        else:
+            ls = range(1, n + 1) if "l" in spec.params else [None]
+            points = product(ls, _param_values(spec, "p", p_req),
+                             _param_values(spec, "q", q_req))
+        for l, p, q in points:
+            reports.append(verify(key, n, l=l, p=p, q=q) if spec.in_domain(n, l, p, q)
+                           else VerifyReport(key, n, l=l, p=p, q=q, skipped=True))
     return reports

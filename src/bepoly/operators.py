@@ -31,7 +31,6 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .arith import Rat, binomial
 from .polynomials import Poly1, Poly2, _poly1, _poly2, _shift_by_one
 from .sequences import bernoulli_poly, euler_poly, harmonic
 
@@ -139,27 +138,32 @@ _XPY_X, _Y_X = ((1, 1), (1, 0)), ((0, 1), (1, 0))
 _x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
 
 
-def _bernoulli_shift_groups(n: int, weighted: bool, sign: int = 1) -> list[tuple]:
-    """Poly2.sheared groups of the Bernoulli shift sum: its left side at
-    (x + y, x), then its right side at (y, x) with every weight times sign;
-    unless weighted, the right side drops C(n,l)."""
+def _bernoulli_shift_groups(n: int, weighted: bool) -> tuple[list, list]:
+    """Poly2.sheared groups of both sides of the Bernoulli shift sum: its left
+    side at (x + y, x), its right side at (y, x); unless weighted, the right
+    side drops C(n,l)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = harmonic(n)
     lhs = [((1, k), bernoulli_poly(k), _x_to(n - k)) for k in range(1, n + 1)]
-    rhs = [((sign * h.numerator, h.denominator), _x_to(0), _x_to(n))]
-    rhs += [((sign * comb(n, l) if weighted else sign, l), bernoulli_poly(l), _x_to(n - l))
+    rhs = [((h.numerator, h.denominator), _x_to(0), _x_to(n))]
+    rhs += [((comb(n, l) if weighted else 1, l), bernoulli_poly(l), _x_to(n - l))
             for l in range(1, n + 1)]
-    return [(_XPY_X, lhs), (_Y_X, rhs)]
+    return [(_XPY_X, lhs)], [(_Y_X, rhs)]
 
 
-def _euler_shift_groups(n: int, sign: int = 1) -> list[tuple]:
-    """Poly2.sheared groups of the Euler shift sum, as for the Bernoulli one."""
+def _euler_shift_groups(n: int) -> tuple[list, list]:
+    """Both sides of the Euler shift sum as Poly2.sheared groups, as above."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     lhs = [(1, euler_poly(k), _x_to(n - k)) for k in range(0, n + 1)]
-    rhs = [(sign * comb(n + 1, l + 1), euler_poly(l), _x_to(n - l)) for l in range(0, n + 1)]
-    return [(_XPY_X, lhs), (_Y_X, rhs)]
+    rhs = [(comb(n + 1, l + 1), euler_poly(l), _x_to(n - l)) for l in range(0, n + 1)]
+    return [(_XPY_X, lhs)], [(_Y_X, rhs)]
+
+
+def _hockey_stick_sides(n: int, l: int) -> tuple[list, list]:
+    """Both sides of sum_{k=l}^{n} C(k-1, l-1) = C(n, l) as integer pairs."""
+    return [(sum(comb(k - 1, l - 1) for k in range(l, n + 1)), 1)], [(comb(n, l), 1)]
 
 
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -169,7 +173,7 @@ def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
     lhs, rhs = _bernoulli_shift_groups(n, True)
-    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
+    return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
 def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
@@ -179,7 +183,7 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     control that demonstrates the zero-test has teeth.
     """
     lhs, rhs = _bernoulli_shift_groups(n, False)
-    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
+    return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
 def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
@@ -189,12 +193,12 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     RHS = sum_{l=0}^{n} C(n+1,l+1) E_l(y) * x^{n-l}.
     """
     lhs, rhs = _euler_shift_groups(n)
-    return Poly2.sheared([lhs]), Poly2.sheared([rhs])
+    return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
 def chu_identity(n: int, l: int) -> bool:
     """Hockey-stick summation: sum_{k=l}^{n} C(k-1, l-1) = C(n, l)."""
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    total = sum(comb(k - 1, l - 1) for k in range(l, n + 1))
-    return Rat(total) == binomial(n, l)
+    lhs, rhs = _hockey_stick_sides(n, l)
+    return lhs == rhs  # one pair each, both over 1

@@ -515,56 +515,51 @@ class Poly2(_Poly):
 
         Terms are (w, f, g) with Poly1 factors and a ``lincomb`` weight, (L1, L2)
         is a pair of ``_SHEARS``, or its one set of two pairs, and a pole
-        ((1, -1), k) or ((0, 1), k) is (x - y)^k or y^k.  The steps before "s"
-        act on the factors.  The weights go over the lcm of the term
-        denominators, reduced as in ``lincomb``, and the outer products into
-        one integer grid per (shear, steps after it, pole), held as
-        total-degree slices, slice m listing the numerators of x^(m-j) y^j by
-        j.  There "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
+        ((1, -1), k) or ((0, 1), k) is (x - y)^k or y^k.  The weights go over
+        the lcm of the term denominators, reduced as in ``lincomb``, and the
+        outer products of the factors' stored nonzero entries into one integer
+        grid per (pair, pole), held as total-degree slices, slice m listing the
+        numerators of x^(m-j) y^j by j.  Every step then runs on each slice:
+        "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
         (``_shift_by_one``), "f" negates the odd x-degrees, "t" reverses the
         slice, "T" adds its reversal, and the pole's "m" (c_j - c_(j-1)) and
         "y" (c_(j-1)) make slice m + 1 of it.
         """
         parts = []
         for pair, terms, *pole in groups:
-            pre, shear, post = _SHEARS[pair].partition("s")
-            key = (shear, post, _pole_steps(*pole))
+            key = _SHEARS[pair] + _pole_steps(*pole)
             for w, f, g in terms:
                 num, den = _weight(w)
                 if num is None or not (isinstance(f, Poly1) and isinstance(g, Poly1)):
                     raise TypeError("Poly2.sheared terms are (w, f, g) with an int, Rat "
                                     "or (num, den) weight and Poly1 factors")
                 if num and f._num and g._num:
-                    a, b = f._num, g._num
-                    for step in pre:  # "f" negates the odd coefficients of f, "t" swaps f, g
-                        a, b = ((b, a) if step == "t"
-                                else ([-v if i % 2 else v for i, v in enumerate(a)], b))
-                    parts.append((key, num, den * f._den * g._den, a, b))
+                    parts.append((key, num, den * f._den * g._den, f, g))
         if not parts:
             return cls()
         d = lcm(*(den for _, _, den, _, _ in parts))
         scaled = [num * (d // den) for _, num, den, _, _ in parts]
-        g = gcd(d, *scaled)
-        top = max(len(a) + len(b) for *_, a, b in parts) - 1
+        common = gcd(d, *scaled)
+        top = max(len(f._num) + len(g._num) for *_, f, g in parts) - 1
         grids = {key: [[0] * (m + 1) for m in range(top)]
                  for key in dict.fromkeys(p[0] for p in parts)}
-        for (key, _, _, a, b), s in zip(parts, scaled):
-            grid, s, lb = grids[key], s // g, len(b)
-            b = [(j, v) for j, v in enumerate(b) if v]
-            for i, va in enumerate(a):
-                if va:
-                    va *= s
-                    band = grid[i:i + lb]  # band[j] is slice i + j
-                    for j, vb in b:
-                        band[j][j] += va * vb
-        size = top + max(len(pole) for _, _, pole in grids)
+        for (key, _, _, f, g), s in zip(parts, scaled):
+            grid, s = grids[key], s // common
+            (a,), _ = f._sparse()
+            (b,), lb = g._sparse()
+            for i, va in a:
+                va *= s
+                band = grid[i:i + lb]  # band[j] is slice i + j
+                for j, vb in b:
+                    band[j][j] += va * vb
+        size = top + max(key.count("m") + key.count("y") for key in grids)
         out = [[0] * (m + 1) for m in range(size)]
-        for (shear, post, pole), grid in grids.items():
+        for steps, grid in grids.items():
             for m, c in enumerate(grid):
-                if shear:
-                    _shift_by_one(c)
-                for step in post + pole:
-                    if step == "f":
+                for step in steps:
+                    if step == "s":
+                        _shift_by_one(c)
+                    elif step == "f":
                         c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
                     elif step == "t":
                         c.reverse()
@@ -576,7 +571,7 @@ class Poly2(_Poly):
                         c = [0, *c]
                 row = out[len(c) - 1]
                 row[:] = map(add, row, c)
-        return _poly2([[out[i + j][j] for j in range(size - i)] for i in range(size)], d // g)
+        return _poly2([[out[i + j][j] for j in range(size - i)] for i in range(size)], d // common)
 
     @classmethod
     def constant(cls, c: Rat | int) -> Poly2:
