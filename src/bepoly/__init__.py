@@ -3,83 +3,18 @@
 Everything is computed over arbitrary-precision rationals; identities
 are checked by reducing LHS - RHS to canonical form and testing it
 against the zero polynomial, so every verification is a proof for the
-parameters checked, not an approximation.
+parameters checked, not an approximation.  The package exports exactly
+the names each module lists in its ``__all__``, and ``__version__``.
 """
 
-from .arith import Rat, beta_int, binomial, gamma_ratio
-from .catalog import (
-    CATALOG,
-    IdentitySpec,
-    Residual,
-    UnknownIdentityError,
-    VerifyReport,
-    build_residual,
-    catalog_ids,
-    verify,
-    verify_sweep,
-)
-from .operators import (
-    DiffOperator,
-    bernoulli_shift_sum,
-    bernoulli_shift_sum_unweighted,
-    check_product_rules,
-    chu_identity,
-    delta,
-    delta_star,
-    euler_shift_sum,
-    solve_delta_star,
-)
-from .polynomials import ExactDivisionError, Poly1, Poly2
-from .sequences import (
-    BernoulliCache,
-    CacheIntegrityError,
-    bbar,
-    bernoulli_number,
-    bernoulli_poly,
-    default_cache,
-    euler_at_zero,
-    euler_poly,
-    h_pq,
-    harmonic,
-)
+from . import arith, catalog, operators, polynomials, sequences
+from .arith import *  # noqa: F401,F403
+from .polynomials import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .catalog import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rat",
-    "binomial",
-    "beta_int",
-    "gamma_ratio",
-    "Poly1",
-    "Poly2",
-    "ExactDivisionError",
-    "BernoulliCache",
-    "CacheIntegrityError",
-    "default_cache",
-    "bernoulli_number",
-    "bernoulli_poly",
-    "euler_poly",
-    "harmonic",
-    "bbar",
-    "euler_at_zero",
-    "h_pq",
-    "DiffOperator",
-    "delta",
-    "delta_star",
-    "solve_delta_star",
-    "check_product_rules",
-    "bernoulli_shift_sum",
-    "bernoulli_shift_sum_unweighted",
-    "euler_shift_sum",
-    "chu_identity",
-    "Residual",
-    "IdentitySpec",
-    "VerifyReport",
-    "UnknownIdentityError",
-    "CATALOG",
-    "catalog_ids",
-    "build_residual",
-    "verify",
-    "verify_sweep",
-    "__version__",
-]
+__all__ = [name for module in (arith, polynomials, sequences, operators, catalog)
+           for name in module.__all__] + ["__version__"]

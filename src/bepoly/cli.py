@@ -25,17 +25,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
+from . import sequences
 from .arith import Rat
 from .catalog import UnknownIdentityError, VerifyReport, catalog_ids, verify_sweep
-from .sequences import (
-    CacheIntegrityError,
-    bbar,
-    bernoulli_number,
-    bernoulli_poly,
-    default_cache,
-    euler_poly,
-    harmonic,
-)
+from .sequences import CacheIntegrityError, default_cache
 
 CACHE_HEADER = "bepoly-bernoulli-cache v1"
 
@@ -52,6 +45,11 @@ N_LIMIT = 2000
 # Largest cache file index the command line can write: ds at n = N_LIMIT
 # reads B_2n.  A longer file is refused before any recomputation.
 CACHE_INDEX_LIMIT = 2 * N_LIMIT
+
+# compute's kinds, the argparse choices: each is the name of a ``sequences``
+# function, "-" for "_"; it is looked up at each call, so a function wrapped
+# in that module (perfbench/spans.py) is the one that runs
+COMPUTE = ("bernoulli-number", "bernoulli-poly", "euler-poly", "harmonic", "bbar")
 
 
 @contextmanager
@@ -104,10 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="print one exact value")
-    p_compute.add_argument(
-        "what",
-        choices=["bernoulli-number", "bernoulli-poly", "euler-poly", "harmonic", "bbar"],
-    )
+    p_compute.add_argument("what", choices=COMPUTE)
     p_compute.add_argument("n", type=_nonneg_int)
 
     p_verify = sub.add_parser("verify", help="verify chosen identities")
@@ -188,9 +183,11 @@ def read_cache_file(path: Path) -> list[Rat]:
     return values
 
 
-def _load_cache(path: Path) -> None:
+def _load_cache(path: Path) -> int:
+    """Seed the process's table from the file; returns the number of entries read."""
     values = read_cache_file(path)
     default_cache().seed(values)
+    return len(values)
 
 
 # -- report rendering ----------------------------------------------------------
@@ -243,14 +240,7 @@ def _emit_reports(reports: Iterable[VerifyReport], as_json: bool) -> int:
 # -- commands -------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
-    table = {
-        "bernoulli-number": bernoulli_number,
-        "bernoulli-poly": bernoulli_poly,
-        "euler-poly": euler_poly,
-        "harmonic": harmonic,
-        "bbar": bbar,
-    }
-    print(table[args.what](args.n))
+    print(getattr(sequences, args.what.replace("-", "_"))(args.n))
     return EXIT_OK
 
 
@@ -275,8 +265,8 @@ def _cmd_cache(args) -> int:
         print(f"saved {len(values)} entries (B_0..B_{len(values) - 1}) to {path}")
         return EXIT_OK
     if args.action == "load":
-        _load_cache(path)
-        print(f"loaded and validated {default_cache().highest + 1} entries; "
+        count = _load_cache(path)
+        print(f"loaded and validated {count} entries; "
               f"highest cached index: {default_cache().highest}")
         return EXIT_OK
     # info: report on the file when present, else on the in-process cache

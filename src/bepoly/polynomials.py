@@ -34,7 +34,11 @@ Poly1 factors and the same weights, at six unimodular argument pairs
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
 and a pole (x - y)^k or y^k is k O(n) steps per slice.  Its shear and
-``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  The
+``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  A
+grid's total-degree slices are listed by ``_slices`` and put back into rows
+by its inverse ``_rows_of``: ``sheared`` builds its result, and ``diagonal``,
+``div_xminusy`` and rendering walk the slices; ``compose_xy`` keeps its own
+row loop, the independent route the tests check ``sheared`` against.  The
 ring operations, ``lincomb`` and equality are written once, in the
 shared base ``_Poly``; each class adds only its constructors,
 evaluation, calculus and rendering.  ``coeffs``, ``rows`` and
@@ -44,7 +48,7 @@ evaluation, calculus and rendering.  ``coeffs``, ``rows`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, mul
 from typing import Iterable, Sequence
@@ -172,6 +176,21 @@ def _shift_by_one(c: list[int]) -> None:
     """Taylor shift h(r) -> h(r + 1) in place of c, top degree first: prefix sums."""
     for stop in range(len(c), 1, -1):
         c[:stop] = accumulate(c[:stop])
+
+
+def _slices(rows: Grid) -> list[list[int]]:
+    """The total-degree slices of a rectangular grid: slice m lists x^(m-j) y^j by j."""
+    out = [[0] * (m + 1) for m in range(len(rows) + len(rows[0]) - 1)] if rows else []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[i + j][j] = v
+    return out
+
+
+def _rows_of(slices: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The inverse of ``_slices``: row i of the grid, ragged as ``_canonical`` pads it."""
+    size = len(slices)
+    return [[slices[i + j][j] for j in range(size - i)] for i in range(size)]
 
 
 def _by_powers(c: Sequence[int], x: int, op=mul) -> list[int]:
@@ -571,7 +590,7 @@ class Poly2(_Poly):
                         c = [0, *c]
                 row = out[len(c) - 1]
                 row[:] = map(add, row, c)
-        return _poly2([[out[i + j][j] for j in range(size - i)] for i in range(size)], d // common)
+        return _poly2(_rows_of(out), d // common)
 
     @classmethod
     def constant(cls, c: Rat | int) -> Poly2:
@@ -661,60 +680,33 @@ class Poly2(_Poly):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
     def diagonal(self) -> Poly1:
-        """P(x, x) as a univariate polynomial."""
-        if self.is_zero:
-            return Poly1()
-        out = [0] * (len(self._num) + len(self._num[0]) - 1)
-        for i, row in enumerate(self._num):
-            for j, v in enumerate(row):
-                if v:
-                    out[i + j] += v
-        return _poly1([out], self._den)
+        """P(x, x) as a univariate polynomial: the sum of each total-degree slice."""
+        return _poly1([[sum(c) for c in _slices(self._num)]], self._den)
 
     def div_xminusy(self) -> Poly2:
         """Exact quotient P / (x - y).
 
         P must vanish on the diagonal (P(x, x) = 0); otherwise no
         polynomial quotient exists and ExactDivisionError is raised.
-        Implemented as synthetic division in x with polynomial-in-y
-        coefficients; x - y is monic in x, so the numerators stay integers.
+        Slice m + 1 of (x - y) Q is c_j - c_(j-1) over slice m of Q (the
+        "m" pole step of ``sheared``), so Q's slice is the prefix sums of
+        P's, whose last one, the slice's sum, must be zero.
         """
-        if self.is_zero:
-            return Poly2()
-        rows = self._num
-        d = len(rows) - 1
-
-        def add_shifted(base: Sequence[int], s: Sequence[int]) -> list[int]:
-            # base + y*s, as y-coefficient lists
-            return [u + v for u, v in zip_longest(base, [0, *s], fillvalue=0)]
-
-        if d == 0:
-            raise ExactDivisionError("not divisible by (x - y): P(x, x) != 0")
-        quot: list[Sequence[int]] = [()] * d
-        quot[d - 1] = rows[d]
-        for i in range(d - 1, 0, -1):
-            quot[i - 1] = add_shifted(rows[i], quot[i])
-        remainder = add_shifted(rows[0], quot[0])
-        if any(remainder):
-            raise ExactDivisionError("not divisible by (x - y): P(x, x) != 0")
-        return _poly2(quot, self._den)
+        quot = []
+        for c in _slices(self._num):
+            c = [*accumulate(c)]
+            if c.pop():
+                raise ExactDivisionError("not divisible by (x - y): P(x, x) != 0")
+            quot.append(c)
+        return _poly2(_rows_of(quot[1:]), self._den)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        entries = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    entries.append((i + j, i, c))
-        entries.sort(key=lambda t: (-t[0], -t[1]))
         terms = []
-        for total, i, c in entries:
-            j = total - i
-            pieces = []
-            if i:
-                pieces.append("x" if i == 1 else f"x^{i}")
-            if j:
-                pieces.append("y" if j == 1 else f"y^{j}")
-            terms.append((c, "*".join(pieces)))
+        for m, c in reversed([*enumerate(_slices(self._num))]):
+            for j, v in enumerate(c):
+                if v:
+                    mono = [f"{s}^{e}" if e > 1 else s for s, e in (("x", m - j), ("y", j)) if e]
+                    terms.append((Fraction(v, self._den), "*".join(mono)))
         return _format_terms(terms)

@@ -204,6 +204,21 @@ def test_bench_is_retired():
 _HEADER = "bepoly-bernoulli-cache v1\n"
 
 
+@pytest.mark.parametrize("body, count", [
+    ("", 0),                                             # the header alone
+    ("0\t1/1\n1\t-1/2\n2\t1/6\n", 3),
+], ids=["header-only", "three-entries"])
+def test_cache_load_reports_the_entries_read_from_the_file(tmp_path, body, count):
+    # a fresh process already holds B_0, which the file's count must not include
+    path = tmp_path / "short.cache"
+    path.write_text(_HEADER + body)
+    proc = run_cli("cache", "load", "--cache", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(f"loaded and validated {count} entries;")
+    proc = run_cli("cache", "info", "--cache", str(path))
+    assert proc.stdout.startswith(f"highest cached index: {count - 1} ")
+
+
 @pytest.mark.parametrize("body", [
     b"0\t1/0\n",                                         # zero denominator
     b"0\t1/1\n1\t-1/2\xff\n",                            # a non-ASCII byte

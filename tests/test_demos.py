@@ -1,4 +1,4 @@
-"""The README walkthroughs in demos/ run to completion against src/."""
+"""The README walkthroughs in demos/ run to completion against src/, warning-free."""
 
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    # -X dev -W error: any warning a demo raises fails it, as in the CLI steps of CI
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -13,9 +13,11 @@ sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
 at each of its six argument pairs and its one set of two, with pair
 weights and with each group's pole, (x - y)^k or y^k, applied as a
-``Poly2`` power.  Each property
-runs on seeded random inputs; the hypothesis versions run when
-hypothesis is installed.
+``Poly2`` power.  ``Poly2``'s diagonal and rendering, which walk its
+total-degree slices, must match the oracle summed by total degree and
+sorted by it, and ``div_xminusy`` must raise exactly when the diagonal
+is nonzero.  Each property runs on seeded random inputs; the hypothesis
+versions run when hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import gcd
 
 import pytest
 
-from bepoly import Poly1, Poly2
+from bepoly import ExactDivisionError, Poly1, Poly2
 from bepoly.polynomials import _wrap
 
 X = Poly2.variable("x")
@@ -59,6 +61,25 @@ def oracle_mul(a: Terms, b: Terms) -> Terms:
         for (k, l), d in b.items():
             out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
     return {key: c for key, c in out.items() if c}
+
+
+def oracle_diagonal(t: Terms) -> Terms:
+    """P(x, x): the coefficients summed by total degree."""
+    out: Terms = {}
+    for (i, j), c in t.items():
+        out[i + j, 0] = out.get((i + j, 0), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_str(t: Terms) -> str:
+    """Poly2's rendering: by descending total degree, then descending x-degree."""
+    out: list[str] = []
+    for (i, j), c in sorted(t.items(), key=lambda kv: (-kv[0][0] - kv[0][1], -kv[0][0])):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", i), ("y", j)) if e)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        out.append(("-" if c < 0 else "") + body if not out else
+                   f"{'-' if c < 0 else '+'} {body}")
+    return " ".join(out) or "0"
 
 
 def poly2_of(t: Terms) -> Poly2:
@@ -138,6 +159,18 @@ def check_poly2(tp: Terms, tq: Terms, k: Fraction, u: Fraction, v: Fraction) -> 
     assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
     assert (p * (X - Y)).div_xminusy() == p
     assert (p * q + p - q)(u, v) == p(u, v) * q(u, v) + p(u, v) - q(u, v)
+    # the total-degree slice layout: diagonal sums, exact division, rendering
+    for r, t in ((p, tp), (p * q, oracle_mul(tp, tq)), (p - p.swap_xy(), None)):
+        t = terms_of(r) if t is None else t
+        assert terms_of(r.diagonal()) == oracle_diagonal(t)
+        assert str(r) == oracle_str(t)
+        try:
+            quotient = r.div_xminusy()
+        except ExactDivisionError:
+            assert oracle_diagonal(t)
+        else:
+            assert not oracle_diagonal(t)
+            assert quotient * (X - Y) == r
 
 
 def oracle_lincomb(terms: list[tuple]) -> Terms:
