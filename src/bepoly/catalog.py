@@ -49,6 +49,7 @@ import time
 from functools import partial
 from itertools import product, repeat
 from math import comb, perm
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, factorial, frac_sum
@@ -415,8 +416,9 @@ def catalog_ids(include_negative: bool = True) -> list[str]:
     return [k for k, s in CATALOG.items() if include_negative or not s.negative]
 
 
-class VerifyReport:
-    """Outcome of checking one identity instance (mutable, unhashable)."""
+class VerifyReport(SimpleNamespace):
+    """Outcome of checking one identity instance (mutable, unhashable); equality
+    and repr are field-wise, from ``SimpleNamespace``."""
 
     __match_args__ = ("key", "n", "l", "p", "q", "holds", "residual", "elapsed", "skipped")
 
@@ -424,20 +426,11 @@ class VerifyReport:
                  q: Optional[int] = None, holds: Optional[bool] = None,
                  residual: Optional[Residual] = None, elapsed: float = 0.0,
                  skipped: bool = False):
-        self.key, self.n, self.l, self.p, self.q = key, n, l, p, q
-        self.holds, self.residual, self.elapsed, self.skipped = holds, residual, elapsed, skipped
+        super().__init__(key=key, n=n, l=l, p=p, q=q, holds=holds, residual=residual,
+                         elapsed=elapsed, skipped=skipped)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+    def __reduce__(self):  # for copy and pickle; SimpleNamespace's passes no key and n
+        return type(self), (self.key, self.n), vars(self)
 
     def residual_str(self) -> str:
         if self.skipped:

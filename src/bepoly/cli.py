@@ -104,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="print one exact value")
     p_compute.add_argument("what", choices=COMPUTE)
     p_compute.add_argument("n", type=_nonneg_int)
+    p_compute.set_defaults(run=_cmd_compute)
 
     p_verify = sub.add_parser("verify", help="verify chosen identities")
     p_verify.add_argument("--id", dest="ids", action="append", required=True,
@@ -113,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=_range_arg, metavar="A..B")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--cache", type=Path, metavar="PATH")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_all = sub.add_parser("verify-all", help="verify the whole catalog")
     p_all.add_argument("--n-max", type=_nonneg_int, default=10)
@@ -121,12 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(e.g. a negative control)")
     p_all.add_argument("--json", action="store_true")
     p_all.add_argument("--cache", type=Path, metavar="PATH")
+    p_all.set_defaults(run=_cmd_verify_all)
 
     p_cache = sub.add_parser("cache", help="manage the Bernoulli number cache")
     p_cache.add_argument("action", choices=["save", "load", "info"])
     p_cache.add_argument("--cache", type=Path, required=True, metavar="PATH")
     p_cache.add_argument("--n-max", type=_nonneg_int, default=50,
                          help="for save: compute B_0..B_n before writing")
+    p_cache.set_defaults(run=_cmd_cache)
 
     return parser
 
@@ -244,16 +248,25 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _sweep(args, keys: list[str], n_range: range, p_range=None, q_range=None) -> int:
+    """Verify ``keys`` over the ranges and print the reports; with --cache, seed
+    the table from the file when it exists and write the table back to it."""
+    if args.cache and args.cache.exists():
+        _load_cache(args.cache)
+    status = _emit_reports(verify_sweep(keys, n_range, p_range, q_range), args.json)
+    if args.cache:
+        write_cache_file(args.cache, default_cache().values())
+    return status
+
+
 def _cmd_verify(args) -> int:
-    reports = verify_sweep(args.ids, args.n, p_range=args.p, q_range=args.q)
-    return _emit_reports(reports, args.json)
+    return _sweep(args, args.ids, args.n, args.p, args.q)
 
 
 def _cmd_verify_all(args) -> int:
     keys = catalog_ids(include_negative=False)
     keys += [k for k in args.extra_ids if k not in keys]
-    reports = verify_sweep(keys, range(0, args.n_max + 1))
-    return _emit_reports(reports, args.json)
+    return _sweep(args, keys, range(0, args.n_max + 1))
 
 
 def _cmd_cache(args) -> int:
@@ -282,33 +295,13 @@ def _cmd_cache(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    cache_path: Optional[Path] = getattr(args, "cache", None)
-    use_cache_io = args.command in ("verify", "verify-all")
     try:
-        if use_cache_io and cache_path and cache_path.exists():
-            _load_cache(cache_path)
-
-        if args.command == "compute":
-            status = _cmd_compute(args)
-        elif args.command == "verify":
-            status = _cmd_verify(args)
-        elif args.command == "verify-all":
-            status = _cmd_verify_all(args)
-        else:
-            status = _cmd_cache(args)
-
-        if use_cache_io and cache_path:
-            write_cache_file(cache_path, default_cache().values())
+        return args.run(args)
     except UnknownIdentityError as exc:
         parser.error(str(exc))
-    except CacheIntegrityError as exc:
+    except (CacheIntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    return status
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .polynomials import Poly1, Poly2, _poly1, _poly2, _shift_by_one
+from .polynomials import Poly1, Poly2, _axis, _poly1, _poly2, _shift_by_one
 from .sequences import bernoulli_poly, euler_poly, harmonic
 
 __all__ = [
@@ -73,8 +73,7 @@ class DiffOperator(_OperatorFields):
     def __new__(cls, kind: str, axis: str = "x"):
         if kind not in ("delta", "delta_star"):
             raise ValueError(f"kind must be 'delta' or 'delta_star', got {kind!r}")
-        if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        _axis(axis)
         return super().__new__(cls, kind, axis)
 
     def __call__(self, p: Poly1 | Poly2) -> Poly1 | Poly2:

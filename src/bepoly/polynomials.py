@@ -26,8 +26,10 @@ that lcm, adds each product straight into one integer grid
 (``_convolve``, the module's only convolution loop, over each factor's
 nonzero entries, listed once per polynomial in its ``_nz`` slot; a
 one-factor term is scaled and added) and brings the result to canonical
-form once.  Sums, differences and products are lincombs of one or two
-terms; a scalar touches only the numerators and the denominator.
+form once.  Sums, differences, products and scalar multiples are lincombs
+of one or two terms; ``Poly2.subst`` is Horner's rule on them and shares no
+helper with the per-axis shift in ``operators``, which the tests check
+against it.  Coefficients and evaluation points are ints or Rats.
 ``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * pole, with
 Poly1 factors and the same weights, at six unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
@@ -70,8 +72,19 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _as_rat(value) -> int | Rat:
-    """An int or a Rat; both carry ``numerator`` and ``denominator``."""
-    return value if isinstance(value, Scalar) else Rat(value)
+    """An int or a Rat, both carrying ``numerator`` and ``denominator``; else TypeError."""
+    if isinstance(value, Scalar):
+        return value
+    raise TypeError(f"coefficients and points are ints or Rats, not {type(value).__name__}")
+
+
+def _axis(axis: str) -> tuple[int, int]:
+    """The exponent pair of the variable ``axis``: (1, 0) for "x", (0, 1) for "y"."""
+    if axis == "x":
+        return 1, 0
+    if axis == "y":
+        return 0, 1
+    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 def _canonical(rows: Grid, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -132,16 +145,11 @@ def _poly2(rows: Grid, den: int) -> Poly2:
     return _wrap(Poly2, *_canonical(rows, den))
 
 
-def _nonzero(rows: Grid) -> Sparse:
-    """The nonzero entries of each integer row as (index, value) pairs, and the row width."""
-    return [[(j, v) for j, v in enumerate(r) if v] for r in rows], len(rows[0])
-
-
 def _convolve(parts: Iterable[tuple[int, Sparse | Grid, Sparse | Grid]]) -> list[list[int]]:
     """One integer grid holding the sum of s * a * b over ``parts``.
 
     The two factors of a product are nonempty sparse grids
-    (``_nonzero``); a one-factor term is a dense grid a with b = ``_ONE``.
+    (``_Poly._sparse``); a one-factor term is a dense grid a with b = ``_ONE``.
     The result is sized for the largest term, and every term is added into it.
     """
     parts = list(parts)
@@ -310,17 +318,15 @@ class _Poly:
         return other if isinstance(other, type(self)) else None
 
     def _sparse(self) -> Sparse:
-        """``_nonzero`` of the stored rows, listed on first use and kept in ``_nz``;
-        threads that race compute the same value, and ``_nz`` is not part of
-        the value (``__eq__``, ``__hash__``)."""
+        """Each stored row's nonzero entries as (index, value) pairs, and the row width,
+        listed on first use and kept in ``_nz``; threads that race compute the same
+        value, and ``_nz`` is not part of the value (``__eq__``, ``__hash__``)."""
         nz = getattr(self, "_nz", None)
         if nz is None:
-            nz = _nonzero(self._rows())
+            rows = self._rows()
+            nz = [[(j, v) for j, v in enumerate(r) if v] for r in rows], len(rows[0])
             object.__setattr__(self, "_nz", nz)
         return nz
-
-    def _scaled(self, num: int, den: int):
-        return self._of([[v * num for v in row] for row in self._rows()], self._den * den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -343,7 +349,7 @@ class _Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(-1, 1)
+        return self.lincomb(((-1, self),))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -356,7 +362,7 @@ class _Poly:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return self._scaled(other.numerator, other.denominator)
+            return self.lincomb(((other, self),))
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.lincomb(((1, self, other),))
@@ -368,7 +374,7 @@ class _Poly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        return self._scaled(other.denominator, other.numerator)
+        return self.lincomb(((Rat(other.denominator, other.numerator), self),))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -496,11 +502,7 @@ class Poly1(_Poly):
 
     def as_poly2(self, axis: str) -> Poly2:
         """Embed as a bivariate polynomial in x only or in y only."""
-        if axis == "x":
-            return self.compose_xy(1, 0)
-        if axis == "y":
-            return self.compose_xy(0, 1)
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        return self.compose_xy(*_axis(axis))
 
     # -- rendering -----------------------------------------------------------
 
@@ -605,11 +607,7 @@ class Poly2(_Poly):
 
     @classmethod
     def variable(cls, axis: str) -> Poly2:
-        if axis == "x":
-            return cls.monomial(1, 0)
-        if axis == "y":
-            return cls.monomial(0, 1)
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        return cls.monomial(*_axis(axis))
 
     @property
     def rows(self) -> tuple[tuple[Rat, ...], ...]:
@@ -643,12 +641,10 @@ class Poly2(_Poly):
 
     def partial(self, axis: str) -> Poly2:
         """Formal partial derivative along one axis."""
-        if axis == "x":
+        if _axis(axis)[0]:
             rows = [[i * v for v in row] for i, row in enumerate(self._num) if i]
-        elif axis == "y":
-            rows = [[j * v for j, v in enumerate(row) if j] for row in self._num]
         else:
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+            rows = [[j * v for j, v in enumerate(row) if j] for row in self._num]
         return _poly2(rows, self._den)
 
     def swap_xy(self) -> Poly2:
@@ -656,28 +652,17 @@ class Poly2(_Poly):
         # transposing keeps the content, the denominator and a zero-free fringe
         return _wrap(Poly2, tuple([*zip(*self._num)]), self._den)
 
-    def _subst_x(self, value: Poly2) -> Poly2:
-        # with value = V/dv, P(value, y) is the integer Horner sum
-        # sum_i row_i V^i dv^(d-i) over den * dv^d
-        if self.is_zero:
-            return self
-        acc: Grid = ()
-        scale = 1
-        for row in reversed(self._num):
-            parts = [(1, _nonzero(acc), value._sparse())] if acc and value._num else []
-            acc = _convolve(parts + [(scale, (row,), _ONE)])
-            scale *= value._den
-        return _poly2(acc, self._den * scale // value._den)
-
     def subst(self, axis: str, value: Poly2) -> Poly2:
-        """Substitute a bivariate polynomial for one indeterminate."""
+        """Substitute a bivariate polynomial for one indeterminate: Horner's rule
+        on the ring operations, acc * value + line from the top line down, the
+        lines being the rows (polynomials in y) for x and the columns for y."""
         if not isinstance(value, Poly2):
             raise TypeError("substitution value must be a Poly2")
-        if axis == "x":
-            return self._subst_x(value)
-        if axis == "y":
-            return self.swap_xy()._subst_x(value.swap_xy()).swap_xy()
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        along_x = _axis(axis)[0]
+        acc = Poly2()
+        for line in reversed(self._num if along_x else [*zip(*self._num)]):
+            acc = acc * value + _poly2([line] if along_x else [*zip(line)], self._den)
+        return acc
 
     def diagonal(self) -> Poly1:
         """P(x, x) as a univariate polynomial: the sum of each total-degree slice."""

@@ -7,12 +7,15 @@ twice.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -808,3 +811,12 @@ def test_verify_report_record_behaviour():
     assert repr(failed).startswith("VerifyReport(key='2.1-as-printed', n=2, l=None, p=None, "
                                    "q=None, holds=False, residual=Poly2(x*y - 1/2*x), elapsed=")
     assert "residual_str" in vars(catalog.VerifyReport)
+
+
+def test_verify_report_copies_pickles_and_equals_its_fields():
+    report = catalog.VerifyReport("1.1", 6, holds=False, residual=Fraction(-1, 3))
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(twin) is catalog.VerifyReport and twin == report and twin is not report
+    # equality is SimpleNamespace's, field by field, whatever the namespace class
+    assert report == SimpleNamespace(**vars(report))
+    assert report != SimpleNamespace(**{**vars(report), "holds": True})

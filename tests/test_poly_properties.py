@@ -13,11 +13,12 @@ sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
 at each of its six argument pairs and its one set of two, with pair
 weights and with each group's pole, (x - y)^k or y^k, applied as a
-``Poly2`` power.  ``Poly2``'s diagonal and rendering, which walk its
-total-degree slices, must match the oracle summed by total degree and
-sorted by it, and ``div_xminusy`` must raise exactly when the diagonal
-is nonzero.  Each property runs on seeded random inputs; the hypothesis
-versions run when hypothesis is installed.
+``Poly2`` power.  ``Poly2.subst`` must equal Horner's rule taken in the
+oracle, along either variable.  ``Poly2``'s diagonal and rendering,
+which walk its total-degree slices, must match the oracle summed by
+total degree and sorted by it, and ``div_xminusy`` must raise exactly
+when the diagonal is nonzero.  Each property runs on seeded random
+inputs; the hypothesis versions run when hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ def oracle_diagonal(t: Terms) -> Terms:
     for (i, j), c in t.items():
         out[i + j, 0] = out.get((i + j, 0), 0) + c
     return {key: c for key, c in out.items() if c}
+
+
+def oracle_subst(t: Terms, axis: str, value: Terms) -> Terms:
+    """P with ``value`` put for one variable: Horner's rule over the lines of P
+    along that variable, from the top degree down."""
+    k = "xy".index(axis)
+    out: Terms = {}
+    for d in range(max((key[k] for key in t), default=-1), -1, -1):
+        line = {(0, j) if k == 0 else (i, 0): c for (i, j), c in t.items() if (i, j)[k] == d}
+        out = oracle_add(oracle_mul(out, value), line)
+    return out
 
 
 def oracle_str(t: Terms) -> str:
@@ -157,6 +169,8 @@ def check_poly2(tp: Terms, tq: Terms, k: Fraction, u: Fraction, v: Fraction) -> 
     assert terms_of(p - q) == oracle_add(tp, tq, -1)
     assert terms_of(p * q) == oracle_mul(tp, tq)
     assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
+    for axis in "xy":
+        assert terms_of(p.subst(axis, q)) == oracle_subst(tp, axis, tq)
     assert (p * (X - Y)).div_xminusy() == p
     assert (p * q + p - q)(u, v) == p(u, v) * q(u, v) + p(u, v) - q(u, v)
     # the total-degree slice layout: diagonal sums, exact division, rendering

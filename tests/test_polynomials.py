@@ -1,8 +1,10 @@
-"""Poly1/Poly2 algebra: ring laws, calculus, substitution, exact division."""
+"""Poly1/Poly2 algebra: ring laws, calculus, substitution, exact division, and
+coefficients and points taken only as ints or Rats."""
 
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,31 @@ def test_poly2_fringe_is_trimmed():
     assert Poly2([[0, 0], [0, 0]]).is_zero
     assert Poly2.monomial(2, 3).deg_x == 2
     assert Poly2.monomial(2, 3).deg_y == 3
+
+
+ENTRY_POINTS = {
+    "Poly1": lambda v: Poly1((1, v)),
+    "Poly2": lambda v: Poly2(((1,), (v,))),
+    "Poly2.constant": Poly2.constant,
+    "Poly1.monomial": lambda v: Poly1.monomial(2, v),
+    "Poly2.monomial": lambda v: Poly2.monomial(1, 2, v),
+    "Poly1.__call__": lambda v: Poly1((1, 2))(v),
+    "Poly2.__call__ u": lambda v: (X + Y)(v, 1),
+    "Poly2.__call__ v": lambda v: (X + Y)(1, v),
+    "compose_affine a": lambda v: Poly1((1, 2)).compose_affine(v, 0),
+    "compose_affine b": lambda v: Poly1((1, 2)).compose_affine(1, v),
+    "compose_xy cx": lambda v: Poly1((1, 2)).compose_xy(v, 0),
+    "compose_xy cy": lambda v: Poly1((1, 2)).compose_xy(1, v),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "1/3", Decimal("0.1")], ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_coefficients_and_points_are_ints_or_rats(entry, value):
+    # Fraction() would take each of these; 0.1 would become 3602879701896397/2^55
+    with pytest.raises(TypeError, match="ints or Rats"):
+        ENTRY_POINTS[entry](value)
+    assert ENTRY_POINTS[entry](Fraction(1, 3)) == ENTRY_POINTS[entry](Fraction(2, 6))
 
 
 def test_poly2_swap_is_involution():
