@@ -13,9 +13,11 @@ denominator), for ``lincomb``, which reduces only the result and
 convolves a repeated product such as B_k(x) B_{n-k}(x) in a symmetric
 sum once.  A bivariate side is a list of ``Poly2.sheared`` groups of
 terms w * f(L1) * g(L2) at argument pairs (L1, L2), with the same
-weights; a group may carry a pole factor such as (x - y), (x - y)^3 or
-y, and a one-factor pole term f(x) is the term (w, f, 1), so no product
-follows the call.
+weights; a group may carry a pole factor such as (x - y) or (x - y)^3,
+and a one-factor pole term f(x) is the term (w, f, 1), so no product
+follows the call.  A derived entry builds the sides of its base and maps
+the base residual R exactly (its ``derive``): 1.4p is n R_1.4, and 2.3,
+2.4, 2.5 are R_1.4, R_1.8, R_1.9 at (x, y) -> (x + y, x).
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -30,7 +32,8 @@ Catalog ids are short fixed keys.  The scalar convolution identities:
 The bivariate extensions 1.4, 1.4p, 1.5 (Bernoulli), 1.8, 1.9, 1.10
 (Euler/Bernoulli mixes) live in Q[x, y]; their diagonal (y -> x)
 specializations are 1.6, 1.7 and 1.11, 1.12, 1.13.  The shifted forms
-2.3, 2.4, 2.5 replace y by x + y.  2.1 and 2.2 are the
+2.3, 2.4, 2.5 of 1.4, 1.8, 1.9 put x + y for x and x for y, so their
+pole x - y becomes y.  2.1 and 2.2 are the
 shift-convolution summation identities, 2.1-as-printed is the
 deliberately wrong variant without the binomial weight (a negative
 control: it must FAIL for n >= 2), chu is the hockey-stick summation,
@@ -53,7 +56,8 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, factorial, frac_sum
-from .operators import _bernoulli_shift_groups, _euler_shift_groups, _hockey_stick_sides
+from .operators import (_XPY_X, _bernoulli_shift_groups, _euler_shift_groups,
+                        _hockey_stick_sides, _x_to)
 from .polynomials import Poly1, Poly2
 from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 4a)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
@@ -121,43 +125,33 @@ def _r_cor_1_2(n: int) -> tuple[list, list]:
 
 # -- bivariate Bernoulli identities ------------------------------------------
 #
-# 1.4, 1.8 and 1.9 sum at the argument pairs (x, y), (x - y, y), (y - x, x)
-# times the pole x - y; their shifted forms 2.3, 2.4 and 2.5 sum the same terms
-# at the pairs (x, y) -> (x + y, x) makes of these, times y.  The pole terms
-# (w, f, 1) and (w, 1, f) sit at the first pair: f(x) and f(y), or f(x + y) and
-# f(x).  _PAIRED names (x - y, y) and (y - x, x) as one set for one list; zip
-# drops the copy.
+# 1.4, 1.5, 1.8, 1.9 and 1.10 sum at the argument pairs (x, y), (x - y, y),
+# (y - x, x) times a power of the pole x - y; the pole terms (w, f, 1) and
+# (w, 1, f), f(x) and f(y), sit at (x, y).  _PAIRED names (x - y, y) and
+# (y - x, x) as one set for one list.  The derived entries 1.4p and 2.3-2.5
+# build these sides and map the residual (``IdentitySpec.derive``).
 
 _BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
 _PAIRED = (_BASE[0], _BASE[1:])
-_SHIFTED = (((1, 1), (1, 0)), ((0, 1), (1, 0)), ((0, -1), (1, 1)))
 _ONE = Poly1((1,))
-_DIFF, _ONLY_Y = (1, -1), (0, 1)  # the linear forms x - y and y of the poles
+_DIFF = (1, -1)  # the linear form x - y of the poles
 
 
-def _r_1_4(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> tuple[list, list]:
+def _r_1_4(n: int) -> tuple[list, list]:
     # both sides multiplied by (x - y); the divided difference
     # (B_n(x) - B_n(y)) / (n (x - y)) then enters as a plain polynomial
     b, h = bernoulli_poly, harmonic(n - 1)
     hw = (h.numerator, h.denominator * n)
     conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
     mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return ([*zip(pairs, (conv, mixed, mixed), repeat(pole))],
-            [(pairs[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], pole),
-             (pairs[0], [((1, n), b(n), _ONE), ((-1, n), _ONE, b(n))])])
-
-
-def _r_1_4p(n: int) -> tuple[list, list]:
-    # the 1.4 sides multiplied through by n, with the 1/k-weighted double
-    # sum written symmetrically in its two arguments
-    b, h = bernoulli_poly, harmonic(n - 1)
-    hw = (h.numerator, h.denominator)
-    conv = [((1, k), b(k), b(n - k)) for k in range(1, n)]
-    conv += [((1, k), b(n - k), b(k)) for k in range(1, n)]
-    mixed = [((-comb(n, l), l), b(l), b(n - l)) for l in range(1, n + 1)]
     return ([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 1)))],
             [(_BASE[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], (_DIFF, 1)),
-             (_BASE[0], [(1, b(n), _ONE), (-1, _ONE, b(n))])])
+             (_BASE[0], [((1, n), b(n), _ONE), ((-1, n), _ONE, b(n))])])
+
+
+def _shifted(n: int, r: Poly2) -> Poly2:
+    """R(x + y, x) for R = sum_i x^i r_i(y): the terms x^i r_i at (x + y, x)."""
+    return Poly2.sheared([(_XPY_X, [(1, _x_to(i), Poly1(row)) for i, row in enumerate(r.rows)])])
 
 
 def _r_1_5(n: int) -> tuple[list, list]:
@@ -189,24 +183,24 @@ def _r_1_7(n: int) -> tuple[list, list]:
 
 # -- bivariate Euler/Bernoulli identities -------------------------------------
 
-def _r_1_8(n: int, pairs=_PAIRED, pole=(_DIFF, 1)) -> tuple[list, list]:
+def _r_1_8(n: int) -> tuple[list, list]:
     # the Euler convolution against the Euler-Bernoulli sums
     b, e, m = bernoulli_poly, euler_poly, n + 2
     conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
     mixed = [((-2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
-    return ([(pairs[0], conv, pole)],
-            [*zip(pairs[1:], (mixed, mixed), repeat(pole)),
-             (pairs[0], [((4, m), b(m), _ONE), ((-4, m), _ONE, b(m))])])
+    return ([(_BASE[0], conv, (_DIFF, 1))],
+            [(_PAIRED[1], mixed, (_DIFF, 1)),
+             (_BASE[0], [((4, m), b(m), _ONE), ((-4, m), _ONE, b(m))])])
 
 
-def _r_1_9(n: int, pairs=_BASE, pole=(_DIFF, 1)) -> tuple[list, list]:
+def _r_1_9(n: int) -> tuple[list, list]:
     b, e, h = bernoulli_poly, euler_poly, harmonic(n)
     conv = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
     left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return ([*zip(pairs, (conv, left, right), repeat(pole))],
-            [(pairs[0], [((h.numerator, h.denominator), _ONE, e(n))], pole),
-             (pairs[0], [(1, e(n), _ONE), (-1, _ONE, e(n))])])
+    return ([*zip(_BASE, (conv, left, right), repeat((_DIFF, 1)))],
+            [(_BASE[0], [((h.numerator, h.denominator), _ONE, e(n))], (_DIFF, 1)),
+             (_BASE[0], [(1, e(n), _ONE), (-1, _ONE, e(n))])])
 
 
 def _r_1_10(n: int) -> tuple[list, list]:
@@ -315,6 +309,9 @@ class IdentitySpec(NamedTuple):
     every in-domain parameter choice -- except for entries flagged
     ``negative``, which exist to prove the harness can fail.
     ``q_min`` is the smallest admissible q for entries that take one.
+    A derived entry shares its base's ``build`` and sets ``derive``,
+    an exact map (n, base residual) -> its own residual, so it holds
+    exactly when its base does.
     """
 
     key: str
@@ -328,6 +325,7 @@ class IdentitySpec(NamedTuple):
     q_default: tuple[int, int] = (0, 3)
     q_min: int = 0
     negative: bool = False
+    derive: Optional[Callable[[int, Residual], Residual]] = None
 
     def in_domain(self, n: int, l: Optional[int] = None,
                   p: Optional[int] = None, q: Optional[int] = None) -> bool:
@@ -353,8 +351,9 @@ CATALOG: dict[str, IdentitySpec] = {
                      summary="unweighted Bernoulli convolution: n(n+1) B_n"),
         IdentitySpec(key="1.4", arity="bivariate", n_min=2, build=_r_1_4,
                      summary="two-variable extension of 1.1", pole="(x-y)"),
-        IdentitySpec(key="1.4p", arity="bivariate", n_min=2, build=_r_1_4p,
-                     summary="equivalent form of 1.4 (times n, split weights)", pole="(x-y)"),
+        IdentitySpec(key="1.4p", arity="bivariate", n_min=2, build=_r_1_4,
+                     summary="equivalent form of 1.4 (times n, split weights)", pole="(x-y)",
+                     derive=lambda n, r: n * r),
         IdentitySpec(key="1.5", arity="bivariate", n_min=2, build=_r_1_5,
                      summary="two-variable extension of 1.3", pole="(n+2)(x-y)^3"),
         IdentitySpec(key="1.6", arity="univariate", n_min=2, build=_r_1_6,
@@ -385,15 +384,12 @@ CATALOG: dict[str, IdentitySpec] = {
                      negative=True),
         IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_euler_shift_groups,
                      summary="Euler shift-convolution sum"),
-        IdentitySpec(key="2.3", arity="bivariate", n_min=2,
-                     build=partial(_r_1_4, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
-                     summary="y -> x+y form of 1.4", pole="y"),
-        IdentitySpec(key="2.4", arity="bivariate", n_min=1,
-                     build=partial(_r_1_8, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
-                     summary="y -> x+y form of 1.8", pole="y"),
-        IdentitySpec(key="2.5", arity="bivariate", n_min=1,
-                     build=partial(_r_1_9, pairs=_SHIFTED, pole=(_ONLY_Y, 1)),
-                     summary="(x,y) -> (x+y,x) form of 1.9", pole="y"),
+        IdentitySpec(key="2.3", arity="bivariate", n_min=2, build=_r_1_4,
+                     summary="y -> x+y form of 1.4", pole="y", derive=_shifted),
+        IdentitySpec(key="2.4", arity="bivariate", n_min=1, build=_r_1_8,
+                     summary="y -> x+y form of 1.8", pole="y", derive=_shifted),
+        IdentitySpec(key="2.5", arity="bivariate", n_min=1, build=_r_1_9,
+                     summary="(x,y) -> (x+y,x) form of 1.9", pole="y", derive=_shifted),
         IdentitySpec(key="chu", arity="scalar", n_min=1, build=_hockey_stick_sides,
                      summary="hockey-stick sum: sum C(k-1,l-1) = C(n,l)",
                      params=("l",)),
@@ -490,14 +486,16 @@ _KERNELS = {
 def build_residual(key: str, n: int, *, l: Optional[int] = None,
                    p: Optional[int] = None, q: Optional[int] = None) -> Residual:
     """LHS - RHS of one identity instance after denominator clearing, by one
-    kernel call on the left side's data and the right side's, negated."""
+    kernel call on the left side's data and the right side's, negated; a
+    derived entry then maps that residual by its ``derive``."""
     spec = _get_spec(key)
     args = _build_args(spec, n, l, p, q)
     if not spec.in_domain(n, l, p, q):
         raise ValueError(f"parameters out of domain for {key!r}: n={n}, l={l}, p={p}, q={q}")
     kernel, negated = _KERNELS[spec.arity]
     lhs, rhs = spec.build(*args)
-    return kernel([*lhs, *negated(rhs)])
+    residual = kernel([*lhs, *negated(rhs)])
+    return residual if spec.derive is None else spec.derive(n, residual)
 
 
 def _is_zero(residual: Residual) -> bool:

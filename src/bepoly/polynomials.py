@@ -31,11 +31,11 @@ of one or two terms; ``Poly2.subst`` is Horner's rule on them and shares no
 helper with the per-axis shift in ``operators``, which the tests check
 against it.  Coefficients and evaluation points are ints or Rats.
 ``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * pole, with
-Poly1 factors and the same weights, at six unimodular argument pairs
+Poly1 factors and the same weights, at five unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
-and a pole (x - y)^k or y^k is k O(n) steps per slice.  Its shear and
+and a pole (x - y)^k is k O(n) steps per slice.  Its shear and
 ``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  A
 grid's total-degree slices are listed by ``_slices`` and put back into rows
 by its inverse ``_rows_of``: ``sheared`` builds its result, and ``diagonal``,
@@ -251,21 +251,21 @@ def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
 
 
 # (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
-# for (x, y), (y, x), (x - y, y), (y - x, x), (x + y, x) and (-y, x + y); each
-# step substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v;
+# for (x, y), (y, x), (x - y, y), (y - x, x) and (x + y, x); each step
+# substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v;
 # the set ((x - y, y), (y - x, x)) takes H(x - y, y) and "T" adds its transpose H(y - x, x)
 _SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf",
-           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st", ((0, -1), (1, 1)): "fts",
+           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st",
            (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
 
-_POLES = {(1, -1): "m", (0, 1): "y"}
+_POLES = {(1, -1): "m"}
 
 
-def _pole_steps(pole=((0, 1), 0)) -> str:
-    """A group's pole ((a, b), k) as k steps, "m" for x - y or "y" for y; none without one."""
+def _pole_steps(pole=((1, -1), 0)) -> str:
+    """A group's pole ((1, -1), k), (x - y)^k, as k steps "m"; none without one."""
     if not (type(pole) is tuple and len(pole) == 2 and type(pole[0]) is tuple
             and pole[0] in _POLES and type(pole[1]) is int and pole[1] >= 0):
-        raise TypeError("a Poly2.sheared pole is ((1, -1), k) or ((0, 1), k), an int k >= 0")
+        raise TypeError("a Poly2.sheared pole is ((1, -1), k), an int k >= 0")
     return _POLES[pole[0]] * pole[1]
 
 
@@ -302,6 +302,9 @@ class _Poly:
 
     def __setattr__(self, name, value):  # value semantics
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # for copy and pickle, past __setattr__
+        return _wrap, (type(self), self._num, self._den)
 
     @classmethod
     def zero(cls):
@@ -536,15 +539,15 @@ class Poly2(_Poly):
 
         Terms are (w, f, g) with Poly1 factors and a ``lincomb`` weight, (L1, L2)
         is a pair of ``_SHEARS``, or its one set of two pairs, and a pole
-        ((1, -1), k) or ((0, 1), k) is (x - y)^k or y^k.  The weights go over
+        ((1, -1), k) is (x - y)^k.  The weights go over
         the lcm of the term denominators, reduced as in ``lincomb``, and the
         outer products of the factors' stored nonzero entries into one integer
         grid per (pair, pole), held as total-degree slices, slice m listing the
         numerators of x^(m-j) y^j by j.  Every step then runs on each slice:
         "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
         (``_shift_by_one``), "f" negates the odd x-degrees, "t" reverses the
-        slice, "T" adds its reversal, and the pole's "m" (c_j - c_(j-1)) and
-        "y" (c_(j-1)) make slice m + 1 of it.
+        slice, "T" adds its reversal, and each pole step "m" (c_j - c_(j-1))
+        makes slice m + 1 of it.
         """
         parts = []
         for pair, terms, *pole in groups:
@@ -573,7 +576,7 @@ class Poly2(_Poly):
                 band = grid[i:i + lb]  # band[j] is slice i + j
                 for j, vb in b:
                     band[j][j] += va * vb
-        size = top + max(key.count("m") + key.count("y") for key in grids)
+        size = top + max(key.count("m") for key in grids)
         out = [[0] * (m + 1) for m in range(size)]
         for steps, grid in grids.items():
             for m, c in enumerate(grid):
@@ -586,10 +589,8 @@ class Poly2(_Poly):
                         c.reverse()
                     elif step == "T":
                         c[:] = [u + v for u, v in zip(c, c[::-1])]
-                    elif step == "m":
-                        c = [u - v for u, v in zip([*c, 0], [0, *c])]
                     else:
-                        c = [0, *c]
+                        c = [u - v for u, v in zip([*c, 0], [0, *c])]
                 row = out[len(c) - 1]
                 row[:] = map(add, row, c)
         return _poly2(_rows_of(out), d // common)

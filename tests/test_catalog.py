@@ -46,6 +46,18 @@ B = bernoulli_number
 H = harmonic
 
 
+# wrong sequences, each true value plus a small term, under the names the
+# catalog and operators read them by; residuals built from them are not 0
+PERTURBED = {
+    "bernoulli_poly": lambda k: bernoulli_poly(k) + Poly1.monomial(k % 3, Fraction(k + 1, 7)),
+    "euler_poly": lambda k: euler_poly(k) - Poly1.monomial((k + 1) % 4, Fraction(2 * k + 1, 5)),
+    "harmonic": lambda n: harmonic(n) + Fraction(1, n + 3),
+    "bernoulli_number": lambda k: B(k) + Fraction(1, k + 3),
+    "bbar": lambda k: bbar(k) - Fraction(k, 5),
+    "h_pq": lambda n, p, q: h_pq(n, p, q) + Fraction(p + 1, n + 3),
+}
+
+
 def bern2(k: int, cx: int, cy: int) -> Poly2:
     return bernoulli_poly(k).compose_xy(cx, cy)
 
@@ -170,15 +182,44 @@ def test_scalar_convolutions_proportional():
         assert build_residual("1.2", n) == 0
 
 
-def test_split_weight_form_is_n_times_base():
-    for n in (2, 3, 7):
-        assert build_residual("1.4p", n) == n * build_residual("1.4", n)
+# sha256 of repr([(n, num, den), ...]) of each derived entry's residual under
+# PERTURBED, stored as integers over a denominator, at n = n_min..12 and 30
+DERIVED_RESIDUAL_SHA256 = {
+    "1.4p": "66cb811f03569437010c0b146a089033dbb777f273987719a78ad24fcb62bb01",
+    "2.3": "890e033585d619c5c6b84503c931f70c84bc1b0c187d7cd45f1f8284852c1c98",
+    "2.4": "147b3b23c54279a81a4a3ba33df34214bf499b81cb9464c3941e8a69501890dc",
+    "2.5": "3c1a266741f5709726e606aa92e9690bf91fb256d007396bbcd005fadb088ce1",
+}
+
+
+def test_derived_residuals_are_exact_maps_of_their_bases(monkeypatch):
+    # R_1.4p = n R_1.4, and R_2.3, R_2.4, R_2.5 are R_1.4, R_1.8, R_1.9 at
+    # (x + y, x), here by swap and substitution, for any input sequences; so
+    # are R_1.1 = (2/n) R_1.2.  Under PERTURBED no residual is 0, so a wrong
+    # factor, map or base cannot hide behind 0 = 0.
+    for name in ("bernoulli_poly", "euler_poly", "harmonic", "bernoulli_number", "bbar"):
+        monkeypatch.setattr(catalog, name, PERTURBED[name])
+    shifted = lambda n, r: r.swap_xy().subst("y", X + Y)
+    relations = {"1.4p": ("1.4", lambda n, r: n * r), "2.3": ("1.4", shifted),
+                 "2.4": ("1.8", shifted), "2.5": ("1.9", shifted)}
+    for key, (base, relation) in relations.items():
+        stored = []
+        for n in [*range(catalog.CATALOG[key].n_min, 13), 30]:
+            residual = build_residual(key, n)
+            assert not residual.is_zero and residual == relation(n, build_residual(base, n))
+            stored.append((n, residual._num, residual._den))
+        digest = hashlib.sha256(repr(stored).encode()).hexdigest()
+        assert digest == DERIVED_RESIDUAL_SHA256[key], key
+    for n in range(4, 25):
+        r = build_residual("1.2", n)
+        assert r != 0 and build_residual("1.1", n) == Fraction(2, n) * r
 
 
 def test_one_sided_doubled_variant_fails_from_3():
     # Doubling the first sum instead of writing it out in both arguments
     # only works while sum_k B_k(x)/k B_{n-k}(y) is x<->y symmetric, which
-    # stops at n = 3; the catalog carries the symmetric form.
+    # stops at n = 3; the catalog builds 1.4p as n times 1.4, whose weight
+    # 1/(k(n-k)) is symmetric.
     def one_sided(n: int) -> Poly2:
         s = Poly2.zero()
         for k in range(1, n):
@@ -306,19 +347,20 @@ def _embedding_route(groups: list) -> Poly2:
     f(L1) and g(L2), each group's sum times its pole as a Poly2 power."""
     total = Poly2.zero()
     for key, terms, *pole in groups:
-        (form, k), = pole or [((0, 1), 0)]
+        (_, k), = pole or [((1, -1), 0)]
         pairs = key if isinstance(key[0][0], tuple) else (key,)
-        total += {(1, -1): X - Y, (0, 1): Y}[form] ** k * Poly2.lincomb(
+        total += (X - Y) ** k * Poly2.lincomb(
             [(Fraction(*w) if isinstance(w, tuple) else w, f.compose_xy(*l1), g.compose_xy(*l2))
              for l1, l2 in pairs for w, f, g in terms])
     return total
 
 
 def test_bivariate_builders_match_the_embedding_route(monkeypatch):
-    # each bivariate builder is one Poly2.sheared call and no Poly2.lincomb
-    # call, and that call equals the embedding route with its poles applied;
-    # with the sequences perturbed every residual is nonzero, so a wrong pole
-    # power, sign or side cannot hide behind 0 = 0
+    # each bivariate build is one Poly2.sheared call and no Poly2.lincomb call
+    # before it, and that call equals the embedding route with its poles
+    # applied; the residual is its result, or a derived entry's map of it; with
+    # the sequences perturbed every residual is nonzero, so a wrong pole power,
+    # sign or side cannot hide behind 0 = 0
     kernel, lincomb = Poly2.sheared.__func__, Poly2.lincomb.__func__
     sheared_calls, lincomb_calls, in_oracle = [], [], []
 
@@ -335,16 +377,23 @@ def test_bivariate_builders_match_the_embedding_route(monkeypatch):
 
     def counted(cls, terms):
         if not in_oracle:
-            lincomb_calls.append(terms)
+            lincomb_calls.append(len(sheared_calls))
         return lincomb(cls, terms)
 
     def sweep(perturbed: bool) -> None:
         for key in bivariate:
+            derive = catalog.CATALOG[key].derive
             for n in range(catalog.CATALOG[key].n_min, 11):
                 before = len(sheared_calls)
                 residual = build_residual(key, n)
-                assert len(sheared_calls) == before + 1 and not lincomb_calls
-                assert residual is sheared_calls[-1]
+                built = sheared_calls[before]
+                assert all(sheared_done > before for sheared_done in lincomb_calls)
+                if derive is None:
+                    assert len(sheared_calls) == before + 1 and not lincomb_calls
+                    assert residual is built
+                else:
+                    assert residual == derive(n, built)
+                lincomb_calls.clear()
                 holds = not perturbed and (key != "2.1-as-printed" or n == 1)
                 assert residual.is_zero is holds
 
@@ -383,8 +432,9 @@ def _default_instances(spec, n_max: int):
 def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
     # every builder returns (LHS, RHS) in its arity's data form; each side
     # reduced alone by its kernel, their difference is build_residual's one
-    # kernel call, also with the sequences perturbed, where a right side whose
-    # weights were negated twice, or not at all, cannot hide behind 0 = 0
+    # kernel call, or for a derived entry its map of it, also with the
+    # sequences perturbed, where a right side whose weights were negated
+    # twice, or not at all, cannot hide behind 0 = 0
     kernels = {"scalar": frac_sum, "univariate": Poly1.lincomb, "bivariate": Poly2.sheared}
 
     def sweep() -> set:
@@ -394,7 +444,8 @@ def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
                 sides = spec.build(n, *params.values())
                 assert type(sides) is tuple and len(sides) == 2, (key, n, params)
                 lhs, rhs = map(kernels[spec.arity], sides)
-                assert lhs - rhs == build_residual(key, n, **params), (key, n, params)
+                residual = lhs - rhs if spec.derive is None else spec.derive(n, lhs - rhs)
+                assert residual == build_residual(key, n, **params), (key, n, params)
                 if lhs != rhs:
                     unequal.add(key)
                 if key == "2.1-as-printed" and n >= 2:
@@ -402,16 +453,10 @@ def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
         return unequal
 
     assert sweep() == {"2.1-as-printed"}
-    b, e, h = catalog.bernoulli_poly, catalog.euler_poly, catalog.harmonic
-    for module in (catalog, operators):
-        monkeypatch.setattr(module, "bernoulli_poly",
-                            lambda k: b(k) + Poly1.monomial(k % 3, Fraction(k + 1, 7)))
-        monkeypatch.setattr(module, "euler_poly",
-                            lambda k: e(k) - Poly1.monomial((k + 1) % 4, Fraction(2 * k + 1, 5)))
-        monkeypatch.setattr(module, "harmonic", lambda n: h(n) + Fraction(1, n + 3))
-    monkeypatch.setattr(catalog, "bernoulli_number", lambda k: B(k) + Fraction(1, k + 3))
-    monkeypatch.setattr(catalog, "bbar", lambda k: bbar(k) - Fraction(k, 5))
-    monkeypatch.setattr(catalog, "h_pq", lambda n, p, q: h_pq(n, p, q) + Fraction(p + 1, n + 3))
+    for name in ("bernoulli_poly", "euler_poly", "harmonic"):
+        monkeypatch.setattr(operators, name, PERTURBED[name])
+    for name, wrong in PERTURBED.items():
+        monkeypatch.setattr(catalog, name, wrong)
     # chu and 3.2 read no sequence
     assert sweep() == set(catalog.CATALOG) - {"chu", "3.2"}
 
@@ -773,18 +818,18 @@ def test_report_fields():
 def test_identity_spec_record_behaviour():
     spec = catalog.CATALOG["3.2"]
     values = ("3.2", "scalar", 1, spec.build, "beta-weighted extension of chu; q >= 1",
-              "none", ("l", "p", "q"), (0, 4), (1, 4), 1, False)
+              "none", ("l", "p", "q"), (0, 4), (1, 4), 1, False, None)
     assert catalog.IdentitySpec(*values) == spec
     assert hash(spec) == hash(values)  # the frozen dataclass hashed its field tuple
     assert repr(spec) == (
         f"IdentitySpec(key='3.2', arity='scalar', n_min=1, build={spec.build!r}, "
         "summary='beta-weighted extension of chu; q >= 1', pole='none', "
         "params=('l', 'p', 'q'), p_default=(0, 4), q_default=(1, 4), q_min=1, "
-        "negative=False)")
+        "negative=False, derive=None)")
     plain = catalog.IdentitySpec(key="k", arity="scalar", n_min=2, build=spec.build,
                                  summary="s")
     assert (plain.pole, plain.params, plain.p_default, plain.q_default, plain.q_min,
-            plain.negative) == ("none", (), (0, 3), (0, 3), 0, False)
+            plain.negative, plain.derive) == ("none", (), (0, 3), (0, 3), 0, False, None)
     assert plain != spec
     for name in ("key", "negative", "other"):
         with pytest.raises(AttributeError):
@@ -817,6 +862,8 @@ def test_verify_report_copies_pickles_and_equals_its_fields():
     report = catalog.VerifyReport("1.1", 6, holds=False, residual=Fraction(-1, 3))
     for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert type(twin) is catalog.VerifyReport and twin == report and twin is not report
+    failed = verify("2.1-as-printed", 3)  # its residual is a Poly2
+    assert copy.deepcopy(failed) == failed == pickle.loads(pickle.dumps(failed))
     # equality is SimpleNamespace's, field by field, whatever the namespace class
     assert report == SimpleNamespace(**vars(report))
     assert report != SimpleNamespace(**{**vars(report), "holds": True})

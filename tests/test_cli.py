@@ -248,9 +248,12 @@ def test_cache_index_limit_boundary(tmp_path):
 
 
 def test_cli_import_loads_no_unused_modules():
-    # dataclasses drags in inspect and ast; json is only needed for --json output
-    code = ("import sys, bepoly.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))")
+    # dataclasses drags in inspect and ast; json is only needed for --json output.
+    # Only modules the import adds count: interpreter startup (site, .pth files)
+    # may load some of these before bepoly is imported.
+    code = ("import sys; before = set(sys.modules); import bepoly.cli; "
+            "added = set(sys.modules) - before; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & added))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

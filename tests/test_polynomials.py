@@ -3,6 +3,8 @@ coefficients and points taken only as ints or Rats."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -67,6 +69,18 @@ def test_coefficients_and_points_are_ints_or_rats(entry, value):
     with pytest.raises(TypeError, match="ints or Rats"):
         ENTRY_POINTS[entry](value)
     assert ENTRY_POINTS[entry](Fraction(1, 3)) == ENTRY_POINTS[entry](Fraction(2, 6))
+
+
+def test_copies_and_pickles_keep_value_and_type():
+    p1 = Poly1([HALF, 0, -3])
+    p2 = Poly2([[1, HALF], [Fraction(-2, 3), 0]])
+    p2 * p2  # lists p2's nonzero entries, which are not part of its value
+    for p in (p1, p2, Poly1(), Poly2()):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is type(p) and twin == p and hash(twin) == hash(p)
+            assert twin + p == 2 * p
+            with pytest.raises(AttributeError):
+                twin._den = 2
 
 
 def test_poly2_swap_is_involution():
