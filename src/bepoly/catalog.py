@@ -13,11 +13,11 @@ denominator), for ``lincomb``, which reduces only the result and
 convolves a repeated product such as B_k(x) B_{n-k}(x) in a symmetric
 sum once.  A bivariate side is a list of ``Poly2.sheared`` groups of
 terms w * f(L1) * g(L2) at argument pairs (L1, L2), with the same
-weights; a group may carry a pole factor such as (x - y) or (x - y)^3,
-and a one-factor pole term f(x) is the term (w, f, 1), so no product
-follows the call.  A derived entry builds the sides of its base and maps
-the base residual R exactly (its ``derive``): 1.4p is n R_1.4, and 2.3,
-2.4, 2.5 are R_1.4, R_1.8, R_1.9 at (x, y) -> (x + y, x).
+weights; a group may carry a pole, an int k that multiplies its sum by
+(x - y)^k, and a one-factor pole term f(x) is the term (w, f, 1), so no
+product follows the call.  A derived entry builds the sides of its base
+and maps the base residual R exactly (its ``derive``): 1.4p is n R_1.4,
+and 2.3, 2.4, 2.5 are R_1.4, R_1.8, R_1.9 at (x, y) -> (x + y, x).
 
 Catalog ids are short fixed keys.  The scalar convolution identities:
 
@@ -126,15 +126,14 @@ def _r_cor_1_2(n: int) -> tuple[list, list]:
 # -- bivariate Bernoulli identities ------------------------------------------
 #
 # 1.4, 1.5, 1.8, 1.9 and 1.10 sum at the argument pairs (x, y), (x - y, y),
-# (y - x, x) times a power of the pole x - y; the pole terms (w, f, 1) and
-# (w, 1, f), f(x) and f(y), sit at (x, y).  _PAIRED names (x - y, y) and
-# (y - x, x) as one set for one list.  The derived entries 1.4p and 2.3-2.5
-# build these sides and map the residual (``IdentitySpec.derive``).
+# (y - x, x) times a power k of the pole x - y, the int k ending a group; the
+# pole terms (w, f, 1) and (w, 1, f), f(x) and f(y), sit at (x, y).  _PAIRED
+# names (x - y, y) and (y - x, x) as one set for one list.  The derived entries
+# 1.4p and 2.3-2.5 build these sides and map the residual (``IdentitySpec.derive``).
 
 _BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
 _PAIRED = (_BASE[0], _BASE[1:])
 _ONE = Poly1((1,))
-_DIFF = (1, -1)  # the linear form x - y of the poles
 
 
 def _r_1_4(n: int) -> tuple[list, list]:
@@ -144,8 +143,8 @@ def _r_1_4(n: int) -> tuple[list, list]:
     hw = (h.numerator, h.denominator * n)
     conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
     mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return ([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 1)))],
-            [(_BASE[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], (_DIFF, 1)),
+    return ([*zip(_PAIRED, (conv, mixed), repeat(1))],
+            [(_BASE[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], 1),
              (_BASE[0], [((1, n), b(n), _ONE), ((-1, n), _ONE, b(n))])])
 
 
@@ -158,8 +157,8 @@ def _r_1_5(n: int) -> tuple[list, list]:
     b, w = bernoulli_poly, n + 2
     conv = [(w, b(k), b(n - k)) for k in range(0, n + 1)]
     mixed = [((-w * comb(n + 1, l + 1), l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
-    return ([*zip(_PAIRED, (conv, mixed), repeat((_DIFF, 3)))],
-            [(_BASE[0], [(w, b(n + 1), _ONE), (w, _ONE, b(n + 1))], (_DIFF, 1)),
+    return ([*zip(_PAIRED, (conv, mixed), repeat(3))],
+            [(_BASE[0], [(w, b(n + 1), _ONE), (w, _ONE, b(n + 1))], 1),
              (_BASE[0], [(-2, b(n + 2), _ONE), (2, _ONE, b(n + 2))])])
 
 
@@ -188,8 +187,8 @@ def _r_1_8(n: int) -> tuple[list, list]:
     b, e, m = bernoulli_poly, euler_poly, n + 2
     conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
     mixed = [((-2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
-    return ([(_BASE[0], conv, (_DIFF, 1))],
-            [(_PAIRED[1], mixed, (_DIFF, 1)),
+    return ([(_BASE[0], conv, 1)],
+            [(_PAIRED[1], mixed, 1),
              (_BASE[0], [((4, m), b(m), _ONE), ((-4, m), _ONE, b(m))])])
 
 
@@ -198,8 +197,8 @@ def _r_1_9(n: int) -> tuple[list, list]:
     conv = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
     left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return ([*zip(_BASE, (conv, left, right), repeat((_DIFF, 1)))],
-            [(_BASE[0], [((h.numerator, h.denominator), _ONE, e(n))], (_DIFF, 1)),
+    return ([*zip(_BASE, (conv, left, right), repeat(1))],
+            [(_BASE[0], [((h.numerator, h.denominator), _ONE, e(n))], 1),
              (_BASE[0], [(1, e(n), _ONE), (-1, _ONE, e(n))])])
 
 
@@ -208,9 +207,9 @@ def _r_1_10(n: int) -> tuple[list, list]:
     conv = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
     left = [(-comb(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n + 1, l + 1), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
-    return ([*zip(_BASE, (conv, left, right), repeat((_DIFF, 2)))],
-            [(_BASE[0], [(n + 1, _ONE, e(n))], (_DIFF, 2)),
-             (_BASE[0], [(n + 1, e(n), _ONE)], (_DIFF, 1)),
+    return ([*zip(_BASE, (conv, left, right), repeat(2))],
+            [(_BASE[0], [(n + 1, _ONE, e(n))], 2),
+             (_BASE[0], [(n + 1, e(n), _ONE)], 1),
              (_BASE[0], [(-1, e(n + 1), _ONE), (1, _ONE, e(n + 1))])])
 
 

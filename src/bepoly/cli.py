@@ -31,6 +31,8 @@ from .catalog import UnknownIdentityError, VerifyReport, catalog_ids, verify_swe
 from .sequences import CacheIntegrityError, default_cache
 
 CACHE_HEADER = "bepoly-bernoulli-cache v1"
+_CACHE_HELP = ("Bernoulli number file: read before the run and rewritten after it. "
+              "Every entry is checked by recomputation, so the file saves no time.")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -113,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=_range_arg, metavar="A..B")
     p_verify.add_argument("--q", type=_range_arg, metavar="A..B")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--cache", type=Path, metavar="PATH")
+    p_verify.add_argument("--cache", type=Path, metavar="PATH", help=_CACHE_HELP)
     p_verify.set_defaults(run=_cmd_verify)
 
     p_all = sub.add_parser("verify-all", help="verify the whole catalog")
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="ID", help="additionally include this id "
                        "(e.g. a negative control)")
     p_all.add_argument("--json", action="store_true")
-    p_all.add_argument("--cache", type=Path, metavar="PATH")
+    p_all.add_argument("--cache", type=Path, metavar="PATH", help=_CACHE_HELP)
     p_all.set_defaults(run=_cmd_verify_all)
 
     p_cache = sub.add_parser("cache", help="manage the Bernoulli number cache")

@@ -15,23 +15,24 @@ structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
 Every operation runs on the stored integers, through two kernels.
-``lincomb`` sums weighted products w * f * g, terms (w, f, g) or (w, f),
-each weight an int, a Rat or an unreduced integer pair (num, den): it
-scales every weight to the lcm of the term denominators, adds the
-weights of terms with the same factors in either order, keyed on the
-identity of each factor's stored numerator tuple (one object is one
-grid whatever the denominator, which the weights carry, so a merge can
-be missed but never wrong), divides out the weights' common factor with
-that lcm, adds each product straight into one integer grid
-(``_convolve``, the module's only convolution loop, over each factor's
-nonzero entries, listed once per polynomial in its ``_nz`` slot; a
-one-factor term is scaled and added) and brings the result to canonical
-form once.  Sums, differences, products and scalar multiples are lincombs
-of one or two terms; ``Poly2.subst`` is Horner's rule on them and shares no
+``lincomb`` sums weighted products w * f * g, terms (w, f, g), a term
+(w, f) being its product with the class's unit ``_unit``, each weight an
+int, a Rat or an unreduced integer pair (num, den): it scales every
+weight to the lcm of the term denominators, adds the weights of terms
+with the same factors in either order, keyed on the identity of each
+factor's stored numerator tuple (one object is one grid whatever the
+denominator, which the weights carry, so a merge can be missed but never
+wrong), divides out the weights' common factor with that lcm, adds each
+product straight into one integer grid (``_convolve``, the module's only
+convolution loop, over each factor's nonzero entries, listed once per
+polynomial in its ``_nz`` slot) and brings the result to canonical form
+once.  Sums, differences, products and scalar multiples are lincombs of
+one or two terms; ``Poly2.subst`` is Horner's rule on them and shares no
 helper with the per-axis shift in ``operators``, which the tests check
 against it.  Coefficients and evaluation points are ints or Rats.
-``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * pole, with
-Poly1 factors and the same weights, at five unimodular argument pairs
+``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * (x - y)^k,
+with Poly1 factors and the same weights (one helper, ``_take_terms``,
+checks the terms of both kernels), at five unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
@@ -145,39 +146,29 @@ def _poly2(rows: Grid, den: int) -> Poly2:
     return _wrap(Poly2, *_canonical(rows, den))
 
 
-def _convolve(parts: Iterable[tuple[int, Sparse | Grid, Sparse | Grid]]) -> list[list[int]]:
+def _convolve(parts: Iterable[tuple[int, Sparse, Sparse]]) -> list[list[int]]:
     """One integer grid holding the sum of s * a * b over ``parts``.
 
-    The two factors of a product are nonempty sparse grids
-    (``_Poly._sparse``); a one-factor term is a dense grid a with b = ``_ONE``.
-    The result is sized for the largest term, and every term is added into it.
+    Both factors of a product are nonempty sparse grids (``_Poly._sparse``);
+    a one-factor term is its product with the unit.  The result is sized
+    for the largest product, and every product is added into it.
     """
     parts = list(parts)
-    shapes = [(len(a), len(a[0])) if b is _ONE else (len(a[0]) + len(b[0]) - 1, a[1] + b[1] - 1)
-              for _, a, b in parts]
+    shapes = [(len(a[0]) + len(b[0]) - 1, a[1] + b[1] - 1) for _, a, b in parts]
     width = max(w for _, w in shapes)
     out = [[0] * width for _ in range(max(h for h, _ in shapes))]
     for s, a, b in parts:
-        if b is _ONE:  # a one-factor term: scale and add
-            for row, ra in zip(out, a):
-                for j, v in enumerate(ra):
-                    if v:
-                        row[j] += v * s
-            continue
-        # the smaller factor goes outside: fewer entries to scale, longer inner loops
+        # the smaller factor goes outside, for longer inner loops; its entries are
+        # scaled in the loop, as a scaled copy of a row costs a list per one-factor term
         a, b = (a[0], b[0]) if len(a[0]) * a[1] <= len(b[0]) * b[1] else (b[0], a[0])
         for i, ra in enumerate(a):
-            ra = [(j, v * s) for j, v in ra]
-            for k, rb in enumerate(b):
-                row = out[i + k]
+            for k, rb in enumerate(b, i):
+                row = out[k]
                 for j, va in ra:
+                    va *= s
                     for t, vb in rb:
                         row[j + t] += va * vb
     return out
-
-
-# the unit grid: the second factor of a one-factor term (w, f)
-_ONE: Grid = ((1,),)
 
 
 def _shift_by_one(c: list[int]) -> None:
@@ -217,34 +208,43 @@ def _weight(w) -> tuple[int, int] | tuple[None, None]:
     return None, None
 
 
+def _take_terms(parts: list, key, terms, ftype, unit=None) -> None:
+    """Append (key, num, den, f, g) to ``parts`` for each nonzero term (w, f, g).
+
+    w is an int, a Rat or an unreduced integer pair (num, den), den > 0,
+    and f and g are instances of ``ftype``; den is the weight's times the
+    factors'.  Given a unit, a term (w, f) is (w, f, unit).
+    """
+    for term in terms:
+        w, f, g = (*term, unit) if unit is not None and len(term) == 2 else term
+        num, den = _weight(w)
+        if num is None or not (isinstance(f, ftype) and isinstance(g, ftype)):
+            raise TypeError(f"terms are (w, f, g), or (w, f) in lincomb, with an int, Rat or "
+                            f"(num, den) weight and {ftype.__name__} factors")
+        if num and f._num and g._num:
+            parts.append((key, num, den * f._den * g._den, f, g))
+
+
 def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
     """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
 
-    Each term is (w, f) or (w, f, g) with w an int, a Rat or an unreduced
-    integer pair (num, den), den > 0.  The weights go over the lcm D of
-    the term denominators and are added per unordered pair of stored
-    grids; their common factor with D is divided out, so the products run
-    on the smallest integers, and ``_convolve`` adds each nonzero product
-    into one grid.
+    Each term is (w, f, g), or (w, f) read as (w, f, unit), with w an int,
+    a Rat or an unreduced integer pair (num, den), den > 0.  The weights go
+    over the lcm D of the term denominators and are added per unordered
+    pair of stored grids; their common factor with D is divided out, so the
+    products run on the smallest integers, and ``_convolve`` adds each
+    nonzero product into one grid.
     """
     parts = []  # holds the factors, so the grid ids below stay valid
-    for term in terms:
-        w, f, g = (*term, None) if len(term) == 2 else term
-        num, den = _weight(w)
-        if num is None or not (isinstance(f, cls) and (len(term) == 2 or isinstance(g, cls))):
-            raise TypeError(f"{cls.__name__}.lincomb terms are (w, f) or (w, f, g) with an "
-                            f"int, Rat or (num, den) weight and {cls.__name__} factors")
-        if num and f._num and (g is None or g._num):
-            parts.append((num, den * f._den * (1 if g is None else g._den), f, g))
-    d = lcm(*(den for _, den, _, _ in parts))
+    _take_terms(parts, None, terms, cls, cls._unit)
+    d = lcm(*(den for _, _, den, _, _ in parts))
     merged: dict[tuple[int, int], list] = {}
-    for num, den, f, g in parts:
-        ka, kb = id(f._num), 0 if g is None else id(g._num)
+    for _, num, den, f, g in parts:
+        ka, kb = id(f._num), id(g._num)
         entry = merged.setdefault((ka, kb) if ka < kb else (kb, ka), [0, f, g])
         entry[0] += num * (d // den)
     c = gcd(d, *(s for s, _, _ in merged.values()))
-    parts = [(s // c, f._rows(), _ONE) if g is None else (s // c, f._sparse(), g._sparse())
-             for s, f, g in merged.values() if s]
+    parts = [(s // c, f._sparse(), g._sparse()) for s, f, g in merged.values() if s]
     if not parts:
         return [], 1
     return _convolve(parts), d // c
@@ -258,15 +258,12 @@ _SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf"
            ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st",
            (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
 
-_POLES = {(1, -1): "m"}
 
-
-def _pole_steps(pole=((1, -1), 0)) -> str:
-    """A group's pole ((1, -1), k), (x - y)^k, as k steps "m"; none without one."""
-    if not (type(pole) is tuple and len(pole) == 2 and type(pole[0]) is tuple
-            and pole[0] in _POLES and type(pole[1]) is int and pole[1] >= 0):
-        raise TypeError("a Poly2.sheared pole is ((1, -1), k), an int k >= 0")
-    return _POLES[pole[0]] * pole[1]
+def _pole_steps(k=0) -> str:
+    """A group's pole k, the power of x - y, as k steps "m"; none without one."""
+    if type(k) is not int or k < 0:
+        raise TypeError(f"a Poly2.sheared pole is an int k >= 0, the power of x - y, not {k!r}")
+    return "m" * k
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -295,7 +292,7 @@ class _Poly:
     A subclass stores ``_num`` and ``_den``, lists its numerators as
     integer rows through ``_rows()`` and builds canonical results through
     ``_of(rows, den)``; a scalar c is the constant ``_of([[c.numerator]],
-    c.denominator)``.
+    c.denominator)``, and ``_unit``, set once below the classes, is 1.
     """
 
     __slots__ = ("_num", "_den", "_nz")
@@ -382,7 +379,7 @@ class _Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self._of([[1]], 1)
+        result = self._unit
         base = self
         while n:
             if n & 1:
@@ -399,6 +396,9 @@ class _Poly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
+        rows = self._rows()
+        if len(rows) <= 1 and all(len(r) <= 1 for r in rows):  # a constant, zero included,
+            return hash(Fraction(sum(map(sum, rows)), self._den))  # hashes as its scalar
         return hash((type(self).__name__, self._num, self._den))
 
     def __repr__(self) -> str:
@@ -535,14 +535,14 @@ class Poly2(_Poly):
 
     @classmethod
     def sheared(cls, groups: Iterable[tuple]) -> Poly2:
-        """The sum of w * f(L1) * g(L2) * pole over groups ((L1, L2), terms[, pole]).
+        """The sum of w * f(L1) * g(L2) * (x - y)^k over groups ((L1, L2), terms[, k]).
 
         Terms are (w, f, g) with Poly1 factors and a ``lincomb`` weight, (L1, L2)
-        is a pair of ``_SHEARS``, or its one set of two pairs, and a pole
-        ((1, -1), k) is (x - y)^k.  The weights go over
+        is a pair of ``_SHEARS``, or its one set of two pairs, and the pole k
+        is an int >= 0, 0 without one.  The weights go over
         the lcm of the term denominators, reduced as in ``lincomb``, and the
         outer products of the factors' stored nonzero entries into one integer
-        grid per (pair, pole), held as total-degree slices, slice m listing the
+        grid per (pair, k), held as total-degree slices, slice m listing the
         numerators of x^(m-j) y^j by j.  Every step then runs on each slice:
         "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
         (``_shift_by_one``), "f" negates the odd x-degrees, "t" reverses the
@@ -551,14 +551,7 @@ class Poly2(_Poly):
         """
         parts = []
         for pair, terms, *pole in groups:
-            key = _SHEARS[pair] + _pole_steps(*pole)
-            for w, f, g in terms:
-                num, den = _weight(w)
-                if num is None or not (isinstance(f, Poly1) and isinstance(g, Poly1)):
-                    raise TypeError("Poly2.sheared terms are (w, f, g) with an int, Rat "
-                                    "or (num, den) weight and Poly1 factors")
-                if num and f._num and g._num:
-                    parts.append((key, num, den * f._den * g._den, f, g))
+            _take_terms(parts, _SHEARS[pair] + _pole_steps(*pole), terms, Poly1)
         if not parts:
             return cls()
         d = lcm(*(den for _, _, den, _, _ in parts))
@@ -696,3 +689,7 @@ class Poly2(_Poly):
                     mono = [f"{s}^{e}" if e > 1 else s for s, e in (("x", m - j), ("y", j)) if e]
                     terms.append((Fraction(v, self._den), "*".join(mono)))
         return _format_terms(terms)
+
+
+# the unit of each class, built once: a one-factor term (w, f) is (w, f, unit)
+Poly1._unit, Poly2._unit = _poly1([[1]], 1), _poly2([[1]], 1)

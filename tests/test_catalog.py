@@ -347,7 +347,7 @@ def _embedding_route(groups: list) -> Poly2:
     f(L1) and g(L2), each group's sum times its pole as a Poly2 power."""
     total = Poly2.zero()
     for key, terms, *pole in groups:
-        (_, k), = pole or [((1, -1), 0)]
+        k, = pole or [0]
         pairs = key if isinstance(key[0][0], tuple) else (key,)
         total += (X - Y) ** k * Poly2.lincomb(
             [(Fraction(*w) if isinstance(w, tuple) else w, f.compose_xy(*l1), g.compose_xy(*l2))

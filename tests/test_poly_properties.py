@@ -322,18 +322,23 @@ def test_lincomb_merges_repeated_products_seeded():
 
 def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
     # 1.6 at n = 10 sums B_k(x) B_{10-k}(x) for k = 1..9: the nine products
-    # are five unordered pairs of stored grids, so five two-factor parts
+    # are five unordered pairs of stored grids, so five parts whose factors
+    # are not the unit; a term (w, f) is (w, f, unit), so it merges with
+    # (w', f, unit) and (w'', unit, f) into one part
     from bepoly import build_residual, polynomials
-    convolve, seen = polynomials._convolve, []
+    convolve, seen, unit = polynomials._convolve, [], Poly1._unit._sparse()
 
     def counted(parts):
         parts = list(parts)
-        seen.append(sum(b is not polynomials._ONE for _, _, b in parts))
+        seen.append((len(parts), sum(a is not unit and b is not unit for _, a, b in parts)))
         return convolve(parts)
 
     monkeypatch.setattr(polynomials, "_convolve", counted)
     assert build_residual("1.6", 10).is_zero
-    assert seen == [5]
+    assert seen[0][1] == 5
+    f = Poly1((Fraction(1, 3), 2))
+    assert Poly1.lincomb([(2, f), (3, f, Poly1._unit), (-1, Poly1._unit, f)]) == 4 * f
+    assert seen[1] == (1, 0)
 
 
 def test_lincomb_rejects_mixed_and_malformed_terms():
@@ -455,10 +460,6 @@ def pairs_of(key: tuple) -> tuple:
     return key if isinstance(key[0][0], tuple) else (key,)
 
 
-# the linear form of the poles ((1, -1), k), (x - y)^k, as a polynomial
-POLE_FORMS = {(1, -1): X - Y}
-
-
 def as_rat(w) -> Fraction | int:
     """A weight as a Rat or an int; an integer pair (num, den) is num/den."""
     return Fraction(*w) if isinstance(w, tuple) else w
@@ -471,8 +472,8 @@ def check_sheared(groups: list[tuple]) -> None:
     assert_canonical(fused)
     expected = Poly2.zero()
     for key, terms, *pole in groups:
-        (form, k), = pole or [((1, -1), 0)]
-        expected += POLE_FORMS[form] ** k * Poly2.lincomb(
+        k, = pole or [0]
+        expected += (X - Y) ** k * Poly2.lincomb(
             [(as_rat(w), f.compose_xy(*l1), g.compose_xy(*l2))
              for l1, l2 in pairs_of(key) for w, f, g in terms])
     assert fused == expected
@@ -493,7 +494,7 @@ def rand_sheared_groups(rng: random.Random, pairs: list) -> list[tuple]:
         terms = [(rand_weight(rng), poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)),
                   poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)))
                  for _ in range(rng.randint(0, 4))]
-        pole = rng.choice([(), ((rng.choice(list(POLE_FORMS)), rng.randint(0, 3)),)])
+        pole = rng.choice([(), (rng.randint(0, 3),)])
         groups.append((pair, terms, *pole))
     return groups
 
@@ -503,10 +504,9 @@ def test_sheared_each_pair_seeded():
     for pair in PAIRS:
         for _ in range(40):
             check_sheared(rand_sheared_groups(rng, [pair]))
-        for form in POLE_FORMS:  # every pole power at every pair
-            for k in range(4):
-                groups = rand_sheared_groups(rng, [pair])
-                check_sheared([(pair, groups[0][1], (form, k))])
+        for k in range(4):  # every pole power at every pair
+            groups = rand_sheared_groups(rng, [pair])
+            check_sheared([(pair, groups[0][1], k)])
     for _ in range(40):
         check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, len(PAIRS)))))
 
@@ -530,8 +530,8 @@ def test_sheared_deterministic_cases():
         assert Poly2.sheared([(pair, [(1, x * x, one)])]) == want
     # poles by hand: x (x - y)^2, and (x - y)^0 changes nothing
     X3, X2Y, XY2 = Poly2.monomial(3, 0), Poly2.monomial(2, 1), Poly2.monomial(1, 2)
-    assert Poly2.sheared([(PAIRS[0], [((3, 3), x, one)], ((1, -1), 2))]) == X3 - 2 * X2Y + XY2
-    assert Poly2.sheared([(PAIRS[0], [(1, x, one)], ((1, -1), 0))]) == X
+    assert Poly2.sheared([(PAIRS[0], [((3, 3), x, one)], 2)]) == X3 - 2 * X2Y + XY2
+    assert Poly2.sheared([(PAIRS[0], [(1, x, one)], 0)]) == X
 
 
 def test_sheared_rejects_unknown_pairs_and_malformed_terms():
@@ -546,13 +546,14 @@ def test_sheared_rejects_unknown_pairs_and_malformed_terms():
             Poly2.sheared([(PAIRS[0], [term])])
     with pytest.raises(ValueError):
         Poly2.sheared([(PAIRS[0], [(1, f)])])
-    # a pole is ((1, -1), k) with an int k >= 0; y, ((0, 1), k), is none
-    for pole in (((1, 1), 1), ((0, 1), 1), ((1, -1), -1), ((1, -1), 1.0), ((1, -1),),
-                 [(1, -1), 1], ([1, -1], 1), ((1, -1), 1, 2), "y", None):
+    # a pole is an int k >= 0, the power of x - y: not a bool, a float, the
+    # old form ((1, -1), k) or y, ((0, 1), k)
+    for pole in (-1, 1.0, True, ((1, -1), 1), ((1, -1), 0), ((0, 1), 1), ((1, -1),),
+                 [(1, -1), 1], "1", "y", None):
         with pytest.raises(TypeError):
             Poly2.sheared([(PAIRS[0], [(1, f, f)], pole)])
     with pytest.raises(TypeError):  # at most one pole per group
-        Poly2.sheared([(PAIRS[0], [(1, f, f)], ((1, -1), 1), ((1, -1), 1))])
+        Poly2.sheared([(PAIRS[0], [(1, f, f)], 1, 1)])
 
 
 # -- hypothesis versions ---------------------------------------------------------------
@@ -665,7 +666,7 @@ def test_sheared_hypothesis():
     weights = st.one_of(st.just(0), st.integers(-20, 20), rats,
                         st.tuples(st.integers(-60, 60), st.integers(1, 60)))
     terms = st.lists(st.tuples(weights, factors, factors), max_size=4)
-    poles = st.tuples(st.sampled_from(list(POLE_FORMS)), st.integers(0, 3))
+    poles = st.integers(0, 3)
     groups = st.one_of(st.tuples(st.sampled_from(PAIRS), terms),
                        st.tuples(st.sampled_from(PAIRS), terms, poles))
 

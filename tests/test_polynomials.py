@@ -83,6 +83,16 @@ def test_copies_and_pickles_keep_value_and_type():
                 twin._den = 2
 
 
+def test_constants_hash_as_the_scalars_they_equal():
+    # equal values must hash alike: a constant, zero included, equals its scalar
+    for c in (3, -1, 0, Fraction(-7, 4)):
+        for p in (Poly1((c,)), Poly2.constant(c), Poly1.monomial(0, c)):
+            assert p == c and hash(p) == hash(c) == hash(Fraction(c))
+            assert len({p, c}) == 1 and {c: "c"}.get(p) == "c" and {p: "p"}[c] == "p"
+    assert {0: "z"}.get(Poly2()) == "z" and {0: "z"}.get(Poly1()) == "z"
+    assert len({Poly1((1, 2)), Poly1((1, 2)), 1}) == 2  # nonconstants keep their own hash
+
+
 def test_poly2_swap_is_involution():
     rng = random.Random(11)
     for _ in range(30):
