@@ -133,7 +133,6 @@ def _r_cor_1_2(n: int) -> tuple[list, list]:
 
 _BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
 _PAIRED = (_BASE[0], _BASE[1:])
-_ONE = Poly1((1,))
 
 
 def _r_1_4(n: int) -> tuple[list, list]:
@@ -144,8 +143,8 @@ def _r_1_4(n: int) -> tuple[list, list]:
     conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
     mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
     return ([*zip(_PAIRED, (conv, mixed), repeat(1))],
-            [(_BASE[0], [(hw, b(n), _ONE), (hw, _ONE, b(n))], 1),
-             (_BASE[0], [((1, n), b(n), _ONE), ((-1, n), _ONE, b(n))])])
+            [(_BASE[0], [(hw, b(n), Poly1._unit), (hw, Poly1._unit, b(n))], 1),
+             (_BASE[0], [((1, n), b(n), Poly1._unit), ((-1, n), Poly1._unit, b(n))])])
 
 
 def _shifted(n: int, r: Poly2) -> Poly2:
@@ -158,8 +157,8 @@ def _r_1_5(n: int) -> tuple[list, list]:
     conv = [(w, b(k), b(n - k)) for k in range(0, n + 1)]
     mixed = [((-w * comb(n + 1, l + 1), l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
     return ([*zip(_PAIRED, (conv, mixed), repeat(3))],
-            [(_BASE[0], [(w, b(n + 1), _ONE), (w, _ONE, b(n + 1))], 1),
-             (_BASE[0], [(-2, b(n + 2), _ONE), (2, _ONE, b(n + 2))])])
+            [(_BASE[0], [(w, b(n + 1), Poly1._unit), (w, Poly1._unit, b(n + 1))], 1),
+             (_BASE[0], [(-2, b(n + 2), Poly1._unit), (2, Poly1._unit, b(n + 2))])])
 
 
 # -- univariate (diagonal) Bernoulli identities -------------------------------
@@ -189,7 +188,7 @@ def _r_1_8(n: int) -> tuple[list, list]:
     mixed = [((-2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
     return ([(_BASE[0], conv, 1)],
             [(_PAIRED[1], mixed, 1),
-             (_BASE[0], [((4, m), b(m), _ONE), ((-4, m), _ONE, b(m))])])
+             (_BASE[0], [((4, m), b(m), Poly1._unit), ((-4, m), Poly1._unit, b(m))])])
 
 
 def _r_1_9(n: int) -> tuple[list, list]:
@@ -198,8 +197,8 @@ def _r_1_9(n: int) -> tuple[list, list]:
     left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
     return ([*zip(_BASE, (conv, left, right), repeat(1))],
-            [(_BASE[0], [((h.numerator, h.denominator), _ONE, e(n))], 1),
-             (_BASE[0], [(1, e(n), _ONE), (-1, _ONE, e(n))])])
+            [(_BASE[0], [((h.numerator, h.denominator), Poly1._unit, e(n))], 1),
+             (_BASE[0], [(1, e(n), Poly1._unit), (-1, Poly1._unit, e(n))])])
 
 
 def _r_1_10(n: int) -> tuple[list, list]:
@@ -208,9 +207,9 @@ def _r_1_10(n: int) -> tuple[list, list]:
     left = [(-comb(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n + 1, l + 1), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
     return ([*zip(_BASE, (conv, left, right), repeat(2))],
-            [(_BASE[0], [(n + 1, _ONE, e(n))], 2),
-             (_BASE[0], [(n + 1, e(n), _ONE)], 1),
-             (_BASE[0], [(-1, e(n + 1), _ONE), (1, _ONE, e(n + 1))])])
+            [(_BASE[0], [(n + 1, Poly1._unit, e(n))], 2),
+             (_BASE[0], [(n + 1, e(n), Poly1._unit)], 1),
+             (_BASE[0], [(-1, e(n + 1), Poly1._unit), (1, Poly1._unit, e(n + 1))])])
 
 
 # -- univariate (diagonal) Euler identities -----------------------------------
@@ -297,20 +296,27 @@ def _r_ds(n: int, p: int) -> tuple[list, list]:
 
 # -- catalog ------------------------------------------------------------------
 
+# the parameters an entry may take besides n, in the order of in_domain's and
+# build_residual's arguments
+_SLOTS = {"l": 0, "p": 1, "q": 2}
+
+
 class IdentitySpec(NamedTuple):
     """One catalog entry.
 
-    ``build`` maps the parameters (n first, then any of l, p, q in the
-    order given by ``params``) to the two sides (LHS, RHS), both
-    multiplied by ``pole``, in the data form of ``arity``: integer pairs
-    for ``frac_sum``, ``lincomb`` terms or ``sheared`` groups.  Their
-    residual LHS - RHS (``build_residual``) is identically zero for
-    every in-domain parameter choice -- except for entries flagged
-    ``negative``, which exist to prove the harness can fail.
-    ``q_min`` is the smallest admissible q for entries that take one.
-    A derived entry shares its base's ``build`` and sets ``derive``,
-    an exact map (n, base residual) -> its own residual, so it holds
-    exactly when its base does.
+    ``build`` maps n and then the entry's parameters, in the order of the
+    rows of ``params``, to the two sides (LHS, RHS), both multiplied by
+    ``pole``, in the data form of ``arity``: integer pairs for
+    ``frac_sum``, ``lincomb`` terms or ``sheared`` groups.  Their residual
+    LHS - RHS (``build_residual``) is identically zero for every in-domain
+    parameter choice -- except for entries flagged ``negative``, which
+    exist to prove the harness can fail.  Each row of ``params`` is
+    ``(name, least, last)``: the parameter (l, p or q) is at least
+    ``least``; ``last`` ends its default sweep range ``least..last``, and
+    ``last = None`` means n, which then also bounds it.  A derived entry
+    shares its base's ``build`` and sets ``derive``, an exact map
+    (n, base residual) -> its own residual, so it holds exactly when its
+    base does.
     """
 
     key: str
@@ -319,23 +325,21 @@ class IdentitySpec(NamedTuple):
     build: Callable[..., tuple[list, list]]
     summary: str
     pole: str = "none"
-    params: tuple[str, ...] = ()
-    p_default: tuple[int, int] = (0, 3)
-    q_default: tuple[int, int] = (0, 3)
-    q_min: int = 0
+    params: tuple[tuple[str, int, Optional[int]], ...] = ()
     negative: bool = False
     derive: Optional[Callable[[int, Residual], Residual]] = None
 
     def in_domain(self, n: int, l: Optional[int] = None,
                   p: Optional[int] = None, q: Optional[int] = None) -> bool:
-        if n < self.n_min:
+        """True iff n >= n_min and the parameters given (not None) are
+        exactly the entry's, each in its row's range."""
+        rows, given = self.params, (l, p, q)
+        if n < self.n_min or given.count(None) + len(rows) != len(given):
             return False
-        if "l" in self.params and (l is None or not 1 <= l <= n):
-            return False
-        if "p" in self.params and (p is None or p < 0):
-            return False
-        if "q" in self.params and (q is None or q < self.q_min):
-            return False
+        for name, least, last in rows:
+            value = given[_SLOTS[name]]
+            if value is None or value < least or last is None and value > n:
+                return False
         return True
 
 
@@ -391,17 +395,17 @@ CATALOG: dict[str, IdentitySpec] = {
                      summary="(x,y) -> (x+y,x) form of 1.9", pole="y", derive=_shifted),
         IdentitySpec(key="chu", arity="scalar", n_min=1, build=_hockey_stick_sides,
                      summary="hockey-stick sum: sum C(k-1,l-1) = C(n,l)",
-                     params=("l",)),
+                     params=(("l", 1, None),)),
         IdentitySpec(key="3.1", arity="univariate", n_min=2, build=_r_3_1,
                      summary="gamma/beta-weighted extension of 1.6; integer p, q >= 0",
-                     params=("p", "q")),
+                     params=(("p", 0, 3), ("q", 0, 3))),
         IdentitySpec(key="3.2", arity="scalar", n_min=1, build=_r_3_2,
                      summary="beta-weighted extension of chu; q >= 1",
-                     params=("l", "p", "q"), p_default=(0, 4), q_default=(1, 4), q_min=1),
+                     params=(("l", 1, None), ("p", 0, 4), ("q", 1, 4))),
         IdentitySpec(key="ds", arity="scalar", n_min=2, build=_r_ds,
                      summary="even-index rising-factorial convolution "
                              "(p = q, x = 0 slice of 3.1)",
-                     params=("p",), p_default=(0, 4)),
+                     params=(("p", 0, 4),)),
     )
 }
 
@@ -434,7 +438,7 @@ class VerifyReport(SimpleNamespace):
 
     def params_str(self) -> str:
         parts = [f"n={self.n}"]
-        for name in ("l", "p", "q"):
+        for name in _SLOTS:
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value}")
@@ -446,20 +450,6 @@ def _get_spec(key: str) -> IdentitySpec:
         return CATALOG[key]
     except KeyError:
         raise UnknownIdentityError(key) from None
-
-
-def _build_args(spec: IdentitySpec, n: int, l, p, q) -> list[int]:
-    supplied = {"l": l, "p": p, "q": q}
-    args = [n]
-    for name in spec.params:
-        value = supplied[name]
-        if value is None:
-            raise ValueError(f"identity {spec.key!r} requires parameter {name!r}")
-        args.append(value)
-    for name, value in supplied.items():
-        if value is not None and name not in spec.params:
-            raise ValueError(f"identity {spec.key!r} takes no parameter {name!r}")
-    return args
 
 
 def _neg(w):
@@ -488,11 +478,11 @@ def build_residual(key: str, n: int, *, l: Optional[int] = None,
     kernel call on the left side's data and the right side's, negated; a
     derived entry then maps that residual by its ``derive``."""
     spec = _get_spec(key)
-    args = _build_args(spec, n, l, p, q)
     if not spec.in_domain(n, l, p, q):
         raise ValueError(f"parameters out of domain for {key!r}: n={n}, l={l}, p={p}, q={q}")
+    given = (l, p, q)
     kernel, negated = _KERNELS[spec.arity]
-    lhs, rhs = spec.build(*args)
+    lhs, rhs = spec.build(n, *[given[_SLOTS[name]] for name, _, _ in spec.params])
     residual = kernel([*lhs, *negated(rhs)])
     return residual if spec.derive is None else spec.derive(n, residual)
 
@@ -515,40 +505,31 @@ def verify(key: str, n: int, *, l: Optional[int] = None, p: Optional[int] = None
                         residual=kept, elapsed=elapsed)
 
 
-def _param_values(spec: IdentitySpec, name: str,
-                  requested: Optional[Iterable[int]]) -> list[Optional[int]]:
-    if name not in spec.params:
-        return [None]
-    if requested is not None:
-        return list(requested)
-    lo, hi = spec.p_default if name == "p" else spec.q_default
-    return list(range(lo, hi + 1))
-
-
 def verify_sweep(keys: Iterable[str], n_range: Iterable[int],
                  p_range: Optional[Iterable[int]] = None,
                  q_range: Optional[Iterable[int]] = None) -> list[VerifyReport]:
     """Cartesian sweep in deterministic order (id, n, l, p, q).
 
-    Out-of-domain combinations produce skip-marked reports instead of
-    errors, so one sweep can cover identities with different domains.
-    An l parameter, where an identity takes one, runs over 1..n.
+    Each parameter an identity takes runs over the given range, or where
+    none is given (always for l) over its row's default range; a range for
+    a parameter the identity does not take is ignored.  Out-of-domain
+    combinations produce skip-marked reports instead of errors, so one
+    sweep can cover identities with different domains.
     """
     keys = list(keys)
     for key in keys:
         _get_spec(key)
-    p_req = list(p_range) if p_range is not None else None
-    q_req = list(q_range) if q_range is not None else None
+    requested = {name: list(values) for name, values in (("p", p_range), ("q", q_range))
+                 if values is not None}
     reports: list[VerifyReport] = []
     for key, n in product(keys, n_range):
         spec = CATALOG[key]
-        if n < spec.n_min:
-            points = [(None, None, None)]
-        else:
-            ls = range(1, n + 1) if "l" in spec.params else [None]
-            points = product(ls, _param_values(spec, "p", p_req),
-                             _param_values(spec, "q", q_req))
-        for l, p, q in points:
-            reports.append(verify(key, n, l=l, p=p, q=q) if spec.in_domain(n, l, p, q)
-                           else VerifyReport(key, n, l=l, p=p, q=q, skipped=True))
+        names = [name for name, _, _ in spec.params]
+        points = [()] if n < spec.n_min else product(*[
+            requested.get(name, range(least, (n if last is None else last) + 1))
+            for name, least, last in spec.params])
+        for point in points:
+            given = dict(zip(names, point))
+            reports.append(verify(key, n, **given) if spec.in_domain(n, **given)
+                           else VerifyReport(key, n, **given, skipped=True))
     return reports

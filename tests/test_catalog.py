@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import pickle
 from fractions import Fraction
@@ -158,6 +159,26 @@ def test_missing_and_extraneous_parameters_rejected():
         build_residual("chu", 4)  # l missing
     with pytest.raises(ValueError):
         build_residual("1.1", 4, p=1)  # takes no p
+
+
+@pytest.mark.parametrize("key", catalog_ids())
+def test_build_residual_takes_exactly_the_entry_parameters(key):
+    # n_min + 2 with each row's least value is in the domain; without one of
+    # those values, or with a parameter the entry does not take, it is not
+    spec = catalog.CATALOG[key]
+    n = spec.n_min + 2
+    given = {name: least for name, least, _ in spec.params}
+    builder_params = list(inspect.signature(spec.build).parameters)
+    assert builder_params[1:len(given) + 1] == list(given)  # the rows in the builder's order
+    assert spec.in_domain(n, **given)
+    build_residual(key, n, **given)
+    cases = [{k: v for k, v in given.items() if k != name} for name in given]
+    cases += [{**given, name: 1} for name in ("l", "p", "q") if name not in given]
+    assert cases
+    for params in cases:
+        assert not spec.in_domain(n, **params), params
+        with pytest.raises(ValueError, match="out of domain"):
+            build_residual(key, n, **params)
 
 
 def test_catalog_ids_ordering():
@@ -420,13 +441,24 @@ def test_bivariate_builders_match_the_embedding_route(monkeypatch):
 
 
 def _default_instances(spec, n_max: int):
-    """(n, {name: value}) for n from n_min to n_max, l over 1..n and p, q
-    over the entry's default ranges, where the entry takes them."""
+    """(n, {name: value}) for n from n_min to n_max, each parameter the entry
+    takes over its row's default range least..last (last None being n), as
+    verify_sweep runs them when given no range."""
+    names = [name for name, _, _ in spec.params]
     for n in range(spec.n_min, n_max + 1):
-        ranges = {"l": range(1, n + 1), "p": range(spec.p_default[0], spec.p_default[1] + 1),
-                  "q": range(spec.q_default[0], spec.q_default[1] + 1)}
-        for values in product(*(ranges[name] for name in spec.params)):
-            yield n, dict(zip(spec.params, values))
+        ranges = [range(least, (n if last is None else last) + 1)
+                  for _, least, last in spec.params]
+        for values in product(*ranges):
+            yield n, dict(zip(names, values))
+
+
+def test_default_instances_are_the_points_of_a_default_sweep():
+    for key, spec in catalog.CATALOG.items():
+        reports = verify_sweep([key], range(spec.n_min, 7))
+        points = [(r.n, {name: getattr(r, name) for name in ("l", "p", "q")
+                         if getattr(r, name) is not None}) for r in reports]
+        assert points == list(_default_instances(spec, 6)), key
+        assert not any(r.skipped for r in reports), key
 
 
 def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
@@ -805,6 +837,25 @@ def test_sweep_skips_out_of_domain_parameters():
     assert len(checked) == 3 and all(r.holds for r in checked)
 
 
+def test_sweep_ranges_follow_the_parameter_rows():
+    # an empty p range leaves no point; ds at p = 7, past its default range
+    # 0..4, is checked, not skipped; a range for a parameter the id does not
+    # take is ignored, so the sweep is the one without it
+    assert verify_sweep(["3.1"], range(2, 6), p_range=[]) == []
+    [report] = verify_sweep(["ds"], [3], p_range=[7], q_range=[9])
+    assert (report.p, report.q, report.skipped, report.holds) == (7, None, False, True)
+    for key in ("1.1", "chu", "1.4"):
+        given = verify_sweep([key], range(3, 6), p_range=[1, 2], q_range=[0])
+        plain = verify_sweep([key], range(3, 6))
+        for r in given + plain:
+            r.elapsed = 0.0
+        assert given == plain and all(r.p is None and r.q is None for r in given), key
+    # below n_min an id gives one skip-marked report with no parameter
+    keys = ["chu", "3.1", "3.2", "ds", "1.1"]
+    below = verify_sweep(keys, [0], p_range=[1], q_range=[1])
+    assert [(r.key, r.params_str(), r.skipped) for r in below] == [(k, "n=0", True) for k in keys]
+
+
 def test_report_fields():
     report = verify("3.1", 4, p=2, q=1)
     assert (report.key, report.n, report.l, report.p, report.q) == ("3.1", 4, None, 2, 1)
@@ -818,18 +869,19 @@ def test_report_fields():
 def test_identity_spec_record_behaviour():
     spec = catalog.CATALOG["3.2"]
     values = ("3.2", "scalar", 1, spec.build, "beta-weighted extension of chu; q >= 1",
-              "none", ("l", "p", "q"), (0, 4), (1, 4), 1, False, None)
+              "none", (("l", 1, None), ("p", 0, 4), ("q", 1, 4)), False, None)
     assert catalog.IdentitySpec(*values) == spec
     assert hash(spec) == hash(values)  # the frozen dataclass hashed its field tuple
+    assert catalog.IdentitySpec._fields == ("key", "arity", "n_min", "build", "summary",
+                                            "pole", "params", "negative", "derive")
     assert repr(spec) == (
         f"IdentitySpec(key='3.2', arity='scalar', n_min=1, build={spec.build!r}, "
         "summary='beta-weighted extension of chu; q >= 1', pole='none', "
-        "params=('l', 'p', 'q'), p_default=(0, 4), q_default=(1, 4), q_min=1, "
+        "params=(('l', 1, None), ('p', 0, 4), ('q', 1, 4)), "
         "negative=False, derive=None)")
     plain = catalog.IdentitySpec(key="k", arity="scalar", n_min=2, build=spec.build,
                                  summary="s")
-    assert (plain.pole, plain.params, plain.p_default, plain.q_default, plain.q_min,
-            plain.negative, plain.derive) == ("none", (), (0, 3), (0, 3), 0, False, None)
+    assert (plain.pole, plain.params, plain.negative, plain.derive) == ("none", (), False, None)
     assert plain != spec
     for name in ("key", "negative", "other"):
         with pytest.raises(AttributeError):
