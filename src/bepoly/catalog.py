@@ -6,6 +6,10 @@ as data for the kernel of its arity; ``build_residual`` makes the one
 kernel call on the left side and the right side with every weight
 negated, giving LHS - RHS as a Rat, Poly1, or Poly2.  The identity holds
 iff that residual is the zero element; there is no tolerance anywhere.
+The univariate kernel first asks ``Poly1.vanishes``, which proves the
+sum zero by one exact big-integer evaluation at a power of two beyond
+every coefficient, and expands the sum by ``lincomb`` only when it is
+not zero, so a nonzero residual is the same polynomial as before.
 A scalar side is a list of integer (numerator, denominator) pairs, for
 ``frac_sum``.  A univariate side is a list of terms (w, f, g) or (w, f),
 each weight an int or an unreduced integer pair (numerator,
@@ -267,9 +271,14 @@ def _r_3_1(n: int, p: int, q: int) -> tuple[list, list]:
 
 def _sum_3_2(n: int, l: int, p: int, q: int) -> tuple[int, int]:
     """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q) as an integer pair; every
-    beta has the denominator (n+p+q-1)!, so the numerators are summed as ints."""
-    total = sum(comb(n - l, k - l) * factorial(k + p - 1) * factorial(n - k + q - 1)
-                for k in range(l, n + 1))
+    beta has the denominator (n+p+q-1)!, so the numerators
+    t_k = C(n-l, k-l) (k+p-1)! (n-k+q-1)! are summed as ints, each from the
+    last by the term ratio t_{k+1} / t_k = (n-k)(k+p) / ((k-l+1)(n-k+q-1)),
+    a division that is exact because t_{k+1} is an integer."""
+    t = total = factorial(l + p - 1) * factorial(n - l + q - 1)
+    for k in range(l, n):
+        t = t * (n - k) * (k + p) // ((k - l + 1) * (n - k + q - 1))
+        total += t
     return total, factorial(n + p + q - 1)
 
 
@@ -465,7 +474,8 @@ def _neg_terms(terms: list) -> list:
 # kernel is looked up at the call, so one patched or wrapped on its class runs
 _KERNELS = {
     "scalar": (lambda parts: frac_sum(parts), lambda pairs: [_neg(w) for w in pairs]),
-    "univariate": (lambda parts: Poly1.lincomb(parts), _neg_terms),
+    "univariate": (lambda parts: Poly1() if Poly1.vanishes(parts) else Poly1.lincomb(parts),
+                   _neg_terms),
     "bivariate": (lambda parts: Poly2.sheared(parts),
                   lambda groups: [(pair, _neg_terms(terms), *pole)
                                   for pair, terms, *pole in groups]),

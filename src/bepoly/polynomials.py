@@ -26,8 +26,14 @@ wrong), divides out the weights' common factor with that lcm, adds each
 product straight into one integer grid (``_convolve``, the module's only
 convolution loop, over each factor's nonzero entries, listed once per
 polynomial in its ``_nz`` slot) and brings the result to canonical form
-once.  Sums, differences, products and scalar multiples are lincombs of
-one or two terms; ``Poly2.subst`` is Horner's rule on them and shares no
+once.  ``Poly1.vanishes`` is the zero test of such a sum: it takes the
+same terms through the same merge (``_merged``) and, without expanding
+them, evaluates the integer sum at x = 2^W, with 2^W above a bound on
+every coefficient, so the value is zero exactly when the polynomial is
+(a proof, not a random-point test); each factor keeps its values at
+2^W for its last few widths W beside it, as it keeps ``_nz``.  Sums,
+differences, products and scalar multiples are lincombs of one or two
+terms; ``Poly2.subst`` is Horner's rule on them and shares no
 helper with the per-axis shift in ``operators``, which the tests check
 against it.  Coefficients and evaluation points are ints or Rats.
 ``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * (x - y)^k,
@@ -225,15 +231,15 @@ def _take_terms(parts: list, key, terms, ftype, unit=None) -> None:
             parts.append((key, num, den * f._den * g._den, f, g))
 
 
-def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
-    """Integer grid and denominator of sum w * f * g over the terms of ``cls``.
+def _merged(cls, terms) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
+    """The products (s, f, g) and the denominator D of sum w * f * g over the
+    terms of ``cls``: the sum is sum s * f * g / D, with nonzero integer s.
 
     Each term is (w, f, g), or (w, f) read as (w, f, unit), with w an int,
     a Rat or an unreduced integer pair (num, den), den > 0.  The weights go
     over the lcm D of the term denominators and are added per unordered
     pair of stored grids; their common factor with D is divided out, so the
-    products run on the smallest integers, and ``_convolve`` adds each
-    nonzero product into one grid.
+    products run on the smallest integers.
     """
     parts = []  # holds the factors, so the grid ids below stay valid
     _take_terms(parts, None, terms, cls, cls._unit)
@@ -244,10 +250,22 @@ def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
         entry = merged.setdefault((ka, kb) if ka < kb else (kb, ka), [0, f, g])
         entry[0] += num * (d // den)
     c = gcd(d, *(s for s, _, _ in merged.values()))
-    parts = [(s // c, f._sparse(), g._sparse()) for s, f, g in merged.values() if s]
-    if not parts:
+    return [(s // c, f, g) for s, f, g in merged.values() if s], d // c
+
+
+def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
+    """Integer grid and denominator of sum w * f * g over the terms of ``cls``:
+    ``_convolve`` adds each product of ``_merged`` into one grid."""
+    items, d = _merged(cls, terms)
+    if not items:
         return [], 1
-    return _convolve(parts), d // c
+    return _convolve([(s, f._sparse(), g._sparse()) for s, f, g in items]), d
+
+
+# ``Poly1.vanishes`` packs at a width W rounded up to a multiple of _QUANTUM
+# bits, so that residuals of about one size share packed factors, and each
+# polynomial keeps its last _KEEP packed values
+_QUANTUM, _KEEP = 32, 4
 
 
 # (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
@@ -408,7 +426,7 @@ class _Poly:
 class Poly1(_Poly):
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_kr",)
 
     def __new__(cls, coeffs: Iterable[Rat | int] = ()):
         return _poly1(*_cleared((coeffs,)))
@@ -417,6 +435,50 @@ class Poly1(_Poly):
 
     def _rows(self) -> Grid:
         return (self._num,)
+
+    @classmethod
+    def vanishes(cls, terms: Iterable[tuple]) -> bool:
+        """True iff the ``lincomb`` of ``terms`` is the zero polynomial, proved
+        by one exact evaluation at x = 2^W (Kronecker substitution).
+
+        The terms, their checks and ``TypeError``s are ``lincomb``'s, and so is
+        the merge: the sum is sum s * f * g over D, with integer s and stored
+        numerator tuples f and g.  Every coefficient of the integer polynomial
+        P = sum s * f * g is at most M = sum |s| * |f|_1 * |g|_max in absolute
+        value, and W, the bit length of M rounded up to a multiple of
+        ``_QUANTUM``, makes 2^W > M.  A nonzero P cannot vanish at 2^W: its
+        lowest nonzero coefficient would be a multiple of 2^W.  So P(2^W),
+        one sum of products of the factors' packed values (``_packed``), is
+        zero exactly when P is; nothing is expanded, and no grid is built.
+        """
+        items, _ = _merged(cls, terms)
+        bound = 0
+        for s, f, g in items:
+            bound += abs(s) * f._norms()[0] * g._norms()[1]
+        w = -(-bound.bit_length() // _QUANTUM) * _QUANTUM
+        return not sum([s * f._packed(w) * g._packed(w) for s, f, g in items])
+
+    def _norms(self) -> tuple:
+        """(sum of |c|, max of |c|, packed values) over the stored numerators c,
+        computed on first use and kept in ``_kr`` with up to ``_KEEP`` values
+        (w, f(2^w)), newest first; threads that race compute equal values, and
+        ``_kr``, like ``_nz``, is not part of the value."""
+        kr = getattr(self, "_kr", None)
+        if kr is None:
+            a = [*map(abs, self._num)]
+            kr = (sum(a), max(a, default=0), ())
+            object.__setattr__(self, "_kr", kr)
+        return kr
+
+    def _packed(self, w: int) -> int:
+        """The stored numerators at x = 2^w."""
+        l1, top, packs = self._norms()
+        for kw, v in packs:
+            if kw == w:
+                return v
+        v = sum([c << i * w for i, c in enumerate(self._num) if c])
+        object.__setattr__(self, "_kr", (l1, top, ((w, v), *packs[:_KEEP - 1])))
+        return v
 
     @classmethod
     def variable(cls) -> Poly1:

@@ -493,6 +493,33 @@ def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
     assert sweep() == set(catalog.CATALOG) - {"chu", "3.2"}
 
 
+def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
+    # build_residual tests a univariate residual for zero by Poly1.vanishes,
+    # one evaluation at a power of two, and expands it by Poly1.lincomb only
+    # when it is not zero; the expansion is the cross-check: on every
+    # univariate instance of the default sweep to n = 14 both say zero, and
+    # with the sequences perturbed both say nonzero
+    univariate = [spec for spec in catalog.CATALOG.values() if spec.arity == "univariate"]
+    assert len(univariate) == 6
+
+    def verdicts() -> list[bool]:
+        out = []
+        for spec in univariate:
+            for n, params in _default_instances(spec, 14):
+                lhs, rhs = spec.build(n, *params.values())
+                parts = [*lhs, *catalog._neg_terms(rhs)]
+                zero = Poly1.vanishes(parts)
+                assert zero is Poly1.lincomb(parts).is_zero, (spec.key, n, params)
+                assert zero is build_residual(spec.key, n, **params).is_zero
+                out.append(zero)
+        return out
+
+    assert all(verdicts())
+    for name, wrong in PERTURBED.items():
+        monkeypatch.setattr(catalog, name, wrong)
+    assert not any(verdicts())
+
+
 def test_embedding_memos_still_answer_cache_info():
     # perfbench/spans.py snapshot() reads these two memos' cache_info();
     # they may go only together with that read (ROADMAP item 4a)

@@ -8,8 +8,12 @@ that shares no code with the package, and so is the fused sum of
 products ``lincomb``, which must also equal the same sum taken with the
 ring operators, also where factors repeat, swap or cancel so that its
 merge of repeated products acts, and with its weights written as
-unreduced integer pairs.  ``Poly1.compose_affine`` must equal
-sum c_i (a x + b)^i as the oracle expands it.  The sheared kernel
+unreduced integer pairs.  Its zero test ``Poly1.vanishes`` must agree
+with it on every term list, also where terms cancel past the merge, and
+be False on nonzero sums with a root at a power of two, which an
+evaluation point short of the coefficient bound would take for zero.
+``Poly1.compose_affine`` must equal sum c_i (a x + b)^i as the oracle
+expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
 at each of its five argument pairs and its one set of two, with pair
 weights and with each group's pole (x - y)^k applied as a ``Poly2``
@@ -209,6 +213,8 @@ def check_lincomb(cls: type, terms: list[tuple]) -> None:
         ring = ring + t
     assert fused == ring
     assert terms_of(fused) == oracle_lincomb(terms)
+    if cls is Poly1:
+        assert Poly1.vanishes(terms) is fused.is_zero
 
 
 # -- seeded random inputs -------------------------------------------------------------
@@ -298,9 +304,12 @@ def check_merged(cls, pool: list, picks: list[tuple], rng: random.Random) -> Non
     pool = share_a_grid(pool) if pool[0]._num else pool
     terms = shared_terms(rng, pool, picks)
     check_lincomb(cls, terms)
-    cancelled = cls.lincomb(terms + [(-w, *reversed(fs)) for w, *fs in terms])
+    negated = terms + [(-w, *reversed(fs)) for w, *fs in terms]
+    cancelled = cls.lincomb(negated)
     assert cancelled == cls.zero()
     assert_canonical(cancelled)
+    if cls is Poly1:
+        assert Poly1.vanishes(negated)
 
 
 def rand_picks(rng: random.Random) -> list[tuple]:
@@ -323,18 +332,31 @@ def test_lincomb_merges_repeated_products_seeded():
 def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
     # 1.6 at n = 10 sums B_k(x) B_{10-k}(x) for k = 1..9: the nine products
     # are five unordered pairs of stored grids, so five parts whose factors
-    # are not the unit; a term (w, f) is (w, f, unit), so it merges with
-    # (w', f, unit) and (w'', unit, f) into one part
+    # are not the unit, in lincomb's convolution and in the products that
+    # vanishes packs (build_residual's zero test); a term (w, f) is
+    # (w, f, unit), so it merges with (w', f, unit) and (w'', unit, f) into one part
     from bepoly import build_residual, polynomials
-    convolve, seen, unit = polynomials._convolve, [], Poly1._unit._sparse()
+    from bepoly.catalog import CATALOG, _neg_terms
+    convolve, merged, seen, unit = polynomials._convolve, polynomials._merged, [], Poly1._unit
+    packed = []
 
     def counted(parts):
         parts = list(parts)
-        seen.append((len(parts), sum(a is not unit and b is not unit for _, a, b in parts)))
+        seen.append((len(parts), sum(a is not unit._sparse() and b is not unit._sparse()
+                                     for _, a, b in parts)))
         return convolve(parts)
 
+    def counted_merge(cls, terms):
+        items, den = merged(cls, terms)
+        packed.append(sum(f is not unit and g is not unit for _, f, g in items))
+        return items, den
+
     monkeypatch.setattr(polynomials, "_convolve", counted)
+    monkeypatch.setattr(polynomials, "_merged", counted_merge)
     assert build_residual("1.6", 10).is_zero
+    assert packed == [5] and not seen  # one zero test, no expansion
+    lhs, rhs = CATALOG["1.6"].build(10)
+    assert Poly1.lincomb([*lhs, *_neg_terms(rhs)]).is_zero
     assert seen[0][1] == 5
     f = Poly1((Fraction(1, 3), 2))
     assert Poly1.lincomb([(2, f), (3, f, Poly1._unit), (-1, Poly1._unit, f)]) == 4 * f
@@ -352,9 +374,15 @@ def test_lincomb_rejects_mixed_and_malformed_terms():
                        (Poly1, [((1, 2, 3), p1)]), (Poly1, [([1, 2], p1)])):
         with pytest.raises(TypeError):
             cls.lincomb(terms)
+        if cls is Poly1:
+            with pytest.raises(TypeError):
+                Poly1.vanishes(terms)
     for terms in ([(1,)], [(1, p2, p2, p2)]):
         with pytest.raises(ValueError):
             Poly2.lincomb(terms)
+    for terms in ([(1,)], [(1, p1, p1, p1)]):
+        with pytest.raises(ValueError):
+            Poly1.vanishes(terms)
 
 
 def test_sparse_rows_match_the_dense_numerators_and_stay_out_of_the_value():
@@ -406,6 +434,103 @@ def test_lincomb_on_shared_factors_under_threads():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert len(seen) == 8 and all(r == expected for r in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# -- the zero test at a power of two ------------------------------------------------------
+
+def test_vanishes_is_false_at_a_root_that_is_a_power_of_two():
+    # x - 2^k and (x - 2^a)(x + 2^b) vanish at 2^k and 2^a, so an evaluation
+    # point taken even one bit below the coefficient bound can hit the root;
+    # so does x^3 (2^k - x), written as 2^(k-2) ((x + x^2)^2 - (x - x^2)^2) - x^4,
+    # whose factors have no coefficient above 1: a bound on each product
+    # that reads only the largest coefficient of each factor is short
+    f, g, x4 = Poly1((0, 1, 1)), Poly1((0, 1, -1)), Poly1.monomial(4)
+    for k in range(1, 301):
+        assert not Poly1.vanishes([(1, Poly1((-(1 << k), 1)))])
+        if k >= 2:
+            assert not Poly1.vanishes([(1 << k - 2, f, f), (-(1 << k - 2), g, g), (-1, x4)])
+    others = [Poly1((1 << b, 1)) for b in range(1, 301)]
+    for a in range(1, 301):
+        root = Poly1((-(1 << a), 1))
+        for g in others:
+            assert not Poly1.vanishes([(1, root, g)])
+
+
+def fresh(p: Poly1) -> Poly1:
+    """p as a new object, which lincomb's merge by identity does not take for p."""
+    return Poly1(p.coeffs)
+
+
+def check_vanishes(terms: list[tuple], h: Poly1) -> None:
+    """vanishes agrees with lincomb on ``terms`` and is True on sums that cancel
+    past the merge by identity: each term (w, f, g) against -w times fresh
+    copies of g and f, and w f g + w f h against w f (g + h); adding the
+    nonzero h to such a sum makes it False."""
+    assert Poly1.vanishes(terms) is Poly1.lincomb(terms).is_zero
+    full = [(w, *fs) if len(fs) == 2 else (w, *fs, Poly1._unit) for w, *fs in terms]
+    zero = [*terms, *[(-w, fresh(g), fresh(f)) for w, f, g in full]]
+    zero += [t for w, f, g in full for t in ((w, f, g), (w, f, h), (-w, f, g + h))]
+    assert Poly1.vanishes(zero) and Poly1.lincomb(zero).is_zero
+    if not h.is_zero:
+        assert not Poly1.vanishes([*zero, (1, h)])
+        assert not Poly1.vanishes([*zero, (Fraction(-1, 3), h, fresh(h))])
+
+
+def test_vanishes_on_planted_cancellations_seeded():
+    rng = random.Random(137)
+    for _ in range(150):
+        h = poly1_of(rand_terms(rng, rng.randint(-1, 6), 0))
+        check_vanishes(rand_lincomb_terms(rng, poly1_of, 6, 0), h)
+
+
+def test_vanishes_on_planted_cancellations_hypothesis():
+    given, settings, rats, term_dicts = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.one_of(st.just(0), st.integers(-(1 << 80), 1 << 80), rats)
+    factors = term_dicts(8, 0).map(poly1_of)
+    terms = st.lists(st.one_of(st.tuples(weights, factors),
+                               st.tuples(weights, factors, factors)), max_size=6)
+
+    @settings
+    @given(terms, factors)
+    def run(terms, h):
+        check_vanishes(terms, h)
+
+    run()
+
+
+def test_vanishes_on_shared_factors_under_threads():
+    # 8 threads test the same sums of factors that keep no packed values yet,
+    # switching every microsecond; thread i scales the weights by 2^(40 i), so
+    # each packs at its own width and more widths are asked for than a
+    # polynomial keeps; each gets the serial verdict
+    rng = random.Random(139)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            rows = [[rand_rat(rng) for _ in range(12)] for _ in range(4)]
+            pool = [Poly1(r) for r in rows]
+            terms = [((k, 7), a, b) for k, (a, b) in enumerate(zip(pool, pool[1:]), 1)]
+            zero = terms + [((-k, 7), fresh(b), fresh(a)) for (k, _), a, b in terms]
+            barrier = threading.Barrier(8)
+            seen: list[tuple[bool, bool]] = []
+
+            def worker(i: int) -> None:
+                scaled = [((k << 40 * i, d), a, b) for (k, d), a, b in zero]
+                barrier.wait()
+                for _ in range(5):
+                    seen.append((Poly1.vanishes(scaled), Poly1.vanishes(scaled + [(1, pool[0])])))
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [(True, False)] * 40
     finally:
         sys.setswitchinterval(interval)
 
