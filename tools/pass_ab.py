@@ -1,14 +1,14 @@
 """A/B of one benchmark workload's in-process pass between two checkouts.
 
     python3 tools/pass_ab.py PARENT CHANGE [--workload univariate] [--pairs 6]
-                             [--seed 1] [--warm 5] [--size full] [--json OUT]
+                             [--seed 1] [--json OUT]
 
 Each pair runs the pass in one fresh process per checkout, the order
 alternating from pair to pair, with that checkout's ``src`` on
 PYTHONPATH.  A process imports bepoly, runs the pass once cold and then
-``--warm`` times warm (every memo full), and reports its per-instance
+``WARM`` times warm (every memo full), and reports its per-instance
 times and peak RSS.  The instances are those of ``perfbench/run.py``'s
-``make_instances`` for the workload, seed and size, read from the
+``make_instances`` for the workload and seed at full size, read from the
 checkout that holds this script; the benchmark itself is not run.
 
 Printed per side, as medians over the pairs: the cold pass's sum, the
@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WARM = 5  # warm passes per process after the cold one
 
 # runs in each fresh process; argv[1] is the job as JSON
 CHILD = r"""
@@ -87,7 +88,7 @@ def one_process(checkout: Path, job: str) -> dict:
         raise SystemExit(f"bepoly was imported from {res['module']}, outside {src}")
     cold, *warm = res["passes"]
     return {"cold_ms": 1e3 * sum(cold),
-            "warm_ms": 1e3 * min(map(sum, warm)) if warm else None,
+            "warm_ms": 1e3 * min(map(sum, warm)),
             "p50_us": 1e6 * statistics.median(cold),
             "tail_us": 1e6 * _perfbench_run().tail(cold)[0],
             "rss_mb": res["rss_mb"]}
@@ -101,24 +102,22 @@ def main(argv=None) -> int:
                     choices=("univariate", "bivariate", "sequences-cli"))
     ap.add_argument("--pairs", type=int, default=6)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--warm", type=int, default=5)
-    ap.add_argument("--size", default="full", choices=("full", "tiny"))
     ap.add_argument("--json", type=Path, help="also write every pair's metrics here")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for the parent's quartiles")
     job = json.dumps({"instances": _perfbench_run().make_instances(args.workload, args.seed,
-                                                                   args.size),
-                      "warm": args.warm})
+                                                                   "full"),
+                      "warm": WARM})
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(one_process(getattr(args, side), job))
-    metrics = [m for m in runs["parent"][0] if runs["parent"][0][m] is not None]
+    metrics = list(runs["parent"][0])
     summary = {}
     print(f"{args.workload}, {args.pairs} alternating pairs, seed {args.seed}, "
-          f"{args.warm} warm passes; medians over the pairs")
+          f"{WARM} warm passes; medians over the pairs")
     print(f"{'metric':10} {'parent':>10} {'change':>10} {'relative':>9} {'lower':>6}  parent IQR")
     for m in metrics:
         a = [r[m] for r in runs["parent"]]
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
               f"  {q1:.3f}-{q3:.3f}")
     if args.json is not None:
         args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
-                                         "pairs": args.pairs, "warm": args.warm,
+                                         "pairs": args.pairs, "warm": WARM,
                                          "metrics": summary}, indent=1) + "\n")
     return 0
 
