@@ -42,7 +42,10 @@ checks the terms of both kernels), at five unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
-and a pole (x - y)^k is k O(n) steps per slice.  Its shear and
+and the sheared grids are summed by Horner's rule in x - y from the
+highest pole down, so a pole (x - y)^k costs at most k O(n) steps per
+slice for the whole call, and a zero sum returns before its rows are
+rebuilt.  Its shear and
 ``Poly1.compose_affine`` share one Taylor shift, ``_shift_by_one``.  A
 grid's total-degree slices are listed by ``_slices`` and put back into rows
 by its inverse ``_rows_of``: ``sheared`` builds its result, and ``diagonal``,
@@ -278,11 +281,11 @@ _SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf"
            (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
 
 
-def _pole_steps(k=0) -> str:
-    """A group's pole k, the power of x - y, as k steps "m"; none without one."""
+def _pole_steps(k=0) -> int:
+    """A group's pole k, the power of x - y, checked: its number of pole steps; 0 without one."""
     if type(k) is not int or k < 0:
         raise TypeError(f"a Poly2.sheared pole is an int k >= 0, the power of x - y, not {k!r}")
-    return "m" * k
+    return k
 
 
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
@@ -606,15 +609,19 @@ class Poly2(_Poly):
         the lcm of the term denominators, reduced as in ``lincomb``, and the
         outer products of the factors' stored nonzero entries into one integer
         grid per (pair, k), held as total-degree slices, slice m listing the
-        numerators of x^(m-j) y^j by j.  Every step then runs on each slice:
-        "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
+        numerators of x^(m-j) y^j by j.  The shear's steps then run on each
+        slice: "s" is the Taylor shift r -> r + 1 of sum c_j r^(m-j)
         (``_shift_by_one``), "f" negates the odd x-degrees, "t" reverses the
-        slice, "T" adds its reversal, and each pole step "m" (c_j - c_(j-1))
-        makes slice m + 1 of it.
+        slice and "T" adds its reversal.  The sheared grids H_k of each pole
+        are summed by Horner's rule in x - y, H_0 + (x - y)(H_1 + (x - y)(...)),
+        from the highest k down: at each level the sum so far is multiplied by
+        x - y once, slice m of it making slice m + 1 by the pole step
+        c_j - c_(j-1), and that level's grids are added.  A sum whose slices
+        are all zero is the zero polynomial, returned without rebuilding rows.
         """
         parts = []
         for pair, terms, *pole in groups:
-            _take_terms(parts, _SHEARS[pair] + _pole_steps(*pole), terms, Poly1)
+            _take_terms(parts, (_SHEARS[pair], _pole_steps(*pole)), terms, Poly1)
         if not parts:
             return cls()
         d = lcm(*(den for _, _, den, _, _ in parts))
@@ -632,23 +639,30 @@ class Poly2(_Poly):
                 band = grid[i:i + lb]  # band[j] is slice i + j
                 for j, vb in b:
                     band[j][j] += va * vb
-        size = top + max(key.count("m") for key in grids)
-        out = [[0] * (m + 1) for m in range(size)]
-        for steps, grid in grids.items():
-            for m, c in enumerate(grid):
-                for step in steps:
-                    if step == "s":
-                        _shift_by_one(c)
-                    elif step == "f":
-                        c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
-                    elif step == "t":
-                        c.reverse()
-                    elif step == "T":
-                        c[:] = [u + v for u, v in zip(c, c[::-1])]
-                    else:
-                        c = [u - v for u, v in zip([*c, 0], [0, *c])]
-                row = out[len(c) - 1]
-                row[:] = map(add, row, c)
+        out = []
+        for level in range(max(k for _, k in grids), -1, -1):
+            if out:
+                out = [[0], *([u - v for u, v in zip([*c, 0], [0, *c])] for c in out)]
+            for (steps, k), grid in grids.items():
+                if k != level:
+                    continue
+                for m, c in enumerate(grid):
+                    for step in steps:
+                        if step == "s":
+                            _shift_by_one(c)
+                        elif step == "f":
+                            c[1 - m % 2::2] = [-v for v in c[1 - m % 2::2]]
+                        elif step == "t":
+                            c.reverse()
+                        else:
+                            c[:] = [u + v for u, v in zip(c, c[::-1])]
+                if out:
+                    for row, c in zip(out, grid):
+                        row[:] = map(add, row, c)
+                else:
+                    out = grid
+        if not any(map(any, out)):
+            return cls()
         return _poly2(_rows_of(out), d // common)
 
     @classmethod
@@ -731,8 +745,8 @@ class Poly2(_Poly):
         P must vanish on the diagonal (P(x, x) = 0); otherwise no
         polynomial quotient exists and ExactDivisionError is raised.
         Slice m + 1 of (x - y) Q is c_j - c_(j-1) over slice m of Q (the
-        "m" pole step of ``sheared``), so Q's slice is the prefix sums of
-        P's, whose last one, the slice's sum, must be zero.
+        pole step of ``sheared``'s Horner walk), so Q's slice is the prefix
+        sums of P's, whose last one, the slice's sum, must be zero.
         """
         quot = []
         for c in _slices(self._num):

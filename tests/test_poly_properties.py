@@ -634,6 +634,13 @@ def test_sheared_each_pair_seeded():
             check_sheared([(pair, groups[0][1], k)])
     for _ in range(40):
         check_sheared(rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, len(PAIRS)))))
+    # each pair repeated at poles from {0, 1, 3}: one pair at two poles in one
+    # call, and a pole level (2, and often 1 or 0) with no group
+    for _ in range(40):
+        pairs = rng.sample(PAIRS, rng.randint(1, 3)) * rng.randint(2, 3)
+        rng.shuffle(pairs)
+        check_sheared([(pair, terms, rng.choice((0, 1, 3)))
+                       for pair, terms, *_ in rand_sheared_groups(rng, pairs)])
 
 
 def test_sheared_deterministic_cases():
@@ -657,6 +664,11 @@ def test_sheared_deterministic_cases():
     X3, X2Y, XY2 = Poly2.monomial(3, 0), Poly2.monomial(2, 1), Poly2.monomial(1, 2)
     assert Poly2.sheared([(PAIRS[0], [((3, 3), x, one)], 2)]) == X3 - 2 * X2Y + XY2
     assert Poly2.sheared([(PAIRS[0], [(1, x, one)], 0)]) == X
+    # a sum that cancels across poles: x f(x) g(y) - f(x) y g(y) - (x - y) f(x) g(y)
+    cancelled = Poly2.sheared([(PAIRS[0], [(1, x * f, g), (-1, f, x * g)]),
+                               (PAIRS[0], [(-1, f, g)], 1)])
+    assert cancelled == Poly2.zero()
+    assert_canonical(cancelled)
 
 
 def test_sheared_rejects_unknown_pairs_and_malformed_terms():
