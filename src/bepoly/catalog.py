@@ -62,7 +62,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 from .arith import Rat, factorial, frac_sum
 from .operators import (_XPY_X, _bernoulli_shift_groups, _euler_shift_groups,
                         _hockey_stick_sides, _x_to)
-from .polynomials import Poly1, Poly2
+from .polynomials import Poly1, Poly2, _poly1
 from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 4a)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
 
@@ -152,8 +152,10 @@ def _r_1_4(n: int) -> tuple[list, list]:
 
 
 def _shifted(n: int, r: Poly2) -> Poly2:
-    """R(x + y, x) for R = sum_i x^i r_i(y): the terms x^i r_i at (x + y, x)."""
-    return Poly2.sheared([(_XPY_X, [(1, _x_to(i), Poly1(row)) for i, row in enumerate(r.rows)])])
+    """R(x + y, x) for R = sum_i x^i r_i(y): the terms x^i r_i at (x + y, x), each
+    r_i R's stored integer row i, over R's denominator."""
+    return Poly2.sheared([(_XPY_X, [((1, r._den), _x_to(i), _poly1([row], 1))
+                                    for i, row in enumerate(r._num)])])
 
 
 def _r_1_5(n: int) -> tuple[list, list]:

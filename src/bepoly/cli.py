@@ -20,6 +20,7 @@ import argparse
 import os
 import re
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -145,11 +146,12 @@ def write_cache_file(path: Path, values: list[Rat]) -> None:
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step, so a concurrent reader sees either
-    the old file or the new one, never a partial write.
+    the old file or the new one, never a partial write.  The temporary is
+    named by process and thread, so two writers never share one.
     """
     lines = [CACHE_HEADER]
     lines += [f"{i}\t{v.numerator}/{v.denominator}" for i, v in enumerate(values)]
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -132,23 +132,23 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
     )
 
 
-# argument pairs (x + y, x) and (y, x) of Poly2.sheared, a*x + b*y written (a, b)
-_XPY_X, _Y_X = ((1, 1), (1, 0)), ((0, 1), (1, 0))
+# argument pairs (x + y, x) and (x, y) of Poly2.sheared, a*x + b*y written (a, b)
+_XPY_X, _X_Y = ((1, 1), (1, 0)), ((1, 0), (0, 1))
 _x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
 
 
 def _bernoulli_shift_groups(n: int, weighted: bool) -> tuple[list, list]:
     """Poly2.sheared groups of both sides of the Bernoulli shift sum: its left
-    side at (x + y, x), its right side at (y, x); unless weighted, the right
-    side drops C(n,l)."""
+    side at (x + y, x), its right side, terms x^(n-l) B_l(y), at (x, y); unless
+    weighted, the right side drops C(n,l)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = harmonic(n)
     lhs = [((1, k), bernoulli_poly(k), _x_to(n - k)) for k in range(1, n + 1)]
-    rhs = [((h.numerator, h.denominator), _x_to(0), _x_to(n))]
-    rhs += [((comb(n, l) if weighted else 1, l), bernoulli_poly(l), _x_to(n - l))
+    rhs = [((h.numerator, h.denominator), _x_to(n), _x_to(0))]
+    rhs += [((comb(n, l) if weighted else 1, l), _x_to(n - l), bernoulli_poly(l))
             for l in range(1, n + 1)]
-    return [(_XPY_X, lhs)], [(_Y_X, rhs)]
+    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
 
 
 def _euler_shift_groups(n: int) -> tuple[list, list]:
@@ -156,8 +156,8 @@ def _euler_shift_groups(n: int) -> tuple[list, list]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     lhs = [(1, euler_poly(k), _x_to(n - k)) for k in range(0, n + 1)]
-    rhs = [(comb(n + 1, l + 1), euler_poly(l), _x_to(n - l)) for l in range(0, n + 1)]
-    return [(_XPY_X, lhs)], [(_Y_X, rhs)]
+    rhs = [(comb(n + 1, l + 1), _x_to(n - l), euler_poly(l)) for l in range(0, n + 1)]
+    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
 
 
 def _hockey_stick_sides(n: int, l: int) -> tuple[list, list]:

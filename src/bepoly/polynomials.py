@@ -38,7 +38,7 @@ helper with the per-axis shift in ``operators``, which the tests check
 against it.  Coefficients and evaluation points are ints or Rats.
 ``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * (x - y)^k,
 with Poly1 factors and the same weights (one helper, ``_take_terms``,
-checks the terms of both kernels), at five unimodular argument pairs
+checks the terms of both kernels), at four unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
@@ -206,6 +206,14 @@ def _by_powers(c: Sequence[int], x: int, op=mul) -> list[int]:
     return list(c) if x == 1 else [*map(op, c, accumulate(repeat(x, len(c)), mul, initial=1))]
 
 
+def _horner(cs: Sequence, x):
+    """sum cs[i] x^i, exactly, by Horner's rule from the top coefficient down."""
+    acc = Rat(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def _weight(w) -> tuple[int, int] | tuple[None, None]:
     """(num, den) of an int, a Rat or an integer pair (num, den), den > 0; else (None, None)."""
     # the pair test comes first: a tuple would reach Fraction's slow abc check
@@ -256,15 +264,6 @@ def _merged(cls, terms) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
     return [(s // c, f, g) for s, f, g in merged.values() if s], d // c
 
 
-def _lincomb(cls, terms) -> tuple[list[list[int]], int]:
-    """Integer grid and denominator of sum w * f * g over the terms of ``cls``:
-    ``_convolve`` adds each product of ``_merged`` into one grid."""
-    items, d = _merged(cls, terms)
-    if not items:
-        return [], 1
-    return _convolve([(s, f._sparse(), g._sparse()) for s, f, g in items]), d
-
-
 # ``Poly1.vanishes`` packs at a width W rounded up to a multiple of _QUANTUM
 # bits, so that residuals of about one size share packed factors, and each
 # polynomial keeps its last _KEEP packed values (one kept value thrashes:
@@ -273,12 +272,12 @@ _QUANTUM, _KEEP = 32, 4
 
 
 # (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
-# for (x, y), (y, x), (x - y, y), (y - x, x) and (x + y, x); each step
-# substitutes in the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v;
-# the set ((x - y, y), (y - x, x)) takes H(x - y, y) and "T" adds its transpose H(y - x, x)
-_SHEARS = {((1, 0), (0, 1)): "", ((0, 1), (1, 0)): "t", ((1, -1), (0, 1)): "fsf",
-           ((-1, 1), (1, 0)): "fsft", ((1, 1), (1, 0)): "st",
-           (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
+# for (x, y), (x - y, y), (y - x, x) and (x + y, x); each step substitutes in
+# the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v; the set
+# ((x - y, y), (y - x, x)) takes H(x - y, y) and "T" adds its transpose H(y - x, x);
+# a sum at (y, x) is the same sum at (x, y) with the factors of each term swapped
+_SHEARS = {((1, 0), (0, 1)): "", ((1, -1), (0, 1)): "fsf", ((-1, 1), (1, 0)): "fsft",
+           ((1, 1), (1, 0)): "st", (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
 
 
 def _pole_steps(k=0) -> int:
@@ -358,9 +357,12 @@ class _Poly:
 
         Weights are ints or Rats and factors instances of the class.  The
         whole sum is built in one integer grid and brought to canonical
-        form once.
+        form once: ``_convolve`` adds each product of ``_merged`` into it.
         """
-        return cls._of(*_lincomb(cls, terms))
+        items, d = _merged(cls, terms)
+        if not items:
+            return cls._of([], 1)
+        return cls._of(_convolve([(s, f._sparse(), g._sparse()) for s, f, g in items]), d)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -514,11 +516,7 @@ class Poly1(_Poly):
 
     def __call__(self, point: Rat | int) -> Rat:
         """Exact evaluation by Horner's rule."""
-        v = _as_rat(point)
-        acc = Rat(0)
-        for c in reversed(self._num):
-            acc = acc * v + c
-        return acc / self._den
+        return _horner(self._num, _as_rat(point)) / self._den
 
     def derivative(self) -> Poly1:
         return _poly1([[i * v for i, v in enumerate(self._num)][1:]], self._den)
@@ -701,14 +699,9 @@ class Poly2(_Poly):
     # -- evaluation, calculus, substitution ----------------------------------
 
     def __call__(self, u: Rat | int, v: Rat | int) -> Rat:
+        """Exact evaluation by Horner's rule, in y along each row and then in x."""
         u, v = _as_rat(u), _as_rat(v)
-        acc = Rat(0)
-        for row in reversed(self._num):
-            rv = Rat(0)
-            for c in reversed(row):
-                rv = rv * v + c
-            acc = acc * u + rv
-        return acc / self._den
+        return _horner([_horner(row, v) for row in self._num], u) / self._den
 
     def partial(self, axis: str) -> Poly2:
         """Formal partial derivative along one axis."""

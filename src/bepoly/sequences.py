@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Sequence
 
-from .arith import Rat, beta_int, factorial
+from .arith import Rat, beta_int, factorial, frac_sum
 from .polynomials import Poly1, Poly2, _poly1
 
 __all__ = [
@@ -78,7 +78,7 @@ class BernoulliCache:
         return self._table[n]
 
     def _extend(self, n: int) -> None:
-        """Grow the table to index n; the caller holds the lock or owns self."""
+        """Grow the table to index n; the caller holds the lock."""
         for m in range(len(self._table), n + 1):
             if len(self._row) < m:
                 self._row = list(accumulate(reversed(self._row), initial=0))
@@ -95,23 +95,20 @@ class BernoulliCache:
             return list(self._table)
 
     def seed(self, values: Sequence[Rat]) -> None:
-        """Adopt externally supplied values after comparing each with the process's own.
+        """Check supplied values B_0, B_1, ... against the process's own.
 
-        Only the entries the process lacks are computed.  The first
-        mismatch raises CacheIntegrityError naming the index; nothing is adopted.
+        ``get`` grows the table to the last supplied index, computing only the
+        entries it lacks; no supplied value is ever adopted.  The first mismatch
+        raises CacheIntegrityError naming the index, and the table keeps what
+        it computed.
         """
-        fresh = BernoulliCache()
-        with self._lock:  # _extend appends to _table but only replaces _row
-            fresh._table, fresh._row = list(self._table), self._row
-        fresh._extend(len(values) - 1)
-        for m, (value, expected) in enumerate(zip(values, fresh._table)):
+        if values:
+            self.get(len(values) - 1)
+        for m, (value, expected) in enumerate(zip(values, self._table)):
             if value != expected:
                 raise CacheIntegrityError(
                     m, f"cache entry {m} is {value}, recomputation gives {expected}"
                 )
-        with self._lock:
-            if len(fresh._table) > len(self._table):
-                self._table, self._row = fresh._table, fresh._row
 
 
 _CACHE = BernoulliCache()
@@ -182,8 +179,7 @@ def harmonic(n: int) -> Rat:
     """Harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    m = lcm(*range(1, n + 1))
-    return Rat(sum(m // k for k in range(1, n + 1)), m)
+    return frac_sum((1, k) for k in range(1, n + 1))
 
 
 @cache

@@ -12,6 +12,7 @@ import hashlib
 import inspect
 import json
 import pickle
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -520,6 +521,35 @@ def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
     assert not any(verdicts())
 
 
+# the sizes of the "CLI end to end" runs in .github/workflows/tests.yml that
+# prove 1.12, 1.13 and 3.1 at n = 40..60 and the bivariate ids at n = 26..40,
+# past every other check that can fail; the two move together
+CI_UNIVARIATE_N, CI_BIVARIATE_N = range(40, 61), range(26, 41)
+
+
+def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
+    # with the sequences perturbed, every instance below is nonzero, so a
+    # kernel that says "zero" from some size on fails here and not only in CI:
+    # Poly1.vanishes on sums of up to about 120 merged products, against the
+    # expansion, and Poly2.sheared on the grids under 1.5's (x - y)^3 and
+    # 1.10's (x - y)^2, against the embedding route
+    for name, wrong in PERTURBED.items():
+        monkeypatch.setattr(catalog, name, wrong)
+    for key, params in (("1.12", ()), ("1.13", ()), ("3.1", (0, 0)), ("3.1", (1, 1))):
+        for n in CI_UNIVARIATE_N:
+            lhs, rhs = catalog.CATALOG[key].build(n, *params)
+            parts = [*lhs, *catalog._neg_terms(rhs)]
+            assert not Poly1.vanishes(parts), (key, n, params)
+            assert not Poly1.lincomb(parts).is_zero, (key, n, params)
+    for key in ("1.5", "1.10"):
+        for n in CI_BIVARIATE_N:
+            lhs, rhs = catalog.CATALOG[key].build(n)
+            groups = [*lhs, *[(pair, catalog._neg_terms(terms), *pole)
+                              for pair, terms, *pole in rhs]]
+            result = Poly2.sheared(groups)
+            assert not result.is_zero and result == _embedding_route(groups), (key, n)
+
+
 def test_embedding_memos_still_answer_cache_info():
     # perfbench/spans.py snapshot() reads these two memos' cache_info();
     # they may go only together with that read (ROADMAP item 4a)
@@ -891,6 +921,26 @@ def test_report_fields():
     assert report.elapsed >= 0
     assert report.residual_str() == "0"
     assert report.params_str() == "n=4 p=2 q=1"
+
+
+def test_each_pole_text_is_the_power_its_builder_clears():
+    # pole is free text that the catalog demo prints; for each bivariate entry
+    # the power of (x-y) in it is the largest pole k among its build's groups,
+    # "y" (x - y at (x + y, x)) is 1 for the entries derived by _shifted, and
+    # "none" is 0; every other entry has no pole
+    for key, spec in catalog.CATALOG.items():
+        if spec.arity != "bivariate":
+            assert spec.pole == "none", key
+            continue
+        lhs, rhs = spec.build(spec.n_min + 2)
+        top = max(pole[0] if pole else 0 for _, _, *pole in [*lhs, *rhs])
+        if spec.pole == "y":
+            assert spec.derive is catalog._shifted and top == 1, key
+        elif spec.pole == "none":
+            assert top == 0, key
+        else:
+            power = re.search(r"\(x-y\)(?:\^(\d+))?$", spec.pole)
+            assert power and int(power.group(1) or 1) == top, key
 
 
 def test_identity_spec_record_behaviour():

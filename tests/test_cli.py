@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,43 @@ def test_cache_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         cli.write_cache_file(path, [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bernoulli.cache"]
+
+
+def test_concurrent_cache_writes_in_one_process_never_collide(tmp_path):
+    # threads of one process that write the same path each get a temporary
+    # file of their own, so no writer's os.replace moves another's; 4 writers
+    # of different tables, switching every microsecond, then the file holds
+    # one writer's whole table and no temporary is left
+    from bepoly import cli
+    from bepoly.sequences import bernoulli_number
+
+    path = tmp_path / "bernoulli.cache"
+    tables = [[bernoulli_number(k) for k in range(20 + i)] for i in range(4)]
+    errors: list[Exception] = []
+    barrier = threading.Barrier(len(tables))
+
+    def writer(table: list) -> None:
+        try:
+            barrier.wait(timeout=60)
+            for _ in range(100):
+                cli.write_cache_file(path, table)
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in tables]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert cli.read_cache_file(path) in tables
     assert [p.name for p in tmp_path.iterdir()] == ["bernoulli.cache"]
 
 

@@ -573,10 +573,9 @@ def test_compose_affine_matches_power_sum_seeded():
 
 # -- the sheared kernel ------------------------------------------------------------------
 
-# the five argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b),
+# the four argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b),
 # and its one set of two pairs, ((x - y, y), (y - x, x))
-PAIRS = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, -1), (0, 1)),
-         ((-1, 1), (1, 0)), ((1, 1), (1, 0)),
+PAIRS = [((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)), ((1, 1), (1, 0)),
          (((1, -1), (0, 1)), ((-1, 1), (1, 0)))]
 
 
@@ -656,7 +655,7 @@ def test_sheared_deterministic_cases():
     x = Poly1((0, 1))
     # x^2 at each pair, against the expansion by hand
     X2, XY, Y2 = Poly2.monomial(2, 0), Poly2.monomial(1, 1), Poly2.monomial(0, 2)
-    expected = [X2, Y2, X2 - 2 * XY + Y2, X2 - 2 * XY + Y2, X2 + 2 * XY + Y2,
+    expected = [X2, X2 - 2 * XY + Y2, X2 - 2 * XY + Y2, X2 + 2 * XY + Y2,
                 2 * (X2 - 2 * XY + Y2)]
     for pair, want in zip(PAIRS, expected):
         assert Poly2.sheared([(pair, [(1, x * x, one)])]) == want
@@ -673,8 +672,10 @@ def test_sheared_deterministic_cases():
 
 def test_sheared_rejects_unknown_pairs_and_malformed_terms():
     f = Poly1((1, 2))
-    with pytest.raises(KeyError):
-        Poly2.sheared([(((1, 0), (1, 0)), [(1, f, f)])])
+    # (y, x) is no pair: a sum there is the sum at (x, y) with the factors swapped
+    for pair in (((1, 0), (1, 0)), ((0, 1), (1, 0))):
+        with pytest.raises(KeyError):
+            Poly2.sheared([(pair, [(1, f, f)])])
     for term in ((1, f, X), (1, X, f), (1.5, f, f), (1, f, None),
                  # integer-pair weights need two ints and den > 0, as in lincomb
                  ((1, 0), f, f), ((1, -2), f, f), ((1.0, 2), f, f), ((1, 2.5), f, f),

@@ -324,11 +324,11 @@ def test_cache_seed_rejects_tampered_entry(held):
     values[12] = values[12] + Fraction(1, 7)
     receiving = BernoulliCache()
     receiving.get(held - 1)
-    before = receiving.values()
     with pytest.raises(CacheIntegrityError) as excinfo:
         receiving.seed(values)
     assert excinfo.value.index == 12
-    assert receiving.values() == before  # nothing adopted
+    # the table keeps the entries it computed, B_0..B_20, and adopts no file value
+    assert receiving.values() == list(recurrence_oracle(20))
 
 
 def test_cache_seed_computes_only_missing_entries(monkeypatch):
