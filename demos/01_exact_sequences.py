@@ -26,9 +26,8 @@ def main():
     for n in range(0, 6):
         print(f"  B_{n}(x) = {bernoulli_poly(n)}")
 
-    print("\nEuler polynomials (each built from the half-argument Bernoulli")
-    print("relation and checked against its defining equation")
-    print("E(x+1) + E(x) = 2 x^n):")
+    print("\nEuler polynomials (each the Appell sum over E_k(0), like B_n(x) over B_k,")
+    print("and checked against its defining equation E(x+1) + E(x) = 2 x^n):")
     for n in range(0, 6):
         print(f"  E_{n}(x) = {euler_poly(n)}")
 
@@ -43,10 +42,10 @@ def main():
         rhs = bbar(n)
         print(f"  n={n}: {lhs} == {rhs}  {'ok' if lhs == rhs else 'MISMATCH'}")
 
-    print("\nEuler polynomials at 0 agree with 2 (1 - 2^(n+1)) B_{n+1} / (n+1):")
-    for n in range(0, 9):
-        lhs = euler_poly(n)(0)
-        rhs = euler_at_zero(n)
+    print("\nEuler polynomials at 1 agree with -E_n(0) = -2 (1 - 2^(n+1)) B_{n+1} / (n+1):")
+    for n in range(1, 9):
+        lhs = euler_poly(n)(1)
+        rhs = -euler_at_zero(n)
         print(f"  n={n}: {lhs} == {rhs}  {'ok' if lhs == rhs else 'MISMATCH'}")
 
 

@@ -430,8 +430,6 @@ class VerifyReport(SimpleNamespace):
     """Outcome of checking one identity instance (mutable, unhashable); equality
     and repr are field-wise, from ``SimpleNamespace``."""
 
-    __match_args__ = ("key", "n", "l", "p", "q", "holds", "residual", "elapsed", "skipped")
-
     def __init__(self, key: str, n: int, l: Optional[int] = None, p: Optional[int] = None,
                  q: Optional[int] = None, holds: Optional[bool] = None,
                  residual: Optional[Residual] = None, elapsed: float = 0.0,

@@ -286,12 +286,9 @@ def _cmd_cache(args) -> int:
         print(f"loaded and validated {count} entries; "
               f"highest cached index: {default_cache().highest}")
         return EXIT_OK
-    # info: report on the file when present, else on the in-process cache
-    if path.exists():
-        values = read_cache_file(path)
-        print(f"highest cached index: {len(values) - 1} ({path})")
-    else:
-        print(f"highest cached index: {default_cache().highest} (in-memory)")
+    # info: a missing or unreadable file is an error, as for load
+    values = read_cache_file(path)
+    print(f"highest cached index: {len(values) - 1} ({path})")
     return EXIT_OK
 
 

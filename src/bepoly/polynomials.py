@@ -60,6 +60,7 @@ evaluation, calculus and rendering.  ``coeffs``, ``rows`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, mul
@@ -100,9 +101,9 @@ def _axis(axis: str) -> tuple[int, int]:
 def _canonical(rows: Grid, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Canonical content form of the integer rows ``rows`` over ``den``.
 
-    Ragged rows are padded with zeros, the all-zero fringe is trimmed,
-    g = gcd(content, den) is divided out and the denominator is made
-    positive.  The zero polynomial comes back as ((), 1).
+    ``den`` is positive.  Ragged rows are padded with zeros, the all-zero
+    fringe is trimmed and g = gcd(content, den) is divided out.  The zero
+    polynomial comes back as ((), 1).
     """
     g = 0
     for row in rows:
@@ -117,8 +118,6 @@ def _canonical(rows: Grid, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     while not any(r[w - 1] for r in rows if len(r) >= w):
         w -= 1
     g = gcd(g, den)
-    if den < 0:
-        g = -g
     if g != 1:
         rows = [[v // g for v in r] for r in rows]
         den //= g
@@ -287,6 +286,11 @@ def _pole_steps(k=0) -> int:
     return k
 
 
+def _mono(*powers: tuple[str, int]) -> str:
+    """The monomial of (variable, exponent) pairs, like 'x^2*y'; '' for 1."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+
+
 def _format_terms(terms: list[tuple[Rat, str]]) -> str:
     """Render [(coeff, monomial), ...] like 'x^2 - x + 1/6'."""
     if not terms:
@@ -403,15 +407,7 @@ class _Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self._unit
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return reduce(mul, repeat(self, n), self._unit)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -574,14 +570,8 @@ class Poly1(_Poly):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        cs = self.coeffs
-        terms = []
-        for i in range(len(cs) - 1, -1, -1):
-            c = cs[i]
-            if c:
-                mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-                terms.append((c, mono))
-        return _format_terms(terms)
+        return _format_terms([(Fraction(v, self._den), _mono(("x", i)))
+                              for i, v in reversed([*enumerate(self._num)]) if v])
 
 
 class Poly2(_Poly):
@@ -752,13 +742,9 @@ class Poly2(_Poly):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = []
-        for m, c in reversed([*enumerate(_slices(self._num))]):
-            for j, v in enumerate(c):
-                if v:
-                    mono = [f"{s}^{e}" if e > 1 else s for s, e in (("x", m - j), ("y", j)) if e]
-                    terms.append((Fraction(v, self._den), "*".join(mono)))
-        return _format_terms(terms)
+        return _format_terms([(Fraction(v, self._den), _mono(("x", m - j), ("y", j)))
+                              for m, c in reversed([*enumerate(_slices(self._num))])
+                              for j, v in enumerate(c) if v])
 
 
 # the unit of each class, built once: a one-factor term (w, f) is (w, f, unit)

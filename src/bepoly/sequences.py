@@ -4,10 +4,11 @@ Bernoulli numbers follow the convention forced by the generating
 function z/(e^z - 1), so B_1 = -1/2, and Bernoulli polynomials are
 B_n(x) = sum_k C(n,k) B_k x^{n-k}.  The numbers come from integer
 zigzag numbers (Brent and Harvey, arXiv:1108.0286), one Seidel
-boustrophedon row per index.  Euler polynomials are constructed once,
-through the half-argument relation
-E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2)), and checked
-against their defining equation E_n(x+1) + E_n(x) = 2 x^n.  The forward
+boustrophedon row per index.  Both polynomial families are Appell
+sequences, P_n(x) = sum_k C(n,k) P_k(0) x^{n-k}, and one sum builds
+both: from B_k for B_n(x), and for E_n(x) from the closed form
+E_k(0) = 2 (1 - 2^{k+1}) B_{k+1} / (k+1).  Each E_n(x) is checked
+against its defining equation E_n(x+1) + E_n(x) = 2 x^n.  The forward
 sum is injective on polynomials, so the check is as strong as a second
 construction; a mismatch would mean a convention bug somewhere and is
 treated as fatal.
@@ -124,34 +125,32 @@ def bernoulli_number(n: int) -> Rat:
     return _CACHE.get(n)
 
 
+def _appell(n: int, at_zero) -> Poly1:
+    """The Appell polynomial sum_k C(n,k) a_k x^{n-k}, a_k = at_zero(k), built as
+    one integer row over the lcm of the denominators of the a_k."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    a = [at_zero(n - i) for i in range(n + 1)]  # a_{n-i} goes with x^i
+    den = lcm(*(c.denominator for c in a))
+    return _poly1([[comb(n, i) * c.numerator * (den // c.denominator)
+                    for i, c in enumerate(a)]], den)
+
+
 @cache
 def bernoulli_poly(n: int) -> Poly1:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^{n-k}."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    bs = [bernoulli_number(n - i) for i in range(n + 1)]  # B_{n-i} goes with x^i
-    den = lcm(*(b.denominator for b in bs))
-    return _poly1([[comb(n, i) * b.numerator * (den // b.denominator)
-                    for i, b in enumerate(bs)]], den)
-
-
-def _euler_from_bernoulli(n: int) -> Poly1:
-    """E_n(x) via 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2))."""
-    b = bernoulli_poly(n + 1)
-    w = Rat(2, n + 1)
-    return Poly1.lincomb([(w, b), (-w * 2 ** (n + 1), b.compose_affine(Rat(1, 2), 0))])
+    return _appell(n, bernoulli_number)
 
 
 @cache
 def euler_poly(n: int) -> Poly1:
-    """Euler polynomial E_n(x), checked against E(x+1) + E(x) = 2 x^n.
+    """Euler polynomial E_n(x) = sum_k C(n,k) E_k(0) x^{n-k}, checked against
+    E(x+1) + E(x) = 2 x^n.
 
     A result that fails its defining equation signals an internal
     defect and raises RuntimeError.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    e = _euler_from_bernoulli(n)
+    e = _appell(n, euler_at_zero)
     residual = Poly1.lincomb([(1, e.compose_affine(1, 1)), (1, e), (-2, Poly1.monomial(n))])
     if not residual.is_zero:
         raise RuntimeError(
@@ -190,11 +189,13 @@ def bbar(k: int) -> Rat:
     return (Fraction(2) ** (1 - k) - 1) * bernoulli_number(k)
 
 
+@cache
 def euler_at_zero(l: int) -> Rat:
     """Closed form for E_l(0): 2 (1 - 2^{l+1}) B_{l+1} / (l + 1)."""
     if l < 0:
         raise ValueError(f"index must be >= 0, got {l}")
-    return Rat(2) * (1 - 2 ** (l + 1)) * bernoulli_number(l + 1) / (l + 1)
+    b = bernoulli_number(l + 1)
+    return Rat(2 * (1 - 2 ** (l + 1)) * b.numerator, (l + 1) * b.denominator)
 
 
 @cache

@@ -34,7 +34,6 @@ from bepoly import (
     verify,
     verify_sweep,
 )
-from bepoly.sequences import _euler_from_bernoulli
 
 
 @contextmanager
@@ -140,7 +139,10 @@ def test_consistency_suite():
     with criterion("consistency suite: dual Euler routes, midpoint, special values, "
                    "difference properties"):
         for n in range(41):
-            assert _euler_from_bernoulli(n) == solve_delta_star(Poly1.monomial(n, 2))
+            # the half-argument relation, written out: an Euler route through B_{n+1}(x)
+            b = bernoulli_poly(n + 1)
+            half = Fraction(2, n + 1) * (b - 2 ** (n + 1) * b.compose_affine(Fraction(1, 2), 0))
+            assert euler_poly(n) == half == solve_delta_star(Poly1.monomial(n, 2))
             assert euler_poly(n).compose_affine(1, 1) + euler_poly(n) == Poly1.monomial(n, 2)
             assert bernoulli_poly(n)(Fraction(1, 2)) == bbar(n)
             assert euler_at_zero(n) == euler_poly(n)(0)

@@ -257,6 +257,17 @@ def test_cache_load_reports_the_entries_read_from_the_file(tmp_path, body, count
     assert proc.stdout.startswith(f"highest cached index: {count - 1} ")
 
 
+def test_cache_load_and_info_reject_a_missing_file(tmp_path):
+    path = tmp_path / "missing.cache"
+    for action in ("load", "info"):
+        proc = run_cli("cache", action, "--cache", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("body", [
     b"0\t1/0\n",                                         # zero denominator
     b"0\t1/1\n1\t-1/2\xff\n",                            # a non-ASCII byte

@@ -20,9 +20,11 @@ weights and with each group's pole (x - y)^k applied as a ``Poly2``
 power.  ``Poly2.subst`` must equal Horner's rule taken in the
 oracle, along either variable.  ``Poly2``'s diagonal and rendering,
 which walk its total-degree slices, must match the oracle summed by
-total degree and sorted by it, and ``div_xminusy`` must raise exactly
-when the diagonal is nonzero.  Each property runs on seeded random
-inputs; the hypothesis versions run when hypothesis is installed.
+total degree and sorted by it, a ``Poly1`` must render as its ``Poly2``
+embedding along either axis, and ``div_xminusy`` must raise exactly
+when the diagonal is nonzero.  Powers must equal the explicit products.
+Each property runs on seeded random inputs; the hypothesis versions run
+when hypothesis is installed.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def assert_canonical(p: Poly1 | Poly2) -> None:
 
 
 def derived1(p: Poly1, q: Poly1, k: Fraction) -> list[Poly1 | Poly2]:
-    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 2, p.derivative(),
-           p.compose_affine(k, 1), p.compose_affine(1, k), p.compose_xy(k, -1),
+    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 0, p ** 2, p ** 5,
+           p.derivative(), p.compose_affine(k, 1), p.compose_affine(1, k), p.compose_xy(k, -1),
            p.as_poly2("x"), p.as_poly2("y"), Poly1(p.coeffs)]
     if k:
         out.append(p / k)
@@ -139,7 +141,7 @@ def derived1(p: Poly1, q: Poly1, k: Fraction) -> list[Poly1 | Poly2]:
 
 
 def derived2(p: Poly2, q: Poly2, k: Fraction) -> list[Poly1 | Poly2]:
-    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 2,
+    out = [p + q, p - q, -p, p * q, p * k, k + p, 3 - p, p ** 0, p ** 2, p ** 5,
            p.partial("x"), p.partial("y"), p.swap_xy(), p.subst("x", q),
            p.subst("y", q), p.diagonal(), (p * (X - Y)).div_xminusy(), Poly2(p.rows)]
     if k:
@@ -159,6 +161,7 @@ def check_poly1(tp: Terms, tq: Terms, k: Fraction, u: Fraction) -> None:
     assert terms_of(p - q) == oracle_add(tp, tq, -1)
     assert terms_of(p * q) == oracle_mul(tp, tq)
     assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
+    assert p ** 0 == 1 and p ** 2 == p * p and p ** 5 == p * p * p * p * p
     assert (p * q + p - q)(u) == p(u) * q(u) + p(u) - q(u)
     assert p.compose_xy(1, 1).diagonal() == p.compose_affine(2, 0)
 
@@ -173,6 +176,7 @@ def check_poly2(tp: Terms, tq: Terms, k: Fraction, u: Fraction, v: Fraction) -> 
     assert terms_of(p - q) == oracle_add(tp, tq, -1)
     assert terms_of(p * q) == oracle_mul(tp, tq)
     assert terms_of(p * k) == oracle_mul(tp, {(0, 0): k} if k else {})
+    assert p ** 0 == 1 and p ** 2 == p * p and p ** 5 == p * p * p * p * p
     for axis in "xy":
         assert terms_of(p.subst(axis, q)) == oracle_subst(tp, axis, tq)
     assert (p * (X - Y)).div_xminusy() == p
@@ -235,6 +239,14 @@ def test_poly1_properties_seeded():
         tp = rand_terms(rng, rng.randint(-1, 6), 0)
         tq = rand_terms(rng, rng.randint(-1, 6), 0)
         check_poly1(tp, tq, rand_rat(rng), rand_rat(rng))
+
+
+def test_poly1_renders_as_its_poly2_embeddings_seeded():
+    rng = random.Random(109)
+    for _ in range(100):
+        p = poly1_of(rand_terms(rng, rng.randint(-1, 8), 0))
+        assert str(p.as_poly2("x")) == str(p)
+        assert str(p.as_poly2("y")) == str(p).replace("x", "y")
 
 
 def test_poly2_properties_seeded():

@@ -27,7 +27,6 @@ from bepoly import (
     sequences,
     solve_delta_star,
 )
-from bepoly.sequences import _euler_from_bernoulli
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -124,18 +123,29 @@ def test_euler_forward_sum():
         assert p.compose_affine(1, 1) + p == Poly1.monomial(n, 2)
 
 
+def half_argument_euler(n: int) -> Poly1:
+    """Independent Euler oracle through the Bernoulli polynomials:
+    E_n(x) = 2/(n+1) * (B_{n+1}(x) - 2^{n+1} B_{n+1}(x/2))."""
+    b = bernoulli_poly(n + 1)
+    return Fraction(2, n + 1) * (b - 2 ** (n + 1) * b.compose_affine(Fraction(1, 2), 0))
+
+
 def test_euler_dual_construction_agrees():
-    # the back-substitution in operators is the reference route
+    # the half-argument relation and the back-substitution in operators are the references
     for n in range(41):
-        assert _euler_from_bernoulli(n) == solve_delta_star(Poly1.monomial(n, 2))
+        assert euler_poly(n) == half_argument_euler(n) == solve_delta_star(Poly1.monomial(n, 2))
 
 
-@pytest.mark.parametrize("perturb", [lambda e: e + 1, lambda e: 2 * e,
-                                     lambda e: e.compose_affine(1, Fraction(1, 2))],
+# each perturbs the values E_k(0) the Appell sum reads: E_n(x) + (x + 1)^n,
+# 2 E_n(x), and E_n(x + 1/2), the Appell sum over E_k(1/2)
+@pytest.mark.parametrize("perturb", [lambda route, exact, k: route(k) + 1,
+                                     lambda route, exact, k: 2 * route(k),
+                                     lambda route, exact, k: exact[k](Fraction(1, 2))],
                          ids=["plus-one", "doubled", "half-shifted"])
 def test_euler_check_rejects_a_wrong_construction(monkeypatch, perturb):
-    route = sequences._euler_from_bernoulli
-    monkeypatch.setattr(sequences, "_euler_from_bernoulli", lambda n: perturb(route(n)))
+    route = sequences.euler_at_zero
+    exact = [euler_poly(k) for k in range(14)]
+    monkeypatch.setattr(sequences, "euler_at_zero", lambda k: perturb(route, exact, k))
     euler_poly.cache_clear()
     try:
         for n in (1, 6, 13):

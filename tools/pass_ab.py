@@ -15,7 +15,10 @@ Printed per side, as medians over the pairs: the cold pass's sum, the
 warm sum (the fastest warm pass of each process), the median instance
 and the tail instance of the cold pass (``run.py``'s ``tail``: the
 11th-slowest, or the slowest of ten or fewer), and peak RSS; then in
-how many pairs the change was lower, and the parent's quartiles.  Times
+how many pairs the change was lower, and the parent's quartiles.  A
+second table splits the cold pass by id (a catalog id, or a CLI
+command), with each side's median sum and the change's pairs lower, to
+show where cost moved between instances.  Times
 are raw wall times on the host that runs it, not scaled to the
 benchmark's reference speed.  Standard library only; a development
 tool, not part of the package.
@@ -76,8 +79,16 @@ def _perfbench_run():
     return run
 
 
-def one_process(checkout: Path, job: str) -> dict:
-    """Metrics of one fresh process running the pass from ``checkout``."""
+def _label(inst: list) -> str:
+    """An instance's id: its catalog id, or its CLI command's words."""
+    if inst[0] == "verify":
+        return inst[1]
+    return " ".join(a for a in inst[1][:2] if not a.startswith("-"))
+
+
+def one_process(checkout: Path, job: str, labels: list[str]) -> tuple[dict, dict]:
+    """Metrics of one fresh process running the pass from ``checkout``, and its
+    cold-pass time per instance label in ms."""
     src = (checkout / "src").resolve()
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     with tempfile.TemporaryDirectory() as work:  # CLI instances write a cache file here
@@ -87,11 +98,14 @@ def one_process(checkout: Path, job: str) -> dict:
     if not Path(res["module"]).resolve().is_relative_to(src):
         raise SystemExit(f"bepoly was imported from {res['module']}, outside {src}")
     cold, *warm = res["passes"]
+    per_id = dict.fromkeys(labels, 0.0)
+    for label, t in zip(labels, cold):
+        per_id[label] += 1e3 * t
     return {"cold_ms": 1e3 * sum(cold),
             "warm_ms": 1e3 * min(map(sum, warm)),
             "p50_us": 1e6 * statistics.median(cold),
             "tail_us": 1e6 * _perfbench_run().tail(cold)[0],
-            "rss_mb": res["rss_mb"]}
+            "rss_mb": res["rss_mb"]}, per_id
 
 
 def main(argv=None) -> int:
@@ -106,14 +120,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for the parent's quartiles")
-    job = json.dumps({"instances": _perfbench_run().make_instances(args.workload, args.seed,
-                                                                   "full"),
-                      "warm": WARM})
+    instances = _perfbench_run().make_instances(args.workload, args.seed, "full")
+    labels = [_label(inst) for inst in instances]
+    job = json.dumps({"instances": instances, "warm": WARM})
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    ids: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(one_process(getattr(args, side), job))
+            metrics, per_id = one_process(getattr(args, side), job, labels)
+            runs[side].append(metrics)
+            ids[side].append(per_id)
     metrics = list(runs["parent"][0])
     summary = {}
     print(f"{args.workload}, {args.pairs} alternating pairs, seed {args.seed}, "
@@ -129,10 +146,21 @@ def main(argv=None) -> int:
                       "parent_q1": q1, "parent_q3": q3, "change_lower": lower}
         print(f"{m:10} {ma:10.3f} {mb:10.3f} {mb / ma - 1:+9.1%} {lower:3}/{args.pairs}"
               f"  {q1:.3f}-{q3:.3f}")
+    by_id = {}
+    print("\ncold pass by id: sum in ms per process, medians over the pairs")
+    print(f"{'id':20} {'parent':>10} {'change':>10} {'relative':>9} {'lower':>6}")
+    for label in sorted(set(labels)):
+        a = [r[label] for r in ids["parent"]]
+        b = [r[label] for r in ids["change"]]
+        ma, mb = statistics.median(a), statistics.median(b)
+        lower = sum(y < x for x, y in zip(a, b))
+        by_id[label] = {"parent": a, "change": b, "change_lower": lower}
+        print(f"{label:20} {ma:10.3f} {mb:10.3f} {mb / ma - 1:+9.1%} {lower:3}/{args.pairs}")
     if args.json is not None:
         args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
                                          "pairs": args.pairs, "warm": WARM,
-                                         "metrics": summary}, indent=1) + "\n")
+                                         "metrics": summary, "per_id": by_id},
+                                        indent=1) + "\n")
     return 0
 
 
