@@ -62,9 +62,12 @@ def gamma_ratio(a: int, m: int) -> Rat:
     return Rat(prod(range(a, a + m)))
 
 
-def frac_sum(pairs: Iterable[tuple[int, int]]) -> Rat:
-    """The sum of num/den over integer pairs (num, den), den nonzero, added
-    as ints over the lcm of the denominators and reduced once."""
-    pairs = list(pairs)
-    d = lcm(*(den for _, den in pairs))
-    return Rat(sum(num * (d // den) for num, den in pairs), d)
+def frac_sum(pairs: Iterable[tuple[int, int]],
+             minus: Iterable[tuple[int, int]] = ()) -> Rat:
+    """The sum of num/den over integer pairs (num, den), den nonzero, less
+    that over the pairs ``minus``, added as ints over the lcm of all the
+    denominators and reduced once."""
+    pairs, minus = list(pairs), list(minus)
+    d = lcm(*(den for _, den in pairs), *(den for _, den in minus))
+    return Rat(sum(num * (d // den) for num, den in pairs)
+               - sum(num * (d // den) for num, den in minus), d)

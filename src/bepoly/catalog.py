@@ -3,9 +3,14 @@
 Each entry builds the two sides (LHS, RHS) of one identity, both
 multiplied by the entry's pole-clearing factor (recorded in ``pole``),
 as data for the kernel of its arity; ``build_residual`` makes the one
-kernel call on the left side and the right side with every weight
-negated, giving LHS - RHS as a Rat, Poly1, or Poly2.  The identity holds
-iff that residual is the zero element; there is no tolerance anywhere.
+kernel call on the two sides, the kernel subtracting the right one as it
+takes in its terms, giving LHS - RHS as a Rat, Poly1, or Poly2.  The
+identity holds iff that residual is the zero element; there is no
+tolerance anywhere.  The builders of the ids with a factor B_l or Bbar_k
+leave out each term whose factor is zero, B_l being 0 at every odd
+l >= 3: they test the value read through ``bernoulli_number`` or
+``bbar``, never the parity of l, so for any input sequence the residual
+is the same sum.
 The univariate kernel first asks ``Poly1.vanishes``, which proves the
 sum zero by one exact big-integer evaluation at a power of two beyond
 every coefficient, and expands the sum by ``lincomb`` only when it is
@@ -63,7 +68,7 @@ from .arith import Rat, factorial, frac_sum
 from .operators import (_XPY_X, _bernoulli_shift_groups, _euler_shift_groups,
                         _hockey_stick_sides, _x_to)
 from .polynomials import Poly1, Poly2, _poly1
-from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 4a)
+from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 1)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
 
 __all__ = [
@@ -100,30 +105,35 @@ def _frac(num: int, den: int, a: Rat, b: Rat = 1) -> tuple[int, int]:
 
 
 def _r_1_1(n: int) -> tuple[list, list]:
-    b = bernoulli_number
-    lhs = [_frac(1 - comb(n, k), k * (n - k), b(k), b(n - k)) for k in range(2, n - 1)]
-    return lhs, [_frac(2, n, harmonic(n), b(n))]
+    B = [*map(bernoulli_number, range(n + 1))]
+    lhs = [_frac(1 - comb(n, k), k * (n - k), B[k], B[n - k])
+           for k in range(2, n - 1) if B[k] and B[n - k]]
+    return lhs, [_frac(2, n, harmonic(n), B[n])] if B[n] else []
 
 
 def _r_1_2(n: int) -> tuple[list, list]:
-    b = bernoulli_number
-    lhs = [_frac(1 - comb(n, k), k, b(k), b(n - k)) for k in range(2, n - 1)]
-    return lhs, [_frac(1, 1, harmonic(n), b(n))]
+    B = [*map(bernoulli_number, range(n + 1))]
+    lhs = [_frac(1 - comb(n, k), k, B[k], B[n - k])
+           for k in range(2, n - 1) if B[k] and B[n - k]]
+    return lhs, [_frac(1, 1, harmonic(n), B[n])] if B[n] else []
 
 
 def _r_1_3(n: int) -> tuple[list, list]:
-    b = bernoulli_number
-    lhs = [_frac(n + 2 - 2 * comb(n + 2, k), 1, b(k), b(n - k)) for k in range(2, n - 1)]
-    return lhs, [_frac(n * (n + 1), 1, b(n))]
+    B = [*map(bernoulli_number, range(n + 1))]
+    lhs = [_frac(n + 2 - 2 * comb(n + 2, k), 1, B[k], B[n - k])
+           for k in range(2, n - 1) if B[k] and B[n - k]]
+    return lhs, [_frac(n * (n + 1), 1, B[n])] if B[n] else []
 
 
 def _r_cor_1_2(n: int) -> tuple[list, list]:
     """Chain of three expressions e1 = e2 = e3; the sides are e2 and e3.  The
     first link checks nothing: e1 - e2 = sum (n-2k)/(2k(n-k)) Bbar_k Bbar_{n-k}
     is 0 for any sequence, its weight being antisymmetric under k <-> n-k."""
-    lhs = [_frac(n, 2 * k * (n - k), bbar(k), bbar(n - k)) for k in range(2, n - 1)]
-    rhs = [_frac(1, 1, harmonic(n - 1), bbar(n))]
-    rhs += [_frac(comb(n, k), k, bernoulli_number(k), bbar(n - k)) for k in range(2, n + 1)]
+    B, Bb = [*map(bernoulli_number, range(n + 1))], [*map(bbar, range(n + 1))]
+    lhs = [_frac(n, 2 * k * (n - k), Bb[k], Bb[n - k])
+           for k in range(2, n - 1) if Bb[k] and Bb[n - k]]
+    rhs = [_frac(1, 1, harmonic(n - 1), Bb[n])] if Bb[n] else []
+    rhs += [_frac(comb(n, k), k, B[k], Bb[n - k]) for k in range(2, n + 1) if B[k] and Bb[n - k]]
     return lhs, rhs
 
 
@@ -170,18 +180,18 @@ def _r_1_5(n: int) -> tuple[list, list]:
 # -- univariate (diagonal) Bernoulli identities -------------------------------
 
 def _r_1_6(n: int) -> tuple[list, list]:
-    b = bernoulli_poly
+    b, B = bernoulli_poly, [*map(bernoulli_number, range(n + 1))]
     lhs = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
-    lhs += [(_frac(-2 * comb(n - 1, l - 1), l * l, bernoulli_number(l)), b(n - l))
-            for l in range(2, n + 1)]
+    lhs += [(_frac(-2 * comb(n - 1, l - 1), l * l, B[l]), b(n - l))
+            for l in range(2, n + 1) if B[l]]
     return lhs, [(_frac(2, n, harmonic(n - 1)), b(n))]
 
 
 def _r_1_7(n: int) -> tuple[list, list]:
-    b = bernoulli_poly
+    b, B = bernoulli_poly, [*map(bernoulli_number, range(n + 1))]
     lhs = [(1, b(k), b(n - k)) for k in range(0, n + 1)]
-    lhs += [(_frac(-2 * comb(n + 1, l + 1), l + 2, bernoulli_number(l)), b(n - l))
-            for l in range(2, n + 1)]
+    lhs += [(_frac(-2 * comb(n + 1, l + 1), l + 2, B[l]), b(n - l))
+            for l in range(2, n + 1) if B[l]]
     return lhs, [(n + 1, b(n))]
 
 
@@ -222,26 +232,25 @@ def _r_1_10(n: int) -> tuple[list, list]:
 
 def _r_1_11(n: int) -> tuple[list, list]:
     # the Euler convolution against the Bernoulli sum
-    e = euler_poly
+    e, B = euler_poly, [*map(bernoulli_number, range(n + 3))]
     lhs = [(n + 2, e(k), e(n - k)) for k in range(0, n + 1)]
-    rhs = [(_frac(8 * comb(n + 2, l) * (2 ** l - 1), l, bernoulli_number(l)),
-            bernoulli_poly(n + 2 - l)) for l in range(2, n + 3)]
+    rhs = [(_frac(8 * comb(n + 2, l) * (2 ** l - 1), l, B[l]), bernoulli_poly(n + 2 - l))
+           for l in range(2, n + 3) if B[l]]
     return lhs, rhs
 
 
 def _r_1_12(n: int) -> tuple[list, list]:
-    b, e = bernoulli_poly, euler_poly
+    b, e, B = bernoulli_poly, euler_poly, [*map(bernoulli_number, range(n + 1))]
     lhs = [((1, k), b(k), e(n - k)) for k in range(1, n + 1)]
-    lhs += [(_frac(-comb(n, l) * 2 ** l, l, bernoulli_number(l)), e(n - l))
-            for l in range(2, n + 1)]
+    lhs += [(_frac(-comb(n, l) * 2 ** l, l, B[l]), e(n - l)) for l in range(2, n + 1) if B[l]]
     return lhs, [(_frac(1, 1, harmonic(n)), e(n))]
 
 
 def _r_1_13(n: int) -> tuple[list, list]:
-    b, e = bernoulli_poly, euler_poly
+    b, e, B = bernoulli_poly, euler_poly, [*map(bernoulli_number, range(n + 1))]
     lhs = [(1, b(k), e(n - k)) for k in range(0, n + 1)]
-    lhs += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, bernoulli_number(l)),
-             e(n - l)) for l in range(2, n + 1)]
+    lhs += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, B[l]), e(n - l))
+            for l in range(2, n + 1) if B[l]]
     return lhs, [(n + 1, e(n))]
 
 
@@ -264,9 +273,9 @@ def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> tuple[int, int]:
 
 
 def _r_3_1(n: int, p: int, q: int) -> tuple[list, list]:
-    b = bernoulli_poly
+    b, B = bernoulli_poly, [*map(bernoulli_number, range(n + 1))]
     lhs = [(_w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
-    rhs = [(_w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1)]
+    rhs = [(_w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1) if B[l]]
     rhs += [(_frac(1, n, h_pq(n, p, q)), b(n)), (_frac(1, n, h_pq(n, q, p)), b(n))]
     return lhs, rhs
 
@@ -461,39 +470,27 @@ def _get_spec(key: str) -> IdentitySpec:
         raise UnknownIdentityError(key) from None
 
 
-def _neg(w):
-    """-w for an int, a Rat or an integer pair (num, den)."""
-    return (-w[0], w[1]) if type(w) is tuple else -w
-
-
-def _neg_terms(terms: list) -> list:
-    return [(_neg(w), *factors) for w, *factors in terms]
-
-
-# arity -> (its kernel, a side of that arity with every weight negated); each
-# kernel is looked up at the call, so one patched or wrapped on its class runs
+# arity -> its kernel of the two sides, LHS - RHS; each is looked up at the
+# call, so one patched or wrapped on its class runs
 _KERNELS = {
-    "scalar": (lambda parts: frac_sum(parts), lambda pairs: [_neg(w) for w in pairs]),
-    "univariate": (lambda parts: Poly1() if Poly1.vanishes(parts) else Poly1.lincomb(parts),
-                   _neg_terms),
-    "bivariate": (lambda parts: Poly2.sheared(parts),
-                  lambda groups: [(pair, _neg_terms(terms), *pole)
-                                  for pair, terms, *pole in groups]),
+    "scalar": lambda lhs, rhs: frac_sum(lhs, rhs),
+    "univariate": lambda lhs, rhs: (Poly1() if Poly1.vanishes(lhs, rhs)
+                                    else Poly1.lincomb(lhs, rhs)),
+    "bivariate": lambda lhs, rhs: Poly2.sheared(lhs, rhs),
 }
 
 
 def build_residual(key: str, n: int, *, l: Optional[int] = None,
                    p: Optional[int] = None, q: Optional[int] = None) -> Residual:
     """LHS - RHS of one identity instance after denominator clearing, by one
-    kernel call on the left side's data and the right side's, negated; a
-    derived entry then maps that residual by its ``derive``."""
+    kernel call on the two sides' data; a derived entry then maps that
+    residual by its ``derive``."""
     spec = _get_spec(key)
     if not spec.in_domain(n, l, p, q):
         raise ValueError(f"parameters out of domain for {key!r}: n={n}, l={l}, p={p}, q={q}")
     given = (l, p, q)
-    kernel, negated = _KERNELS[spec.arity]
-    lhs, rhs = spec.build(n, *[given[_SLOTS[name]] for name, _, _ in spec.params])
-    residual = kernel([*lhs, *negated(rhs)])
+    residual = _KERNELS[spec.arity](*spec.build(n, *[given[_SLOTS[name]]
+                                                     for name, _, _ in spec.params]))
     return residual if spec.derive is None else spec.derive(n, residual)
 
 

@@ -15,30 +15,34 @@ structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
 
 Every operation runs on the stored integers, through two kernels.
+Each takes a second, subtracted list of terms beside the first, so a
+difference L - R is one call and R is never copied negated.
 ``lincomb`` sums weighted products w * f * g, terms (w, f, g), a term
 (w, f) being its product with the class's unit ``_unit``, each weight an
-int, a Rat or an unreduced integer pair (num, den): it scales every
-weight to the lcm of the term denominators, adds the weights of terms
-with the same factors in either order, keyed on the identity of each
-factor's stored numerator tuple (one object is one grid whatever the
-denominator, which the weights carry, so a merge can be missed but never
-wrong), divides out the weights' common factor with that lcm, adds each
-product straight into one integer grid (``_convolve``, the module's only
-convolution loop, over each factor's nonzero entries, listed once per
-polynomial in its ``_nz`` slot) and brings the result to canonical form
-once.  ``Poly1.vanishes`` is the zero test of such a sum: it takes the
-same terms through the same merge (``_merged``) and, without expanding
-them, evaluates the integer sum at x = 2^W, with 2^W above a bound on
-every coefficient, so the value is zero exactly when the polynomial is
-(a proof, not a random-point test); each factor keeps its values at
-2^W for its last few widths W beside it, as it keeps ``_nz``.  Sums,
+int, a Rat or an unreduced integer pair (num, den): as it checks each
+term (``_merged``), it adds the weight into the entry of the term's
+unordered pair of factors, keyed on the identity of each factor's
+stored numerator tuple (a merge can be missed but never wrong), over
+the entry's own denominator, the weight's times the factors' (one grid
+can sit over two denominators); it then scales the entries to the lcm
+of their denominators, divides out their common factor with that lcm,
+adds each product straight into one integer grid (``_convolve``, the
+module's only convolution loop, over each factor's nonzero entries,
+listed once per polynomial in its ``_nz`` slot) and brings the result
+to canonical form once.  ``Poly1.vanishes`` is the zero test of such a
+sum: it takes the same terms through the same merge and, without
+expanding them, evaluates the integer sum at x = 2^W, with 2^W above a
+bound on every coefficient, so the value is zero exactly when the
+polynomial is (a proof, not a random-point test); each factor keeps its
+values at 2^W for its last few widths W beside it, as it keeps ``_nz``,
+and a unit factor is neither bounded nor packed.  Sums,
 differences, products and scalar multiples are lincombs of one or two
 terms; ``Poly2.subst`` is Horner's rule on them and shares no
 helper with the per-axis shift in ``operators``, which the tests check
 against it.  Coefficients and evaluation points are ints or Rats.
 ``Poly2.sheared`` sums separable terms w * f(L1) * g(L2) * (x - y)^k,
-with Poly1 factors and the same weights (one helper, ``_take_terms``,
-checks the terms of both kernels), at four unimodular argument pairs
+with Poly1 factors and the same weights, checked as ``_merged`` checks
+them, at four unimodular argument pairs
 (L1, L2) by outer products and integer shears: O(n^3) for degree n,
 where products of bivariate embeddings cost O(n^4); a list at both
 (x - y, y) and (y - x, x) is sheared once and added to its transpose,
@@ -224,43 +228,55 @@ def _weight(w) -> tuple[int, int] | tuple[None, None]:
     return None, None
 
 
-def _take_terms(parts: list, key, terms, ftype, unit=None) -> None:
-    """Append (key, num, den, f, g) to ``parts`` for each nonzero term (w, f, g).
-
-    w is an int, a Rat or an unreduced integer pair (num, den), den > 0,
-    and f and g are instances of ``ftype``; den is the weight's times the
-    factors'.  Given a unit, a term (w, f) is (w, f, unit).
-    """
-    for term in terms:
-        w, f, g = (*term, unit) if unit is not None and len(term) == 2 else term
-        num, den = _weight(w)
-        if num is None or not (isinstance(f, ftype) and isinstance(g, ftype)):
-            raise TypeError(f"terms are (w, f, g), or (w, f) in lincomb, with an int, Rat or "
-                            f"(num, den) weight and {ftype.__name__} factors")
-        if num and f._num and g._num:
-            parts.append((key, num, den * f._den * g._den, f, g))
+def _term_error(ftype) -> TypeError:
+    return TypeError(f"terms are (w, f, g), or (w, f) in lincomb, with an int, Rat or "
+                     f"(num, den) weight and {ftype.__name__} factors")
 
 
-def _merged(cls, terms) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
+def _merged(cls, terms, minus=()) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
     """The products (s, f, g) and the denominator D of sum w * f * g over the
-    terms of ``cls``: the sum is sum s * f * g / D, with nonzero integer s.
+    terms of ``cls`` less that over the terms ``minus``: the difference is
+    sum s * f * g / D, with nonzero integer s.
 
     Each term is (w, f, g), or (w, f) read as (w, f, unit), with w an int,
-    a Rat or an unreduced integer pair (num, den), den > 0.  The weights go
-    over the lcm D of the term denominators and are added per unordered
-    pair of stored grids; their common factor with D is divided out, so the
-    products run on the smallest integers.
+    a Rat or an unreduced integer pair (num, den), den > 0.  A term is
+    checked and added at once into the entry [num, den, f, g] of its
+    unordered pair of stored grids, a unit factor put second; den holds
+    the factors' denominators as well as the weight's, since one grid can
+    sit over two denominators, and two terms over different ones add over
+    their lcm.  D is the lcm over the entries that do not cancel, and
+    their common factor with D is divided out, so the products run on the
+    smallest integers.
     """
-    parts = []  # holds the factors, so the grid ids below stay valid
-    _take_terms(parts, None, terms, cls, cls._unit)
-    d = lcm(*(den for _, _, den, _, _ in parts))
-    merged: dict[tuple[int, int], list] = {}
-    for _, num, den, f, g in parts:
-        ka, kb = id(f._num), id(g._num)
-        entry = merged.setdefault((ka, kb) if ka < kb else (kb, ka), [0, f, g])
-        entry[0] += num * (d // den)
-    c = gcd(d, *(s for s, _, _ in merged.values()))
-    return [(s // c, f, g) for s, f, g in merged.values() if s], d // c
+    unit, merged = cls._unit, {}  # the entries hold the factors, so the grid ids stay valid
+    for sign, side in ((1, terms), (-1, minus)):
+        for term in side:
+            if len(term) == 2:
+                (w, f), g = term, unit
+            else:
+                w, f, g = term
+            num, den = _weight(w)
+            if num is None or not (isinstance(f, cls) and isinstance(g, cls)):
+                raise _term_error(cls)
+            if not (num and f._num and g._num):
+                continue
+            num, den = sign * num, den * f._den * g._den
+            ka, kb = id(f._num), id(g._num)
+            key = (ka, kb) if ka < kb else (kb, ka)
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [num, den, g, f] if f is unit else [num, den, f, g]
+            elif entry[1] == den:
+                entry[0] += num
+            else:
+                m = lcm(entry[1], den)
+                entry[0] = entry[0] * (m // entry[1]) + num * (m // den)
+                entry[1] = m
+    items = [entry for entry in merged.values() if entry[0]]
+    d = lcm(*(den for _, den, _, _ in items))
+    scaled = [(num * (d // den), f, g) for num, den, f, g in items]
+    c = gcd(d, *(s for s, _, _ in scaled))
+    return [(s // c, f, g) for s, f, g in scaled], d // c
 
 
 # ``Poly1.vanishes`` packs at a width W rounded up to a multiple of _QUANTUM
@@ -356,14 +372,15 @@ class _Poly:
     # -- ring operations ---------------------------------------------------
 
     @classmethod
-    def lincomb(cls, terms: Iterable[tuple]):
-        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f).
+    def lincomb(cls, terms: Iterable[tuple], minus: Iterable[tuple] = ()):
+        """The sum of w * f * g over terms (w, f, g), or w * f over (w, f),
+        less the same sum over the terms ``minus``.
 
         Weights are ints or Rats and factors instances of the class.  The
         whole sum is built in one integer grid and brought to canonical
         form once: ``_convolve`` adds each product of ``_merged`` into it.
         """
-        items, d = _merged(cls, terms)
+        items, d = _merged(cls, terms, minus)
         if not items:
             return cls._of([], 1)
         return cls._of(_convolve([(s, f._sparse(), g._sparse()) for s, f, g in items]), d)
@@ -439,8 +456,8 @@ class Poly1(_Poly):
         return (self._num,)
 
     @classmethod
-    def vanishes(cls, terms: Iterable[tuple]) -> bool:
-        """True iff the ``lincomb`` of ``terms`` is the zero polynomial, proved
+    def vanishes(cls, terms: Iterable[tuple], minus: Iterable[tuple] = ()) -> bool:
+        """True iff ``lincomb(terms, minus)`` is the zero polynomial, proved
         by one exact evaluation at x = 2^W (Kronecker substitution).
 
         The terms, their checks and ``TypeError``s are ``lincomb``'s, and so is
@@ -452,13 +469,17 @@ class Poly1(_Poly):
         lowest nonzero coefficient would be a multiple of 2^W.  So P(2^W),
         one sum of products of the factors' packed values (``_packed``), is
         zero exactly when P is; nothing is expanded, and no grid is built.
+        A unit factor, which ``_merged`` puts second, is 1 in both the bound
+        and the value, so it is neither bounded nor packed.
         """
-        items, _ = _merged(cls, terms)
-        bound = 0
+        items, _ = _merged(cls, terms, minus)
+        unit, bound = cls._unit, 0
         for s, f, g in items:
-            bound += abs(s) * f._norms()[0] * g._norms()[1]
+            m = abs(s) * f._norms()[0]
+            bound += m if g is unit else m * g._norms()[1]
         w = -(-bound.bit_length() // _QUANTUM) * _QUANTUM
-        return not sum([s * f._packed(w) * g._packed(w) for s, f, g in items])
+        return not sum([s * f._packed(w) if g is unit else s * f._packed(w) * g._packed(w)
+                        for s, f, g in items])
 
     def _norms(self) -> tuple:
         """(sum of |c|, max of |c|, packed values) over the stored numerators c,
@@ -473,8 +494,8 @@ class Poly1(_Poly):
         return kr
 
     def _packed(self, w: int) -> int:
-        """The stored numerators at x = 2^w."""
-        l1, top, packs = self._norms()
+        """The stored numerators at x = 2^w, once ``_norms`` has set ``_kr``."""
+        l1, top, packs = self._kr
         for kw, v in packs:
             if kw == w:
                 return v
@@ -588,8 +609,9 @@ class Poly2(_Poly):
         return self._num
 
     @classmethod
-    def sheared(cls, groups: Iterable[tuple]) -> Poly2:
-        """The sum of w * f(L1) * g(L2) * (x - y)^k over groups ((L1, L2), terms[, k]).
+    def sheared(cls, groups: Iterable[tuple], minus: Iterable[tuple] = ()) -> Poly2:
+        """The sum of w * f(L1) * g(L2) * (x - y)^k over groups ((L1, L2), terms[, k]),
+        less the same sum over the groups ``minus``.
 
         Terms are (w, f, g) with Poly1 factors and a ``lincomb`` weight, (L1, L2)
         is a pair of ``_SHEARS``, or its one set of two pairs, and the pole k
@@ -607,9 +629,16 @@ class Poly2(_Poly):
         c_j - c_(j-1), and that level's grids are added.  A sum whose slices
         are all zero is the zero polynomial, returned without rebuilding rows.
         """
-        parts = []
-        for pair, terms, *pole in groups:
-            _take_terms(parts, (_SHEARS[pair], _pole_steps(*pole)), terms, Poly1)
+        parts = []  # (key, num, den, f, g) per nonzero term, den the weight's times the factors'
+        for sign, side in ((1, groups), (-1, minus)):
+            for pair, terms, *pole in side:
+                key = (_SHEARS[pair], _pole_steps(*pole))
+                for w, f, g in terms:
+                    num, den = _weight(w)
+                    if num is None or not (isinstance(f, Poly1) and isinstance(g, Poly1)):
+                        raise _term_error(Poly1)
+                    if num and f._num and g._num:
+                        parts.append((key, sign * num, den * f._den * g._den, f, g))
         if not parts:
             return cls()
         d = lcm(*(den for _, _, den, _, _ in parts))

@@ -24,7 +24,7 @@ import threading
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb, lcm, perm
 from typing import Sequence
 
 from .arith import Rat, beta_int, factorial, frac_sum
@@ -161,7 +161,7 @@ def euler_poly(n: int) -> Poly1:
 
 
 # _bern2(k, cx, cy) = B_k(cx*x + cy*y), likewise _eul2; no builder reads them, they
-# stay for the cache_info() that perfbench/spans.py snapshot() reads (ROADMAP item 4a)
+# stay for the cache_info() that perfbench/spans.py snapshot() reads (ROADMAP item 1)
 
 @cache
 def _bern2(k: int, cx: int, cy: int) -> Poly2:
@@ -203,8 +203,11 @@ def h_pq(n: int, p: int, q: int) -> Rat:
     """Partial beta sum H_n(p, q) = sum_{k=1}^{n-1} beta(k+q, p+1).
 
     The defining sum is the source of truth; its summands
-    (k+q-1)! p! / (k+p+q)! are added as integers over the common
-    denominator (n+p+q-1)!.  For p >= 1 it telescopes to
+    (k+q-1)! p! / (k+p+q)! go over the common denominator (n+p+q-1)!,
+    the numerators p! t_k with t_k = (k+q-1)! (n+p+q-1)! / (k+p+q)! added
+    as ints, each t_k from the last by the term ratio
+    t_{k+1} / t_k = (k+q) / (k+p+q+1), a division that is exact because
+    t_{k+1} is an integer.  For p >= 1 the sum telescopes to
     beta(p, q+1) - beta(p, n+q), and that closed form is recomputed as a
     consistency check; for p = 0 the summands are just 1/(k+q), so the
     "closed form" is the defining sum itself.
@@ -213,9 +216,11 @@ def h_pq(n: int, p: int, q: int) -> Rat:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    den = factorial(n + p + q - 1)
-    total = Rat(factorial(p) * sum(factorial(k + q - 1) * (den // factorial(k + p + q))
-                                   for k in range(1, n)), den)
+    t = total = factorial(q) * perm(n + p + q - 1, n - 2)  # t_1
+    for k in range(1, n - 1):
+        t = t * (k + q) // (k + p + q + 1)
+        total += t
+    total = Rat(factorial(p) * total, factorial(n + p + q - 1))
     if p >= 1:
         closed = beta_int(p, q + 1) - beta_int(p, n + q)
         if total != closed:

@@ -145,8 +145,8 @@ def test_consistency_suite():
             assert euler_poly(n) == half == solve_delta_star(Poly1.monomial(n, 2))
             assert euler_poly(n).compose_affine(1, 1) + euler_poly(n) == Poly1.monomial(n, 2)
             assert bernoulli_poly(n)(Fraction(1, 2)) == bbar(n)
-            assert euler_at_zero(n) == euler_poly(n)(0)
             if n >= 1:
+                assert euler_poly(n)(1) == -euler_at_zero(n)
                 assert (bernoulli_poly(n).compose_affine(1, 1) - bernoulli_poly(n)
                         == Poly1.monomial(n - 1, n))
                 assert bernoulli_poly(n).derivative() == n * bernoulli_poly(n - 1)

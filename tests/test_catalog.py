@@ -386,12 +386,13 @@ def test_bivariate_builders_match_the_embedding_route(monkeypatch):
     kernel, lincomb = Poly2.sheared.__func__, Poly2.lincomb.__func__
     sheared_calls, lincomb_calls, in_oracle = [], [], []
 
-    def checked(cls, groups):
-        groups = [(key, list(terms), *pole) for key, terms, *pole in groups]
-        result = kernel(cls, groups)
+    def checked(cls, groups, minus=()):
+        groups, minus = ([(key, list(terms), *pole) for key, terms, *pole in side]
+                         for side in (groups, minus))
+        result = kernel(cls, groups, minus)
         in_oracle.append(True)
         try:
-            assert result == _embedding_route(groups)
+            assert result == _embedding_route(groups) - _embedding_route(minus)
         finally:
             in_oracle.pop()
         sheared_calls.append(result)
@@ -494,6 +495,57 @@ def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
     assert sweep() == set(catalog.CATALOG) - {"chu", "3.2"}
 
 
+# the Bernoulli factors B_l and Bbar_k of each term of a builder's literal
+# ranges, per side and in order, given the two sequences; () for a term
+# without one
+BERNOULLI_FACTORS = {
+    "1.1": lambda n, B, Bb: ([(B(k), B(n - k)) for k in range(2, n - 1)], [(B(n),)]),
+    "1.2": lambda n, B, Bb: ([(B(k), B(n - k)) for k in range(2, n - 1)], [(B(n),)]),
+    "1.3": lambda n, B, Bb: ([(B(k), B(n - k)) for k in range(2, n - 1)], [(B(n),)]),
+    "cor1.2": lambda n, B, Bb: ([(Bb(k), Bb(n - k)) for k in range(2, n - 1)],
+                                [(Bb(n),), *[(B(k), Bb(n - k)) for k in range(2, n + 1)]]),
+    "1.6": lambda n, B, Bb: ([()] * (n - 1) + [(B(l),) for l in range(2, n + 1)], [()]),
+    "1.7": lambda n, B, Bb: ([()] * (n + 1) + [(B(l),) for l in range(2, n + 1)], [()]),
+    "1.11": lambda n, B, Bb: ([()] * (n + 1), [(B(l),) for l in range(2, n + 3)]),
+    "1.12": lambda n, B, Bb: ([()] * n + [(B(l),) for l in range(2, n + 1)], [()]),
+    "1.13": lambda n, B, Bb: ([()] * (n + 1) + [(B(l),) for l in range(2, n + 1)], [()]),
+    "3.1": lambda n, B, Bb: ([()] * (n - 1), [(B(l),) for l in range(2, n + 1)] + [(), ()]),
+}
+
+
+def test_builders_leave_out_exactly_the_zero_weight_terms(monkeypatch):
+    # every builder with a factor B_l or Bbar_k drops each term whose factor is
+    # zero, and only those: with the true sequences each side has one term per
+    # literal term whose factors are nonzero, and no such term's weight is 0; under
+    # PERTURBED, where no B_l or Bbar_k is zero, each side holds every term of
+    # its literal range, so a builder that skips odd l by parity fails here
+    def weight_num(arity: str, term: tuple) -> int:
+        w = term if arity == "scalar" else term[0]  # a pair (num, den), an int or a pair
+        return w[0] if type(w) is tuple else w
+
+    def dropped(B, Bb) -> int:
+        """The literal terms with a zero factor, once each builder is checked."""
+        count = 0
+        for key, factors in BERNOULLI_FACTORS.items():
+            spec = catalog.CATALOG[key]
+            for n, params in _default_instances(spec, 16):
+                for side, literal in zip(spec.build(n, *params.values()), factors(n, B, Bb)):
+                    kept = [f for f in literal if all(f)]
+                    assert len(side) == len(kept), (key, n, params)
+                    assert all(weight_num(spec.arity, term)
+                               for term, f in zip(side, kept) if f), (key, n, params)
+                    count += len(literal) - len(kept)
+        return count
+
+    assert len(BERNOULLI_FACTORS) == 10
+    assert dropped(B, bbar) > 0
+    wrong_b, wrong_bbar = PERTURBED["bernoulli_number"], PERTURBED["bbar"]
+    assert all(wrong_b(k) and wrong_bbar(k) for k in range(40))
+    monkeypatch.setattr(catalog, "bernoulli_number", wrong_b)
+    monkeypatch.setattr(catalog, "bbar", wrong_bbar)
+    assert dropped(wrong_b, wrong_bbar) == 0
+
+
 def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
     # build_residual tests a univariate residual for zero by Poly1.vanishes,
     # one evaluation at a power of two, and expands it by Poly1.lincomb only
@@ -508,9 +560,8 @@ def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
         for spec in univariate:
             for n, params in _default_instances(spec, 14):
                 lhs, rhs = spec.build(n, *params.values())
-                parts = [*lhs, *catalog._neg_terms(rhs)]
-                zero = Poly1.vanishes(parts)
-                assert zero is Poly1.lincomb(parts).is_zero, (spec.key, n, params)
+                zero = Poly1.vanishes(lhs, rhs)
+                assert zero is Poly1.lincomb(lhs, rhs).is_zero, (spec.key, n, params)
                 assert zero is build_residual(spec.key, n, **params).is_zero
                 out.append(zero)
         return out
@@ -522,8 +573,8 @@ def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
 
 
 # the sizes of the "CLI end to end" runs in .github/workflows/tests.yml that
-# prove 1.12, 1.13 and 3.1 at n = 40..60 and the bivariate ids at n = 26..40,
-# past every other check that can fail; the two move together
+# prove 1.6, 1.7, 1.11, 1.12, 1.13 and 3.1 at n = 40..60 and the bivariate ids
+# at n = 26..40, past every other check that can fail; the two move together
 CI_UNIVARIATE_N, CI_BIVARIATE_N = range(40, 61), range(26, 41)
 
 
@@ -535,24 +586,23 @@ def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
     # 1.10's (x - y)^2, against the embedding route
     for name, wrong in PERTURBED.items():
         monkeypatch.setattr(catalog, name, wrong)
-    for key, params in (("1.12", ()), ("1.13", ()), ("3.1", (0, 0)), ("3.1", (1, 1))):
+    for key, params in (("1.6", ()), ("1.7", ()), ("1.11", ()), ("1.12", ()), ("1.13", ()),
+                        ("3.1", (0, 0)), ("3.1", (1, 1))):
         for n in CI_UNIVARIATE_N:
             lhs, rhs = catalog.CATALOG[key].build(n, *params)
-            parts = [*lhs, *catalog._neg_terms(rhs)]
-            assert not Poly1.vanishes(parts), (key, n, params)
-            assert not Poly1.lincomb(parts).is_zero, (key, n, params)
+            assert not Poly1.vanishes(lhs, rhs), (key, n, params)
+            assert not Poly1.lincomb(lhs, rhs).is_zero, (key, n, params)
     for key in ("1.5", "1.10"):
         for n in CI_BIVARIATE_N:
             lhs, rhs = catalog.CATALOG[key].build(n)
-            groups = [*lhs, *[(pair, catalog._neg_terms(terms), *pole)
-                              for pair, terms, *pole in rhs]]
-            result = Poly2.sheared(groups)
-            assert not result.is_zero and result == _embedding_route(groups), (key, n)
+            result = Poly2.sheared(lhs, rhs)
+            assert not result.is_zero, (key, n)
+            assert result == _embedding_route(lhs) - _embedding_route(rhs), (key, n)
 
 
 def test_embedding_memos_still_answer_cache_info():
     # perfbench/spans.py snapshot() reads these two memos' cache_info();
-    # they may go only together with that read (ROADMAP item 4a)
+    # they may go only together with that read (ROADMAP item 1)
     for memo in (catalog._bern2, catalog._eul2):
         assert memo.cache_info().maxsize is None
 

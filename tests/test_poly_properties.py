@@ -15,7 +15,7 @@ evaluation point short of the coefficient bound would take for zero.
 ``Poly1.compose_affine`` must equal sum c_i (a x + b)^i as the oracle
 expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
-at each of its five argument pairs and its one set of two, with pair
+at each of its four argument pairs and its one set of two, with pair
 weights and with each group's pole (x - y)^k applied as a ``Poly2``
 power.  ``Poly2.subst`` must equal Horner's rule taken in the
 oracle, along either variable.  ``Poly2``'s diagonal and rendering,
@@ -23,6 +23,8 @@ which walk its total-degree slices, must match the oracle summed by
 total degree and sorted by it, a ``Poly1`` must render as its ``Poly2``
 embedding along either axis, and ``div_xminusy`` must raise exactly
 when the diagonal is nonzero.  Powers must equal the explicit products.
+Each kernel's two-side form, which subtracts a second list as it takes
+it in, must equal its one-list form with that list's weights negated.
 Each property runs on seeded random inputs; the hypothesis versions run
 when hypothesis is installed.
 """
@@ -38,6 +40,7 @@ from math import gcd
 import pytest
 
 from bepoly import ExactDivisionError, Poly1, Poly2
+from bepoly.arith import frac_sum
 from bepoly.polynomials import _wrap
 
 X = Poly2.variable("x")
@@ -341,6 +344,57 @@ def test_lincomb_merges_repeated_products_seeded():
         check_merged(Poly2, pool, rand_picks(rng), rng)
 
 
+def negated(terms: list[tuple]) -> list[tuple]:
+    """``terms`` with each weight negated: an int, a Rat or an integer pair (num, den)."""
+    return [((-w[0], w[1]) if isinstance(w, tuple) else -w, *fs) for w, *fs in terms]
+
+
+def check_two_sides(cls, lhs: list[tuple], rhs: list[tuple]) -> None:
+    """lincomb, and for Poly1 vanishes, of two sides against the one-list form."""
+    one = cls.lincomb([*lhs, *negated(rhs)])
+    two = cls.lincomb(lhs, rhs)
+    assert_canonical(two)
+    assert two == one
+    assert cls.lincomb(lhs, lhs) == cls.zero()
+    if cls is Poly1:
+        assert Poly1.vanishes(lhs, rhs) is one.is_zero
+        assert Poly1.vanishes(rhs, rhs)
+
+
+def test_two_side_kernels_equal_the_one_list_form_seeded():
+    # every kernel takes the two sides of an identity and subtracts the right
+    # one as it takes it in; that must equal its one-list form on the left side
+    # followed by the right side negated, also where one grid sits over two
+    # denominators (share_a_grid) on either side, so that one merged entry adds
+    # weights over different denominators, and where the sides cancel
+    rng = random.Random(151)
+    for _ in range(100):
+        pairs = [[(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))]
+                 for _ in range(2)]
+        assert frac_sum(*pairs) == frac_sum([*pairs[0], *[(-a, b) for a, b in pairs[1]]])
+        pool = [poly1_of(rand_terms(rng, rng.randint(-1, 6), 0)) for _ in range(3)]
+        pool = share_a_grid(pool) if pool[0]._num else pool
+        check_two_sides(Poly1, *(shared_terms(rng, pool, rand_picks(rng)) for _ in range(2)))
+    for _ in range(50):
+        pool = [poly2_of(rand_terms(rng, rng.randint(-1, 3), rng.randint(0, 3)))
+                for _ in range(3)]
+        pool = share_a_grid(pool) if pool[0]._num else pool
+        check_two_sides(Poly2, *(shared_terms(rng, pool, rand_picks(rng)) for _ in range(2)))
+        lhs, rhs = (rand_sheared_groups(rng, rng.sample(PAIRS, rng.randint(0, 3)))
+                    for _ in range(2))
+        two = Poly2.sheared(lhs, rhs)
+        assert two == Poly2.sheared([*lhs, *[(pair, negated(terms), *pole)
+                                             for pair, terms, *pole in rhs]])
+        assert_canonical(two)
+        assert Poly2.sheared(lhs, lhs) == Poly2.zero()
+    # p's grid over 3 times its denominator, and the unit in either position
+    f, unit = Poly1((Fraction(1, 3), 2)), Poly1._unit
+    g = _wrap(Poly1, f._num, 3 * f._den)
+    check_two_sides(Poly1, [(1, f, f), (2, f)], [(3, g, f), (6, unit, g)])
+    assert Poly1.lincomb([(1, f, f), (2, f)], [(3, g, f), (6, unit, g)]).is_zero
+    assert not Poly1.vanishes([(1, f, f)], [(2, g, f)])
+
+
 def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
     # 1.6 at n = 10 sums B_k(x) B_{10-k}(x) for k = 1..9: the nine products
     # are five unordered pairs of stored grids, so five parts whose factors
@@ -348,7 +402,7 @@ def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
     # vanishes packs (build_residual's zero test); a term (w, f) is
     # (w, f, unit), so it merges with (w', f, unit) and (w'', unit, f) into one part
     from bepoly import build_residual, polynomials
-    from bepoly.catalog import CATALOG, _neg_terms
+    from bepoly.catalog import CATALOG
     convolve, merged, seen, unit = polynomials._convolve, polynomials._merged, [], Poly1._unit
     packed = []
 
@@ -358,8 +412,8 @@ def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
                                      for _, a, b in parts)))
         return convolve(parts)
 
-    def counted_merge(cls, terms):
-        items, den = merged(cls, terms)
+    def counted_merge(cls, terms, minus=()):
+        items, den = merged(cls, terms, minus)
         packed.append(sum(f is not unit and g is not unit for _, f, g in items))
         return items, den
 
@@ -368,7 +422,7 @@ def test_lincomb_passes_one_part_per_repeated_product(monkeypatch):
     assert build_residual("1.6", 10).is_zero
     assert packed == [5] and not seen  # one zero test, no expansion
     lhs, rhs = CATALOG["1.6"].build(10)
-    assert Poly1.lincomb([*lhs, *_neg_terms(rhs)]).is_zero
+    assert Poly1.lincomb(lhs, rhs).is_zero
     assert seen[0][1] == 5
     f = Poly1((Fraction(1, 3), 2))
     assert Poly1.lincomb([(2, f), (3, f, Poly1._unit), (-1, Poly1._unit, f)]) == 4 * f
@@ -457,10 +511,15 @@ def test_vanishes_is_false_at_a_root_that_is_a_power_of_two():
     # point taken even one bit below the coefficient bound can hit the root;
     # so does x^3 (2^k - x), written as 2^(k-2) ((x + x^2)^2 - (x - x^2)^2) - x^4,
     # whose factors have no coefficient above 1: a bound on each product
-    # that reads only the largest coefficient of each factor is short
-    f, g, x4 = Poly1((0, 1, 1)), Poly1((0, 1, -1)), Poly1.monomial(4)
+    # that reads only the largest coefficient of each factor is short; and
+    # x - 2^k times a constant 1 that is not the unit object, in either
+    # position, as only the unit's own products may be left out of the bound
+    f, g, x4, one = Poly1((0, 1, 1)), Poly1((0, 1, -1)), Poly1.monomial(4), Poly1((1,))
+    assert one is not Poly1._unit
     for k in range(1, 301):
-        assert not Poly1.vanishes([(1, Poly1((-(1 << k), 1)))])
+        root = Poly1((-(1 << k), 1))
+        assert not Poly1.vanishes([(1, root)])
+        assert not Poly1.vanishes([(1, one, root)]) and not Poly1.vanishes([(1, root, one)])
         if k >= 2:
             assert not Poly1.vanishes([(1 << k - 2, f, f), (-(1 << k - 2), g, g), (-1, x4)])
     others = [Poly1((1 << b, 1)) for b in range(1, 301)]

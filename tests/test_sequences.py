@@ -8,7 +8,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -238,14 +238,27 @@ def test_euler_at_zero_values():
 
 
 def test_euler_at_zero_matches_polynomial():
-    for l in range(41):
-        assert euler_at_zero(l) == euler_poly(l)(0)
+    # E_n(x+1) + E_n(x) = 2 x^n gives E_n(1) = -E_n(0) for n >= 1; E_n(1) is the
+    # sum of all the coefficients, evaluated, against the closed form at 0
+    for l in range(1, 41):
+        assert euler_poly(l)(1) == -euler_at_zero(l)
 
 
 def test_h_pq_values():
     assert h_pq(4, 0, 0) == Fraction(11, 6)  # 1 + 1/2 + 1/3
     assert h_pq(2, 1, 1) == Fraction(1, 6)
     assert h_pq(2, 2, 0) == Fraction(1, 3)
+
+
+def test_h_pq_matches_its_defining_sum():
+    # H_n(p, q) = sum_{k=1}^{n-1} (k+q-1)! p! / (k+p+q)!, each term its own
+    # factorial quotient, summed as n grows
+    for p in range(7):
+        for q in range(7):
+            total = Fraction(0)
+            for n in range(2, 61):
+                total += Fraction(factorial(n + q - 2) * factorial(p), factorial(n + p + q - 1))
+                assert h_pq(n, p, q) == total, (n, p, q)
 
 
 def test_h_pq_closed_form_cross_check():
