@@ -48,7 +48,9 @@ deliberately wrong variant without the binomial weight (a negative
 control: it must FAIL for n >= 2), chu is the hockey-stick summation,
 and 3.1 / 3.2 / ds are the gamma/beta-weighted generalizations at
 integer parameters (ds being the even-index p = q specialization at
-x = 0).
+x = 0).  Their weights, ratios of gamma values, are written once each,
+inline in the builder, as integer rising factorials perm(a+m-1, m), and
+each per-instance constant, such as rising(n, p+q), is computed once.
 
 The left sides hold the sums, the right sides the harmonic, closed-form
 and divided-difference terms; 1.8 and 1.11 put the Euler convolution
@@ -65,9 +67,8 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, factorial, frac_sum
-from .operators import (_XPY_X, _bernoulli_shift_groups, _euler_shift_groups,
-                        _hockey_stick_sides, _x_to)
-from .polynomials import Poly1, Poly2, _poly1
+from .operators import _bernoulli_shift_groups, _euler_shift_groups, _hockey_stick_sides, _x_to
+from .polynomials import _PAIRED, _X_Y, _XMY_Y, _XPY_X, _YMX_X, Poly1, Poly2, _poly1
 from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 1)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
 
@@ -145,8 +146,7 @@ def _r_cor_1_2(n: int) -> tuple[list, list]:
 # names (x - y, y) and (y - x, x) as one set for one list.  The derived entries
 # 1.4p and 2.3-2.5 build these sides and map the residual (``IdentitySpec.derive``).
 
-_BASE = (((1, 0), (0, 1)), ((1, -1), (0, 1)), ((-1, 1), (1, 0)))
-_PAIRED = (_BASE[0], _BASE[1:])
+_BASE = (_X_Y, _XMY_Y, _YMX_X)
 
 
 def _r_1_4(n: int) -> tuple[list, list]:
@@ -156,9 +156,9 @@ def _r_1_4(n: int) -> tuple[list, list]:
     hw = (h.numerator, h.denominator * n)
     conv = [((1, k * (n - k)), b(k), b(n - k)) for k in range(1, n)]
     mixed = [((-comb(n - 1, l - 1), l * l), b(l), b(n - l)) for l in range(1, n + 1)]
-    return ([*zip(_PAIRED, (conv, mixed), repeat(1))],
-            [(_BASE[0], [(hw, b(n), Poly1._unit), (hw, Poly1._unit, b(n))], 1),
-             (_BASE[0], [((1, n), b(n), Poly1._unit), ((-1, n), Poly1._unit, b(n))])])
+    return ([*zip((_X_Y, _PAIRED), (conv, mixed), repeat(1))],
+            [(_X_Y, [(hw, b(n), Poly1._unit), (hw, Poly1._unit, b(n))], 1),
+             (_X_Y, [((1, n), b(n), Poly1._unit), ((-1, n), Poly1._unit, b(n))])])
 
 
 def _shifted(n: int, r: Poly2) -> Poly2:
@@ -172,9 +172,9 @@ def _r_1_5(n: int) -> tuple[list, list]:
     b, w = bernoulli_poly, n + 2
     conv = [(w, b(k), b(n - k)) for k in range(0, n + 1)]
     mixed = [((-w * comb(n + 1, l + 1), l + 2), b(l), b(n - l)) for l in range(0, n + 1)]
-    return ([*zip(_PAIRED, (conv, mixed), repeat(3))],
-            [(_BASE[0], [(w, b(n + 1), Poly1._unit), (w, Poly1._unit, b(n + 1))], 1),
-             (_BASE[0], [(-2, b(n + 2), Poly1._unit), (2, Poly1._unit, b(n + 2))])])
+    return ([*zip((_X_Y, _PAIRED), (conv, mixed), repeat(3))],
+            [(_X_Y, [(w, b(n + 1), Poly1._unit), (w, Poly1._unit, b(n + 1))], 1),
+             (_X_Y, [(-2, b(n + 2), Poly1._unit), (2, Poly1._unit, b(n + 2))])])
 
 
 # -- univariate (diagonal) Bernoulli identities -------------------------------
@@ -202,9 +202,9 @@ def _r_1_8(n: int) -> tuple[list, list]:
     b, e, m = bernoulli_poly, euler_poly, n + 2
     conv = [(1, e(k), e(n - k)) for k in range(0, n + 1)]
     mixed = [((-2 * comb(n + 1, l), l + 1), e(l), b(n + 1 - l)) for l in range(0, n + 2)]
-    return ([(_BASE[0], conv, 1)],
-            [(_PAIRED[1], mixed, 1),
-             (_BASE[0], [((4, m), b(m), Poly1._unit), ((-4, m), Poly1._unit, b(m))])])
+    return ([(_X_Y, conv, 1)],
+            [(_PAIRED, mixed, 1),
+             (_X_Y, [((4, m), b(m), Poly1._unit), ((-4, m), Poly1._unit, b(m))])])
 
 
 def _r_1_9(n: int) -> tuple[list, list]:
@@ -213,8 +213,8 @@ def _r_1_9(n: int) -> tuple[list, list]:
     left = [((-comb(n, l), l), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n, l), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
     return ([*zip(_BASE, (conv, left, right), repeat(1))],
-            [(_BASE[0], [((h.numerator, h.denominator), Poly1._unit, e(n))], 1),
-             (_BASE[0], [(1, e(n), Poly1._unit), (-1, Poly1._unit, e(n))])])
+            [(_X_Y, [((h.numerator, h.denominator), Poly1._unit, e(n))], 1),
+             (_X_Y, [(1, e(n), Poly1._unit), (-1, Poly1._unit, e(n))])])
 
 
 def _r_1_10(n: int) -> tuple[list, list]:
@@ -223,9 +223,9 @@ def _r_1_10(n: int) -> tuple[list, list]:
     left = [(-comb(n + 1, l + 1), b(l), e(n - l)) for l in range(1, n + 1)]
     right = [((comb(n + 1, l + 1), 2), e(l - 1), e(n - l)) for l in range(1, n + 1)]
     return ([*zip(_BASE, (conv, left, right), repeat(2))],
-            [(_BASE[0], [(n + 1, Poly1._unit, e(n))], 2),
-             (_BASE[0], [(n + 1, e(n), Poly1._unit)], 1),
-             (_BASE[0], [(-1, e(n + 1), Poly1._unit), (1, Poly1._unit, e(n + 1))])])
+            [(_X_Y, [(n + 1, Poly1._unit, e(n))], 2),
+             (_X_Y, [(n + 1, e(n), Poly1._unit)], 1),
+             (_X_Y, [(-1, e(n + 1), Poly1._unit), (1, Poly1._unit, e(n + 1))])])
 
 
 # -- univariate (diagonal) Euler identities -----------------------------------
@@ -255,62 +255,55 @@ def _r_1_13(n: int) -> tuple[list, list]:
 
 
 # -- gamma/beta-weighted family -----------------------------------------------
-
-def _w_3_1_lhs(n: int, k: int, p: int, q: int) -> tuple[int, int]:
-    """Left-side weight of 3.1 as an integer pair,
-    Gamma(k+p) Gamma(n-k+q) / (k! (n-k)! rising(n, p+q)), which is
-    rising(k, p) rising(n-k, q) / (k (n-k) rising(n, p+q)), with the
-    rising factorial rising(a, m) = perm(a+m-1, m)."""
-    return (perm(k + p - 1, p) * perm(n - k + q - 1, q),
-            k * (n - k) * perm(n + p + q - 1, p + q))
-
-
-def _w_3_1_rhs(n: int, l: int, p: int, q: int) -> tuple[int, int]:
-    """C(n-1, l-1) B_l / l * (beta(l+p, q+1) + beta(l+q, p+1)) as an integer
-    pair, the two betas over their common denominator (l+p+q)!."""
-    beta_num = factorial(l + p - 1) * factorial(q) + factorial(l + q - 1) * factorial(p)
-    return _frac(comb(n - 1, l - 1) * beta_num, l * factorial(l + p + q), bernoulli_number(l))
-
+#
+# The weights are ratios of gamma values at integers, each written with
+# integer rising factorials rising(a, m) = a (a+1) ... (a+m-1)
+# = Gamma(a+m) / Gamma(a) = perm(a+m-1, m), and beta(a, b) = (b-1)! / rising(a, b).
 
 def _r_3_1(n: int, p: int, q: int) -> tuple[list, list]:
+    """The left weight Gamma(k+p) Gamma(n-k+q) / (k! (n-k)! rising(n, p+q)) is
+    rising(k, p) rising(n-k, q) / (k (n-k) rising(n, p+q)); the right one,
+    C(n-1, l-1) B_l / l (beta(l+p, q+1) + beta(l+q, p+1)), has the two betas
+    q! rising(l, p) and p! rising(l, q) over rising(l, p+q+1)."""
     b, B = bernoulli_poly, [*map(bernoulli_number, range(n + 1))]
-    lhs = [(_w_3_1_lhs(n, k, p, q), b(k), b(n - k)) for k in range(1, n)]
-    rhs = [(_w_3_1_rhs(n, l, p, q), b(n - l)) for l in range(2, n + 1) if B[l]]
+    s, fp, fq = p + q, factorial(p), factorial(q)
+    rn = perm(n + s - 1, s)
+    lhs = [((perm(k + p - 1, p) * perm(n - k + q - 1, q), k * (n - k) * rn), b(k), b(n - k))
+           for k in range(1, n)]
+    rhs = [(_frac(comb(n - 1, l - 1) * (fq * perm(l + p - 1, p) + fp * perm(l + q - 1, q)),
+                  l * perm(l + s, s + 1), B[l]), b(n - l)) for l in range(2, n + 1) if B[l]]
     rhs += [(_frac(1, n, h_pq(n, p, q)), b(n)), (_frac(1, n, h_pq(n, q, p)), b(n))]
     return lhs, rhs
 
 
-def _sum_3_2(n: int, l: int, p: int, q: int) -> tuple[int, int]:
-    """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q) as an integer pair; every
-    beta has the denominator (n+p+q-1)!, so the numerators
-    t_k = C(n-l, k-l) (k+p-1)! (n-k+q-1)! are summed as ints, each from the
-    last by the term ratio t_{k+1} / t_k = (n-k)(k+p) / ((k-l+1)(n-k+q-1)),
-    a division that is exact because t_{k+1} is an integer."""
-    t = total = factorial(l + p - 1) * factorial(n - l + q - 1)
+def _r_3_2(n: int, l: int, p: int, q: int) -> tuple[list, list]:
+    """sum_{k=l}^{n} C(n-l, k-l) beta(k+p, n-k+q) = beta(l+p, q).  Each left
+    beta is (q-1)! t_k / rising(l+p, n-l+q) with the integer
+    t_k = C(n-l, k-l) rising(l+p, k-l) rising(q, n-k); the t_k are summed as
+    ints, each from the last by the term ratio
+    t_{k+1} / t_k = (n-k)(k+p) / ((k-l+1)(n-k+q-1)), a division that is
+    exact because t_{k+1} is an integer."""
+    t = total = perm(n - l + q - 1, n - l)  # t_l
     for k in range(l, n):
         t = t * (n - k) * (k + p) // ((k - l + 1) * (n - k + q - 1))
         total += t
-    return total, factorial(n + p + q - 1)
-
-
-def _r_3_2(n: int, l: int, p: int, q: int) -> tuple[list, list]:
-    # the right side is beta(l+p, q)
-    return [_sum_3_2(n, l, p, q)], [(factorial(l + p - 1) * factorial(q - 1),
-                                     factorial(l + p + q - 1))]
+    fq = factorial(q - 1)
+    return [(fq * total, perm(n + p + q - 1, n - l + q))], [(fq, perm(l + p + q - 1, q))]
 
 
 def _r_ds(n: int, p: int) -> tuple[list, list]:
-    """Even-index convolution identity with rising-factorial weights
-    (the p = q, x = 0 slice of 3.1 with the index doubled).  With
-    Gamma(m) = (m-1)!, the left weight Gamma(2k+p) Gamma(2n-2k+p) /
-    (Gamma(2k) Gamma(2n-2k)) is perm(2k+p-1, p) perm(2n-2k+p-1, p)."""
-    b, f = bernoulli_number, factorial
-    lhs = [_frac(perm(2 * k + p - 1, p) * perm(2 * n - 2 * k + p - 1, p),
-                 8 * k * (n - k) * f(2 * n + 2 * p - 1), b(2 * k), b(2 * n - 2 * k))
-           for k in range(1, n)]
-    rhs = [_frac(f(2 * k + p - 1) * f(p), f(2 * k) * f(2 * n - 2 * k) * f(2 * k + 2 * p),
-                 b(2 * k), b(2 * n - 2 * k)) for k in range(1, n + 1)]
-    rhs.append(_frac(1, f(2 * n), b(2 * n), h_pq(2 * n, p, p)))
+    """Even-index convolution identity with rising-factorial weights (the
+    p = q, x = 0 slice of 3.1 with the index doubled), B[k] being B_2k.  The
+    left weight Gamma(2k+p) Gamma(2n-2k+p) / (Gamma(2k) Gamma(2n-2k)) is
+    rising(2k, p) rising(2n-2k, p), over 8k(n-k) (2n+2p-1)!; the right one
+    is beta(2k+p, p+1) = p! / rising(2k+p, p+1) over (2k)! (2n-2k)!."""
+    B, f = [bernoulli_number(2 * k) for k in range(n + 1)], factorial
+    d, fp = 8 * f(2 * n + 2 * p - 1), f(p)
+    lhs = [_frac(perm(2 * k + p - 1, p) * perm(2 * n - 2 * k + p - 1, p), k * (n - k) * d,
+                 B[k], B[n - k]) for k in range(1, n)]
+    rhs = [_frac(fp, f(2 * k) * f(2 * n - 2 * k) * perm(2 * k + 2 * p, p + 1), B[k], B[n - k])
+           for k in range(1, n + 1)]
+    rhs.append(_frac(1, f(2 * n), B[n], h_pq(2 * n, p, p)))
     return lhs, rhs
 
 

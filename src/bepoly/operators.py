@@ -31,7 +31,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .polynomials import Poly1, Poly2, _axis, _poly1, _poly2, _shift_by_one
+from .polynomials import _X_Y, _XPY_X, Poly1, Poly2, _axis, _poly1, _poly2, _shift_by_one
 from .sequences import bernoulli_poly, euler_poly, harmonic
 
 __all__ = [
@@ -132,8 +132,6 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
     )
 
 
-# argument pairs (x + y, x) and (x, y) of Poly2.sheared, a*x + b*y written (a, b)
-_XPY_X, _X_Y = ((1, 1), (1, 0)), ((1, 0), (0, 1))
 _x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
 
 

@@ -286,13 +286,18 @@ def _merged(cls, terms, minus=()) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
 _QUANTUM, _KEEP = 32, 4
 
 
-# (L1, L2) -> the steps taking H(u, v) to H(L1, L2), a*x + b*y written (a, b),
-# for (x, y), (x - y, y), (y - x, x) and (x + y, x); each step substitutes in
-# the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v; the set
-# ((x - y, y), (y - x, x)) takes H(x - y, y) and "T" adds its transpose H(y - x, x);
-# a sum at (y, x) is the same sum at (x, y) with the factors of each term swapped
-_SHEARS = {((1, 0), (0, 1)): "", ((1, -1), (0, 1)): "fsf", ((-1, 1), (1, 0)): "fsft",
-           ((1, 1), (1, 0)): "st", (((1, -1), (0, 1)), ((-1, 1), (1, 0))): "fsfT"}
+# the argument pairs (L1, L2) of Poly2.sheared, a*x + b*y written (a, b):
+# (x, y), (x - y, y), (y - x, x), (x + y, x), and _PAIRED, the set
+# ((x - y, y), (y - x, x)) that sums one list at both
+_X_Y, _XMY_Y, _YMX_X, _XPY_X = (((1, 0), (0, 1)), ((1, -1), (0, 1)),
+                                 ((-1, 1), (1, 0)), ((1, 1), (1, 0)))
+_PAIRED = (_XMY_Y, _YMX_X)
+
+# (L1, L2) -> the steps taking H(u, v) to H(L1, L2); each step substitutes in
+# the grid's own variables: "f" u -> -u, "t" u <-> v, "s" u -> u + v; _PAIRED
+# takes H(x - y, y) and "T" adds its transpose H(y - x, x); a sum at (y, x) is
+# the same sum at (x, y) with the factors of each term swapped
+_SHEARS = {_X_Y: "", _XMY_Y: "fsf", _YMX_X: "fsft", _XPY_X: "st", _PAIRED: "fsfT"}
 
 
 def _pole_steps(k=0) -> int:

@@ -641,37 +641,29 @@ def test_gamma_beta_slices():
         assert h_pq(n, 1, 1) == Fraction(1, 2) - Fraction(1, n + 1)
 
 
-def _ds_sides(n: int, p: int) -> tuple[Fraction, Fraction]:
-    def g(m: int) -> int:
-        return factorial(m - 1)
-
-    lhs = Fraction(0)
-    for k in range(1, n):
-        lhs += Fraction(
-            B(2 * k) * B(2 * n - 2 * k) * g(2 * k + p) * g(2 * n - 2 * k + p),
-            1,
-        ) / (8 * k * (n - k) * g(2 * k) * g(2 * n - 2 * k))
-    lhs /= g(2 * n + 2 * p)
-    rhs = Fraction(0)
-    for k in range(1, n + 1):
-        rhs += (B(2 * k) * B(2 * n - 2 * k) * g(2 * k + p)
-                / (factorial(2 * k) * factorial(2 * n - 2 * k) * g(2 * k + 2 * p + 1)))
-    rhs *= g(p + 1)
-    rhs += B(2 * n) / factorial(2 * n) * h_pq(2 * n, p, p)
+def _terms_ds(n: int, p: int, bern=B, hpq=h_pq) -> tuple[list, list]:
+    """The terms of both sides of ds in the order its builder makes them, each
+    weight with its B values as the paper states it, by gamma_ratio and
+    beta_int; B_k and h_pq are read through ``bern`` and ``hpq``."""
+    g = factorial(2 * n - 1) * gamma_ratio(2 * n, 2 * p)  # Gamma(2n + 2p)
+    lhs = [bern(2 * k) * bern(2 * n - 2 * k) * gamma_ratio(2 * k, p)
+           * gamma_ratio(2 * n - 2 * k, p) / (8 * k * (n - k) * g) for k in range(1, n)]
+    rhs = [bern(2 * k) * bern(2 * n - 2 * k) * beta_int(2 * k + p, p + 1)
+           / (factorial(2 * k) * factorial(2 * n - 2 * k)) for k in range(1, n + 1)]
+    rhs.append(bern(2 * n) / factorial(2 * n) * hpq(2 * n, p, p))
     return lhs, rhs
 
 
-def _gamma_beta_sides_at_zero(n: int, p: int, q: int) -> tuple[Fraction, Fraction]:
-    lhs = Fraction(0)
-    for k in range(1, n):
-        lhs += (B(k) * B(n - k) * gamma_ratio(k, p) * gamma_ratio(n - k, q)
-                * Fraction(1, k * (n - k)))
-    lhs /= gamma_ratio(n, p + q)
-    rhs = Fraction(0)
-    for l in range(2, n + 1):
-        rhs += (binomial(n - 1, l - 1) * B(l) / l * B(n - l)
-                * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)))
-    rhs += B(n) / n * (h_pq(n, p, q) + h_pq(n, q, p))
+def _terms_3_1(n: int, p: int, q: int, bern=B, hpq=h_pq) -> tuple[list, list]:
+    """The terms (w, f[, g]) of both sides of 3.1 as for ``_terms_ds``, with
+    the builder's factors; a right term with B_l = 0 is left out, as there."""
+    b, g = bernoulli_poly, gamma_ratio(n, p + q)
+    lhs = [(gamma_ratio(k, p) * gamma_ratio(n - k, q) / (k * (n - k) * g), b(k), b(n - k))
+           for k in range(1, n)]
+    rhs = [(binomial(n - 1, l - 1) * bern(l) / l
+             * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)), b(n - l))
+           for l in range(2, n + 1) if bern(l)]
+    rhs += [(hpq(n, p, q) / n, b(n)), (hpq(n, q, p) / n, b(n))]
     return lhs, rhs
 
 
@@ -680,37 +672,37 @@ def test_even_index_family_is_slice_of_gamma_beta_family():
     # doubled, divided by 2 Gamma(2n)
     for n in range(2, 7):
         for p in range(0, 4):
-            dl, dr = _ds_sides(n, p)
-            tl, tr = _gamma_beta_sides_at_zero(2 * n, p, p)
+            dl, dr = map(sum, _terms_ds(n, p))
+            tl, tr = _terms_3_1(2 * n, p, p)
             scale = Fraction(1, 2 * factorial(2 * n - 1))
-            assert dl == tl * scale
-            assert dr == tr * scale
+            assert dl == sum(w * f(0) * g(0) for w, f, g in tl) * scale
+            assert dr == sum(w * f(0) for w, f in tr) * scale
             assert verify("ds", n, p=p).holds
 
 
 def test_gamma_beta_weights_match_direct_transcription():
-    # the shared-denominator weights of 3.1, the integer sums of h_pq and
-    # 3.2 against the gamma_ratio/beta_int form in which the paper states them
-    for n in range(2, 26):
-        for p in range(5):
-            for q in range(5):
+    # the integer weights that the builders of 3.1, ds and 3.2 return, and the
+    # integer sums of h_pq, against the gamma_ratio/beta_int form in which the
+    # paper states them, at p and q past the default sweeps and CI's
+    for n in range(2, 17):
+        for p in range(9):
+            lhs, rhs = catalog._r_ds(n, p)
+            assert [[Fraction(*w) for w in side] for side in (lhs, rhs)] == [*_terms_ds(n, p)]
+            for q in range(9):
                 assert h_pq(n, p, q) == sum(beta_int(k + q, p + 1) for k in range(1, n))
-                g = gamma_ratio(n, p + q)
-                for k in range(1, n):
-                    direct = (gamma_ratio(k, p) * gamma_ratio(n - k, q)
-                              * Fraction(1, k * (n - k)) / g)
-                    assert Fraction(*catalog._w_3_1_lhs(n, k, p, q)) == direct
-                for l in range(2, n + 1):
-                    direct = (binomial(n - 1, l - 1) * B(l) / l
-                              * (beta_int(l + p, q + 1) + beta_int(l + q, p + 1)))
-                    assert Fraction(*catalog._w_3_1_rhs(n, l, p, q)) == direct
-    for n in range(1, 26):
+                lhs, rhs = catalog._r_3_1(n, p, q)
+                assert [[(Fraction(*w), *fs) for w, *fs in side] for side in (lhs, rhs)] \
+                    == [*_terms_3_1(n, p, q)]
+    for n in range(1, 17):
         for l in range(1, n + 1):
-            for p in range(5):
-                for q in range(1, 5):
-                    direct = sum(binomial(n - l, k - l) * beta_int(k + p, n - k + q)
-                                 for k in range(l, n + 1))
-                    assert Fraction(*catalog._sum_3_2(n, l, p, q)) == direct
+            for p in range(9):
+                for q in range(1, 9):
+                    lhs, rhs = catalog._r_3_2(n, l, p, q)
+                    assert Fraction(*lhs[0]) == sum(binomial(n - l, k - l)
+                                                    * beta_int(k + p, n - k + q)
+                                                    for k in range(l, n + 1))
+                    assert Fraction(*rhs[0]) == beta_int(l + p, q)
+                    assert len(lhs) == len(rhs) == 1
 
 
 # -- integer sums against the Fraction transcriptions ------------------------------
@@ -767,23 +759,8 @@ def _ref_cor_1_2(n: int) -> Fraction:
 
 
 def _ref_ds(n: int, p: int) -> Fraction:
-    b = catalog.bernoulli_number
-
-    def g(m: int) -> int:
-        return factorial(m - 1)
-
-    lhs = Fraction(0)
-    for k in range(1, n):
-        num = b(2 * k) * b(2 * n - 2 * k) * g(2 * k + p) * g(2 * n - 2 * k + p)
-        lhs += Fraction(num, 8 * k * (n - k) * g(2 * k) * g(2 * n - 2 * k))
-    lhs /= g(2 * n + 2 * p)
-    rhs = Fraction(0)
-    for k in range(1, n + 1):
-        rhs += (b(2 * k) * b(2 * n - 2 * k) * g(2 * k + p)
-                / (factorial(2 * k) * factorial(2 * n - 2 * k) * g(2 * k + 2 * p + 1)))
-    rhs *= g(p + 1)
-    rhs += b(2 * n) / factorial(2 * n) * catalog.h_pq(2 * n, p, p)
-    return lhs - rhs
+    lhs, rhs = _terms_ds(n, p, catalog.bernoulli_number, catalog.h_pq)
+    return sum(lhs) - sum(rhs)
 
 
 def _ref_1_6(n: int) -> Poly1:
@@ -831,11 +808,7 @@ def _ref_1_13(n: int) -> Poly1:
 
 
 def _ref_3_1(n: int, p: int, q: int) -> Poly1:
-    b = bernoulli_poly
-    terms = [(Fraction(*catalog._w_3_1_lhs(n, k, p, q)), b(k), b(n - k)) for k in range(1, n)]
-    terms += [(-Fraction(*catalog._w_3_1_rhs(n, l, p, q)), b(n - l)) for l in range(2, n + 1)]
-    terms.append((-(catalog.h_pq(n, p, q) + catalog.h_pq(n, q, p)) / n, b(n)))
-    return Poly1.lincomb(terms)
+    return Poly1.lincomb(*_terms_3_1(n, p, q, catalog.bernoulli_number, catalog.h_pq))
 
 
 def test_integer_builders_match_fraction_transcriptions(monkeypatch):
