@@ -40,9 +40,10 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 # Largest n, p, q or --n-max the command line accepts.  It bounds the
-# Bernoulli numbers (B_2000 takes about two seconds), not every command
-# at the cap: compute euler-poly 2000 builds E_2000 in about seven
-# seconds, and verify-all --n-max 2000 takes far longer.
+# Bernoulli numbers (compute bernoulli-number 2000 takes about a second
+# in a fresh process on a 2-vCPU host), not every command at the cap:
+# compute euler-poly 2000 takes about two and a half seconds, and
+# verify-all --n-max 2000 takes far longer.
 N_LIMIT = 2000
 
 # Largest cache file index the command line can write: ds at n = N_LIMIT

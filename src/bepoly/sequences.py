@@ -3,18 +3,18 @@
 Bernoulli numbers follow the convention forced by the generating
 function z/(e^z - 1), so B_1 = -1/2, and Bernoulli polynomials are
 B_n(x) = sum_k C(n,k) B_k x^{n-k}.  The numbers come from integer
-zigzag numbers (Brent and Harvey, arXiv:1108.0286), one Seidel
-boustrophedon row per index.  Both polynomial families are Appell
-sequences, P_n(x) = sum_k C(n,k) P_k(0) x^{n-k}, and one sum builds
-both: from B_k for B_n(x), and for E_n(x) from the closed form
-E_k(0) = 2 (1 - 2^{k+1}) B_{k+1} / (k+1).  Each E_n(x) is checked
+tangent numbers, one column of Brent and Harvey's Algorithm
+TangentNumbers (arXiv:1108.0286) per even index.  Both polynomial
+families are Appell sequences, P_n(x) = sum_k C(n,k) P_k(0) x^{n-k},
+and one sum builds both: from B_k for B_n(x), and for E_n(x) from the
+closed form E_k(0) = 2 (1 - 2^{k+1}) B_{k+1} / (k+1).  Each E_n(x) is checked
 against its defining equation E_n(x+1) + E_n(x) = 2 x^n.  The forward
 sum is injective on polynomials, so the check is as strong as a second
 construction; a mismatch would mean a convention bug somewhere and is
 treated as fatal.
 
 BernoulliCache is the one hand-written table, because it backs the
-cache file and carries the boustrophedon row from index to index;
+cache file and carries the tangent column from index to index;
 every derived value is a pure function memoised with functools.cache.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import comb, lcm, perm
 from typing import Sequence
 
@@ -52,17 +51,38 @@ class CacheIntegrityError(ValueError):
         self.index = index
 
 
+_ZERO = Rat(0)  # B_m for every odd m >= 3
+
+
+def _tangent_column(c: list[int]) -> None:
+    """Turn column j - 1 of Algorithm TangentNumbers into column j, in place.
+
+    Column j lists the values T_j takes across the algorithm's passes
+    1..j and so ends in the tangent number T_j = A_{2j-1}.  From column
+    j - 1, c_0..c_{j-2}: x_1 = (j-1) c_0, then for k = 2..j-1
+    x_k = (j-k) c_{k-1} + (j-k+2) x_{k-1}, and T_j = 2 x_{j-1}.  Each x_k
+    overwrites c_{k-1}, which nothing reads after it.
+    """
+    j = len(c) + 1
+    x = c[0] = (j - 1) * c[0]
+    for i in range(1, j - 1):  # x_k for k = i + 1
+        x = c[i] = (j - 1 - i) * c[i] + (j + 1 - i) * x
+    c.append(2 * x)
+
+
 class BernoulliCache:
     """Append-only table of Bernoulli numbers B_0, B_1, ...
 
-    The last boustrophedon row is kept beside it, so extending to index
-    m adds one O(m) integer row.  Entries never change once computed;
-    concurrent readers always observe the same deterministic values.
+    The last tangent column is kept beside it, so extending to an even
+    index m = 2j grows it once, in j - 1 steps of two multiplications by
+    small ints and one addition.  Entries
+    never change once computed; concurrent readers always observe the
+    same deterministic values.
     """
 
     def __init__(self):
         self._table: list[Rat] = [Rat(1)]
-        self._row: list[int] = [1]  # row m - 1 has m entries and ends in A_{m-1}
+        self._column: list[int] = [1]  # column j has j entries and ends in T_j
         self._lock = threading.Lock()
 
     @property
@@ -81,13 +101,13 @@ class BernoulliCache:
     def _extend(self, n: int) -> None:
         """Grow the table to index n; the caller holds the lock."""
         for m in range(len(self._table), n + 1):
-            if len(self._row) < m:
-                self._row = list(accumulate(reversed(self._row), initial=0))
             if m % 2:
-                value = Rat(-1, 2) if m == 1 else Rat(0)
-            else:  # B_m = (-1)^(k-1) m A_{m-1} / (4^k (4^k - 1)) for m = 2k
+                value = Rat(-1, 2) if m == 1 else _ZERO
+            else:  # B_m = (-1)^(j-1) m T_j / (4^j (4^j - 1)) for m = 2j
+                if len(self._column) < m // 2:
+                    _tangent_column(self._column)
                 q = 1 << m
-                value = Rat((m if m % 4 == 2 else -m) * self._row[-1], q * (q - 1))
+                value = Rat((m if m % 4 == 2 else -m) * self._column[-1], q * (q - 1))
             self._table.append(value)
 
     def values(self) -> list[Rat]:

@@ -50,6 +50,21 @@ def recurrence_oracle(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@functools.cache
+def seidel_oracle(n: int) -> tuple[Fraction, ...]:
+    """B_0..B_n from zigzag numbers, one Seidel boustrophedon row per index:
+    row m - 1 ends in A_{m-1}, and B_{2k} = (-1)^(k-1) 2k A_{2k-1} / (4^k (4^k - 1))."""
+    out = [Fraction(1), Fraction(-1, 2)][:n + 1]
+    row = [1]
+    for m in range(2, n + 1):
+        while len(row) < m:
+            row = list(accumulate(reversed(row), initial=0))
+        k = m // 2
+        out.append(Fraction(0) if m % 2 else
+                   Fraction((-1) ** (k - 1) * m * row[-1], 4 ** k * (4 ** k - 1)))
+    return tuple(out)
+
+
 def test_bernoulli_number_values():
     assert bernoulli_number(0) == 1
     assert bernoulli_number(1) == Fraction(-1, 2)
@@ -63,9 +78,21 @@ def test_bernoulli_against_independent_oracle():
         assert bernoulli_number(n) == expected
 
 
-def test_zigzag_route_matches_recurrence_oracle():
+def test_tangent_route_matches_recurrence_oracle():
     cache = BernoulliCache()
     assert tuple(cache.get(n) for n in range(301)) == recurrence_oracle(300)
+
+
+@pytest.mark.parametrize("steps", [(1000,), (0, 1, 2, 41, 42, 399, 400, 1000)],
+                         ids=["one-step", "irregular-steps"])
+def test_tangent_route_matches_seidel_oracle_to_1000(steps):
+    # fresh tables, so every tangent column is built here, however the
+    # growth is split; no step overshoots the index asked for
+    cache = BernoulliCache()
+    for n in steps:
+        cache.get(n)
+        assert cache.highest == n
+    assert tuple(cache.values()) == seidel_oracle(1000)
 
 
 def test_odd_bernoulli_numbers_vanish():
@@ -355,21 +382,23 @@ def test_cache_seed_rejects_tampered_entry(held):
 
 
 def test_cache_seed_computes_only_missing_entries(monkeypatch):
-    # one boustrophedon row (one accumulate call) per index computed: seeding
-    # with the values the cache holds builds none, five more entries five
+    # one tangent column j per even index 2j computed: seeding with the
+    # values the cache holds builds none, growing from 40 to 45 builds only
+    # the columns for B_42 and B_44
     cache = BernoulliCache()
     cache.get(40)
-    rows = []
+    columns = []
+    build = sequences._tangent_column
 
-    def counted(*args, **kwargs):
-        rows.append(args)
-        return accumulate(*args, **kwargs)
+    def counted(c):
+        columns.append(len(c) + 1)
+        build(c)
 
-    monkeypatch.setattr(sequences, "accumulate", counted)
+    monkeypatch.setattr(sequences, "_tangent_column", counted)
     cache.seed(cache.values())
-    assert rows == []
+    assert columns == []
     cache.seed(recurrence_oracle(45))
-    assert len(rows) == 5
+    assert columns == [21, 22]
     assert cache.values() == list(recurrence_oracle(45))
 
 
