@@ -23,6 +23,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -97,7 +98,11 @@ def _range_arg(text: str) -> range:
     return range(int(lo), hi + 1)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing leaves
+    it unchanged, so every later ``main`` call, in any thread, shares it.
+    Callers only parse with it; a change to it would reach every call."""
     parser = argparse.ArgumentParser(
         prog="bepoly",
         description="Exact Bernoulli/Euler polynomial computations and "
@@ -181,9 +186,12 @@ def read_cache_file(path: Path) -> list[Rat]:
     if len(lines) - 2 > CACHE_INDEX_LIMIT:  # index of the last entry
         raise CacheIntegrityError(-1, f"{path}: entries up to B_{len(lines) - 2}, past "
                                       f"the limit of B_{CACHE_INDEX_LIMIT}")
+    # one lookup in re's cache per file, not one per line; not compiled at
+    # import, so a process that reads no cache file never pays the compile
+    entry = re.compile(r"(\d+)\t(-?\d+)/(\d*[1-9]\d*)")  # den != 0
     values: list[Rat] = []
     for lineno, line in enumerate(lines[1:]):
-        m = re.fullmatch(r"(\d+)\t(-?\d+)/(\d*[1-9]\d*)", line)  # den != 0
+        m = entry.fullmatch(line)
         if (m and max(map(len, m.groups())) < 3 * lineno + 10
                 and int(m.group(1)) == lineno):
             values.append(Fraction(int(m.group(2)), int(m.group(3))))

@@ -312,23 +312,29 @@ def _mono(*powers: tuple[str, int]) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
 
 
-def _format_terms(terms: list[tuple[Rat, str]]) -> str:
-    """Render [(coeff, monomial), ...] like 'x^2 - x + 1/6'."""
+def _format_terms(terms: list[tuple[int, str]], den: int) -> str:
+    """Render [(numerator, monomial), ...] over ``den`` like 'x^2 - x + 1/6'.
+
+    Each numerator is nonzero and ``den`` positive; one gcd per coefficient
+    writes it as ``str(Fraction(numerator, den))`` would, from the ints.
+    """
     if not terms:
         return "0"
     parts: list[str] = []
-    for coeff, mono in terms:
-        mag = -coeff if coeff < 0 else coeff
+    for v, mono in terms:
+        g = gcd(v, den)
+        a, d = abs(v) // g, den // g
+        mag = f"{a}/{d}" if d != 1 else str(a)
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif a == d:  # a/d is reduced, so it is 1/1
             body = mono
         else:
             body = f"{mag}*{mono}"
         if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
+            parts.append(f"-{body}" if v < 0 else body)
         else:
-            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            parts.append(f"- {body}" if v < 0 else f"+ {body}")
     return " ".join(parts)
 
 
@@ -596,8 +602,8 @@ class Poly1(_Poly):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return _format_terms([(Fraction(v, self._den), _mono(("x", i)))
-                              for i, v in reversed([*enumerate(self._num)]) if v])
+        return _format_terms([(v, _mono(("x", i)))
+                              for i, v in reversed([*enumerate(self._num)]) if v], self._den)
 
 
 class Poly2(_Poly):
@@ -776,9 +782,9 @@ class Poly2(_Poly):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return _format_terms([(Fraction(v, self._den), _mono(("x", m - j), ("y", j)))
+        return _format_terms([(v, _mono(("x", m - j), ("y", j)))
                               for m, c in reversed([*enumerate(_slices(self._num))])
-                              for j, v in enumerate(c) if v])
+                              for j, v in enumerate(c) if v], self._den)
 
 
 # the unit of each class, built once: a one-factor term (w, f) is (w, f, unit)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -306,6 +307,78 @@ def test_cli_import_loads_no_unused_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _without_elapsed(stdout: str) -> str:
+    return re.sub(r', "elapsed_ms": [^,}]*', "", stdout)
+
+
+def test_main_called_again_in_one_process_matches_fresh_processes(capsys):
+    # the parser is built once and shared by every main() call: a usage error
+    # or a failed verify must leave nothing behind for the next call
+    from bepoly import cli
+
+    calls = [(["compute", "euler-poly", "12"], 0),
+             (["verify", "--id", "1.1", "--n", "5..4"], 2),
+             (["verify", "--id", "9.9", "--n", "4"], 2),
+             (["verify", "--id", "1.4", "--id", "2.1-as-printed", "--n", "1..4", "--json"], 1),
+             (["compute", "euler-poly", "12"], 0)]
+    for argv, code in calls:
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert status == fresh.returncode == code, argv
+        assert _without_elapsed(out) == _without_elapsed(fresh.stdout), argv
+        assert err == fresh.stderr, argv
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_parses_alike_in_threads():
+    # 4 threads parse on the one parser, switching every microsecond, and
+    # each namespace equals the one a sequential parse gave (append options
+    # included: verify-all's --id default must stay empty)
+    from bepoly import cli
+
+    argvs = [["compute", "bernoulli-poly", "7"],
+             ["verify", "--id", "1.1", "--id", "3.1", "--n", "2..9", "--p", "0..2",
+              "--q", "1", "--json"],
+             ["verify-all", "--n-max", "12", "--id", "2.1-as-printed", "--id", "1.4p"],
+             ["verify-all", "--cache", "b.cache"],
+             ["cache", "save", "--cache", "b.cache", "--n-max", "40"],
+             ["cache", "info", "--cache", "b.cache"]]
+    expected = [cli._build_parser().parse_args(argv) for argv in argvs]
+    errors: list[object] = []
+    barrier = threading.Barrier(4)
+
+    def parse(shift: int) -> None:
+        try:
+            barrier.wait(timeout=60)
+            for _ in range(50):
+                for k in range(len(argvs)):
+                    i = (k + shift) % len(argvs)
+                    namespace = cli._build_parser().parse_args(argvs[i])
+                    if namespace != expected[i]:
+                        errors.append((argvs[i], namespace))
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(shift,)) for shift in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert [cli._build_parser().parse_args(argv) for argv in argvs] == expected
+    assert expected[3].extra_ids == []
 
 
 def test_compute_prints_values_past_the_int_digit_limit(capsys):

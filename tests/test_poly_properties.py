@@ -22,7 +22,10 @@ oracle, along either variable.  ``Poly2``'s diagonal and rendering,
 which walk its total-degree slices, must match the oracle summed by
 total degree and sorted by it, a ``Poly1`` must render as its ``Poly2``
 embedding along either axis, and ``div_xminusy`` must raise exactly
-when the diagonal is nonzero.  Powers must equal the explicit products.
+when the diagonal is nonzero.  ``str`` of any Poly1 or Poly2, and of
+every B_n(x) and E_n(x) with n <= 120, must equal, byte for byte, the
+rendering written on ``Fraction`` coefficients, kept here as
+``reference_str``.  Powers must equal the explicit products.
 Each kernel's two-side form, which subtracts a second list as it takes
 it in, must equal its one-list form with that list's weights negated.
 Each property runs on seeded random inputs; the hypothesis versions run
@@ -39,7 +42,7 @@ from math import gcd
 
 import pytest
 
-from bepoly import ExactDivisionError, Poly1, Poly2
+from bepoly import ExactDivisionError, Poly1, Poly2, bernoulli_poly, euler_poly
 from bepoly.arith import frac_sum
 from bepoly.polynomials import _wrap
 
@@ -250,6 +253,68 @@ def test_poly1_renders_as_its_poly2_embeddings_seeded():
         p = poly1_of(rand_terms(rng, rng.randint(-1, 8), 0))
         assert str(p.as_poly2("x")) == str(p)
         assert str(p.as_poly2("y")) == str(p).replace("x", "y")
+
+
+def reference_format_terms(terms: list[tuple[Fraction, str]]) -> str:
+    """The renderer as written on Fraction coefficients: [(coeff, monomial), ...]."""
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for coeff, mono in terms:
+        mag = -coeff if coeff < 0 else coeff
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(f"-{body}" if coeff < 0 else body)
+        else:
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(parts)
+
+
+def reference_str(p: Poly1 | Poly2) -> str:
+    """str(p) through ``reference_format_terms``, the terms read from the public
+    coefficients: by descending total degree, then descending x-degree."""
+    def mono(*powers):
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+
+    if isinstance(p, Poly1):
+        return reference_format_terms([(c, mono(("x", i)))
+                                       for i, c in reversed([*enumerate(p.coeffs)]) if c])
+    rows = p.rows
+    width = len(rows[0]) if rows else 0
+    return reference_format_terms([(rows[m - j][j], mono(("x", m - j), ("y", j)))
+                                   for m in reversed(range(len(rows) + width - 1))
+                                   for j in range(m + 1)
+                                   if m - j < len(rows) and j < width and rows[m - j][j]])
+
+
+def rand_coeff(rng: random.Random) -> Fraction | int:
+    """Zero, +-1, a small or a large numerator over a unit or non-unit denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, 1, -1))
+    big = 10 ** rng.randint(1, 30)
+    return Fraction(rng.randint(-big, big), rng.choice((1, rng.randint(1, big))))
+
+
+def test_rendering_matches_the_fraction_reference_seeded():
+    rng = random.Random(113)
+    for _ in range(200):
+        p1 = Poly1([rand_coeff(rng) for _ in range(rng.randint(0, 8))])
+        p2 = Poly2([[rand_coeff(rng) for _ in range(rng.randint(0, 5))]
+                    for _ in range(rng.randint(0, 5))])
+        assert str(p1) == reference_str(p1)
+        assert str(p2) == reference_str(p2)
+
+
+def test_bernoulli_and_euler_polynomials_render_as_the_reference():
+    for n in range(121):
+        for p in (bernoulli_poly(n), euler_poly(n)):
+            assert str(p) == reference_str(p)
 
 
 def test_poly2_properties_seeded():
@@ -896,5 +961,24 @@ def test_compose_affine_hypothesis():
     @given(term_dicts(9, 0), scalars, scalars)
     def run(tp, a, b):
         check_affine(tp, a, b)
+
+    run()
+
+
+def test_rendering_matches_the_fraction_reference_hypothesis():
+    given, settings, rats, _ = _strategies()
+    st = pytest.importorskip("hypothesis.strategies")
+    big = st.integers(-10 ** 30, 10 ** 30)
+    coeffs = st.one_of(st.sampled_from((0, 1, -1)), rats,
+                       st.builds(Fraction, big, st.integers(1, 10 ** 30)),
+                       st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 6, 30))))
+
+    @settings
+    @given(st.lists(coeffs, max_size=9),
+           st.lists(st.lists(coeffs, max_size=6), max_size=6))
+    def run(c1, rows):
+        p1, p2 = Poly1(c1), Poly2(rows)
+        assert str(p1) == reference_str(p1)
+        assert str(p2) == reference_str(p2)
 
     run()
