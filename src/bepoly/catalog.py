@@ -54,20 +54,19 @@ each per-instance constant, such as rising(n, p+q), is computed once.
 
 The left sides hold the sums, the right sides the harmonic, closed-form
 and divided-difference terms; 1.8 and 1.11 put the Euler convolution
-alone on the left.  ``operators`` builds the sides of 2.1, 2.2 and chu.
+alone on the left.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import product, repeat
 from math import comb, perm
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .arith import Rat, factorial, frac_sum
-from .operators import _bernoulli_shift_groups, _euler_shift_groups, _hockey_stick_sides, _x_to
 from .polynomials import _PAIRED, _X_Y, _XMY_Y, _XPY_X, _YMX_X, Poly1, Poly2, _poly1
 from .sequences import _bern2, _eul2  # unused here; perfbench/spans.py reads them (item 1)
 from .sequences import bbar, bernoulli_number, bernoulli_poly, euler_poly, harmonic, h_pq
@@ -147,6 +146,7 @@ def _r_cor_1_2(n: int) -> tuple[list, list]:
 # 1.4p and 2.3-2.5 build these sides and map the residual (``IdentitySpec.derive``).
 
 _BASE = (_X_Y, _XMY_Y, _YMX_X)
+_x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
 
 
 def _r_1_4(n: int) -> tuple[list, list]:
@@ -252,6 +252,35 @@ def _r_1_13(n: int) -> tuple[list, list]:
     lhs += [(_frac(-comb(n + 1, l + 1) * (2 ** l + l - 1), l, B[l]), e(n - l))
             for l in range(2, n + 1) if B[l]]
     return lhs, [(n + 1, e(n))]
+
+
+# -- shift-convolution sums and Chu's identity --------------------------------
+#
+# 2.1 and 2.2 put their left sums at (x + y, x) and their right sums, terms
+# x^(n-l) f_l(y), at (x, y); 2.1-as-printed is 2.1 without the right side's C(n,l).
+
+def _r_2_1(n: int, weighted: bool = True) -> tuple[list, list]:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    h = harmonic(n)
+    lhs = [((1, k), bernoulli_poly(k), _x_to(n - k)) for k in range(1, n + 1)]
+    rhs = [((h.numerator, h.denominator), _x_to(n), _x_to(0))]
+    rhs += [((comb(n, l) if weighted else 1, l), _x_to(n - l), bernoulli_poly(l))
+            for l in range(1, n + 1)]
+    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
+
+
+def _r_2_2(n: int) -> tuple[list, list]:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    lhs = [(1, euler_poly(k), _x_to(n - k)) for k in range(0, n + 1)]
+    rhs = [(comb(n + 1, l + 1), _x_to(n - l), euler_poly(l)) for l in range(0, n + 1)]
+    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
+
+
+def _r_chu(n: int, l: int) -> tuple[list, list]:
+    """sum_{k=l}^{n} C(k-1, l-1) = C(n, l), each side one integer pair."""
+    return [(sum(comb(k - 1, l - 1) for k in range(l, n + 1)), 1)], [(comb(n, l), 1)]
 
 
 # -- gamma/beta-weighted family -----------------------------------------------
@@ -390,15 +419,14 @@ CATALOG: dict[str, IdentitySpec] = {
                      summary="diagonal of 1.9: H_n E_n(x)"),
         IdentitySpec(key="1.13", arity="univariate", n_min=0, build=_r_1_13,
                      summary="diagonal of 1.10: (n+1) E_n(x)"),
-        IdentitySpec(key="2.1", arity="bivariate", n_min=1,
-                     build=partial(_bernoulli_shift_groups, weighted=True),
+        IdentitySpec(key="2.1", arity="bivariate", n_min=1, build=_r_2_1,
                      summary="Bernoulli shift-convolution sum (binomial weights)"),
         IdentitySpec(key="2.1-as-printed", arity="bivariate", n_min=1,
-                     build=partial(_bernoulli_shift_groups, weighted=False),
+                     build=partial(_r_2_1, weighted=False),
                      summary="NEGATIVE CONTROL: 2.1 without the binomial weight; "
                              "fails for n >= 2",
                      negative=True),
-        IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_euler_shift_groups,
+        IdentitySpec(key="2.2", arity="bivariate", n_min=0, build=_r_2_2,
                      summary="Euler shift-convolution sum"),
         IdentitySpec(key="2.3", arity="bivariate", n_min=2, build=_r_1_4,
                      summary="y -> x+y form of 1.4", pole="y", derive=_shifted),
@@ -406,7 +434,7 @@ CATALOG: dict[str, IdentitySpec] = {
                      summary="y -> x+y form of 1.8", pole="y", derive=_shifted),
         IdentitySpec(key="2.5", arity="bivariate", n_min=1, build=_r_1_9,
                      summary="(x,y) -> (x+y,x) form of 1.9", pole="y", derive=_shifted),
-        IdentitySpec(key="chu", arity="scalar", n_min=1, build=_hockey_stick_sides,
+        IdentitySpec(key="chu", arity="scalar", n_min=1, build=_r_chu,
                      summary="hockey-stick sum: sum C(k-1,l-1) = C(n,l)",
                      params=(("l", 1, None),)),
         IdentitySpec(key="3.1", arity="univariate", n_min=2, build=_r_3_1,

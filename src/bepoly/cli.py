@@ -57,6 +57,11 @@ CACHE_INDEX_LIMIT = 2 * N_LIMIT
 COMPUTE = ("bernoulli-number", "bernoulli-poly", "euler-poly", "harmonic", "bbar")
 
 
+# holders of the lifted digit limit, and the limit the first of them saved
+_digits_lock = threading.Lock()
+_digits_holders = _digits_saved = 0
+
+
 @contextmanager
 def _int_digits_unlimited():
     """Lift the interpreter's limit on decimal int <-> str conversion.
@@ -64,16 +69,25 @@ def _int_digits_unlimited():
     bepoly prints and caches values of any size it computes (B_4000 has
     about 9,500 digits; the default limit is 4300).  Inputs are bounded
     by length before int() sees them.  Python 3.10.0-3.10.6 has no limit.
+    The limit is one per interpreter, so holders in any thread are counted
+    under a lock: the first saves and lifts it, the last one out restores it.
     """
+    global _digits_holders, _digits_saved
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    with _digits_lock:
+        if not _digits_holders:
+            _digits_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digits_holders += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(old)
+        with _digits_lock:
+            _digits_holders -= 1
+            if not _digits_holders:
+                sys.set_int_max_str_digits(_digits_saved)
 
 
 # -- argument parsing ----------------------------------------------------------

@@ -12,27 +12,27 @@ solve_delta_star does by integer back-substitution.
 Bernoulli and Euler polynomials are eigenfunction-like for them:
 delta(B_n) = n x^{n-1} and delta_star(E_n) = 2 x^n.
 
-The module also provides the shift-convolution summation identities
+The module also evaluates four catalog entries, whose sides ``catalog``
+builds: the shift-convolution summation identities 2.1 and 2.2
 
     sum_{k=1}^{n} B_k(x+y)/k * x^{n-k}
         = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n
     sum_{k=0}^{n} E_k(x+y) * x^{n-k}
         = sum_{l=0}^{n} C(n+1,l+1) E_l(y) * x^{n-l}
 
-plus the deliberately wrong first variant with the binomial weight
-dropped (a negative control for the verification harness), and Chu's
-hockey-stick identity sum_{k=l}^{n} C(k-1,l-1) = C(n,l) that proves
-the first summation.
+as polynomial pairs, the deliberately wrong first variant with the
+binomial weight dropped (2.1-as-printed, a negative control for the
+verification harness), and Chu's hockey-stick identity
+sum_{k=l}^{n} C(k-1,l-1) = C(n,l) that proves the first summation.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import NamedTuple
 
-from .polynomials import _X_Y, _XPY_X, Poly1, Poly2, _axis, _poly1, _poly2, _shift_by_one
-from .sequences import bernoulli_poly, euler_poly, harmonic
+from .catalog import CATALOG
+from .polynomials import Poly1, Poly2, _axis, _poly1, _poly2, _shift_by_one
 
 __all__ = [
     "DiffOperator",
@@ -132,44 +132,13 @@ def check_product_rules(p: Poly1, q: Poly1) -> bool:
     )
 
 
-_x_to = cache(Poly1.monomial)  # x^j, one Poly1 per power
-
-
-def _bernoulli_shift_groups(n: int, weighted: bool) -> tuple[list, list]:
-    """Poly2.sheared groups of both sides of the Bernoulli shift sum: its left
-    side at (x + y, x), its right side, terms x^(n-l) B_l(y), at (x, y); unless
-    weighted, the right side drops C(n,l)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    h = harmonic(n)
-    lhs = [((1, k), bernoulli_poly(k), _x_to(n - k)) for k in range(1, n + 1)]
-    rhs = [((h.numerator, h.denominator), _x_to(n), _x_to(0))]
-    rhs += [((comb(n, l) if weighted else 1, l), _x_to(n - l), bernoulli_poly(l))
-            for l in range(1, n + 1)]
-    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
-
-
-def _euler_shift_groups(n: int) -> tuple[list, list]:
-    """Both sides of the Euler shift sum as Poly2.sheared groups, as above."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    lhs = [(1, euler_poly(k), _x_to(n - k)) for k in range(0, n + 1)]
-    rhs = [(comb(n + 1, l + 1), _x_to(n - l), euler_poly(l)) for l in range(0, n + 1)]
-    return [(_XPY_X, lhs)], [(_X_Y, rhs)]
-
-
-def _hockey_stick_sides(n: int, l: int) -> tuple[list, list]:
-    """Both sides of sum_{k=l}^{n} C(k-1, l-1) = C(n, l) as integer pairs."""
-    return [(sum(comb(k - 1, l - 1) for k in range(l, n + 1)), 1)], [(comb(n, l), 1)]
-
-
 def bernoulli_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     """Both sides of the Bernoulli shift-convolution identity.
 
     LHS = sum_{k=1}^{n} B_k(x+y)/k * x^{n-k},
     RHS = sum_{l=1}^{n} C(n,l) B_l(y)/l * x^{n-l} + H_n x^n.
     """
-    lhs, rhs = _bernoulli_shift_groups(n, True)
+    lhs, rhs = CATALOG["2.1"].build(n)
     return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
@@ -179,7 +148,7 @@ def bernoulli_shift_sum_unweighted(n: int) -> tuple[Poly2, Poly2]:
     This version is FALSE for n >= 2; it is kept as the negative
     control that demonstrates the zero-test has teeth.
     """
-    lhs, rhs = _bernoulli_shift_groups(n, False)
+    lhs, rhs = CATALOG["2.1-as-printed"].build(n)
     return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
@@ -189,7 +158,7 @@ def euler_shift_sum(n: int) -> tuple[Poly2, Poly2]:
     LHS = sum_{k=0}^{n} E_k(x+y) * x^{n-k},
     RHS = sum_{l=0}^{n} C(n+1,l+1) E_l(y) * x^{n-l}.
     """
-    lhs, rhs = _euler_shift_groups(n)
+    lhs, rhs = CATALOG["2.2"].build(n)
     return Poly2.sheared(lhs), Poly2.sheared(rhs)
 
 
@@ -197,5 +166,5 @@ def chu_identity(n: int, l: int) -> bool:
     """Hockey-stick summation: sum_{k=l}^{n} C(k-1, l-1) = C(n, l)."""
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    lhs, rhs = _hockey_stick_sides(n, l)
+    lhs, rhs = CATALOG["chu"].build(n, l)
     return lhs == rhs  # one pair each, both over 1

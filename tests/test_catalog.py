@@ -13,6 +13,7 @@ import inspect
 import json
 import pickle
 import re
+import shlex
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bepoly import catalog, operators
+from bepoly import catalog, cli
 from bepoly.arith import frac_sum
 from bepoly import (
     Poly1,
@@ -30,11 +31,15 @@ from bepoly import (
     bbar,
     bernoulli_number,
     bernoulli_poly,
+    bernoulli_shift_sum,
+    bernoulli_shift_sum_unweighted,
     beta_int,
     binomial,
     build_residual,
     catalog_ids,
+    chu_identity,
     euler_poly,
+    euler_shift_sum,
     gamma_ratio,
     h_pq,
     harmonic,
@@ -49,7 +54,7 @@ H = harmonic
 
 
 # wrong sequences, each true value plus a small term, under the names the
-# catalog and operators read them by; residuals built from them are not 0
+# catalog reads them by; residuals built from them are not 0
 PERTURBED = {
     "bernoulli_poly": lambda k: bernoulli_poly(k) + Poly1.monomial(k % 3, Fraction(k + 1, 7)),
     "euler_poly": lambda k: euler_poly(k) - Poly1.monomial((k + 1) % 4, Fraction(2 * k + 1, 5)),
@@ -58,6 +63,12 @@ PERTURBED = {
     "bbar": lambda k: bbar(k) - Fraction(k, 5),
     "h_pq": lambda n, p, q: h_pq(n, p, q) + Fraction(p + 1, n + 3),
 }
+
+
+def perturb(monkeypatch, names=PERTURBED) -> None:
+    """Swap the catalog's sequences, all or the names given, for PERTURBED's."""
+    for name in names:
+        monkeypatch.setattr(catalog, name, PERTURBED[name])
 
 
 def bern2(k: int, cx: int, cy: int) -> Poly2:
@@ -219,8 +230,7 @@ def test_derived_residuals_are_exact_maps_of_their_bases(monkeypatch):
     # (x + y, x), here by swap and substitution, for any input sequences; so
     # are R_1.1 = (2/n) R_1.2.  Under PERTURBED no residual is 0, so a wrong
     # factor, map or base cannot hide behind 0 = 0.
-    for name in ("bernoulli_poly", "euler_poly", "harmonic", "bernoulli_number", "bbar"):
-        monkeypatch.setattr(catalog, name, PERTURBED[name])
+    perturb(monkeypatch)
     shifted = lambda n, r: r.swap_xy().subst("y", X + Y)
     relations = {"1.4p": ("1.4", lambda n, r: n * r), "2.3": ("1.4", shifted),
                  "2.4": ("1.8", shifted), "2.5": ("1.9", shifted)}
@@ -425,17 +435,12 @@ def test_bivariate_builders_match_the_embedding_route(monkeypatch):
     bivariate = [key for key, spec in catalog.CATALOG.items() if spec.arity == "bivariate"]
     assert "2.1-as-printed" in bivariate and len(bivariate) == 12
     sweep(perturbed=False)
-    memos = b, e, h = catalog.bernoulli_poly, catalog.euler_poly, catalog.harmonic
+    memos = catalog.bernoulli_poly, catalog.euler_poly, catalog.harmonic
     for memo in memos:
         memo.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            for module in (catalog, operators):
-                patch.setattr(module, "bernoulli_poly",
-                              lambda k: b(k) + Poly1.monomial(k % 3, Fraction(k + 1, 7)))
-                patch.setattr(module, "euler_poly",
-                              lambda k: e(k) - Poly1.monomial((k + 1) % 4, Fraction(2 * k + 1, 5)))
-                patch.setattr(module, "harmonic", lambda n: h(n) + Fraction(1, n + 3))
+            perturb(patch)
             sweep(perturbed=True)
     finally:
         for memo in memos:
@@ -487,12 +492,41 @@ def test_builders_return_sides_whose_difference_is_the_residual(monkeypatch):
         return unequal
 
     assert sweep() == {"2.1-as-printed"}
-    for name in ("bernoulli_poly", "euler_poly", "harmonic"):
-        monkeypatch.setattr(operators, name, PERTURBED[name])
-    for name, wrong in PERTURBED.items():
-        monkeypatch.setattr(catalog, name, wrong)
+    perturb(monkeypatch)
     # chu and 3.2 read no sequence
     assert sweep() == set(catalog.CATALOG) - {"chu", "3.2"}
+
+
+def test_shift_sums_and_chu_evaluate_the_catalog_entries(monkeypatch):
+    # bernoulli_shift_sum, its unweighted form, euler_shift_sum and chu_identity
+    # evaluate the sides that the catalog builds for 2.1, 2.1-as-printed, 2.2
+    # and chu, also with the sequences perturbed on catalog alone, all or one at
+    # a time, where the true sums stop holding; so no builder or second
+    # transcription reads a sequence that a patch on catalog misses
+    sums = {"2.1": bernoulli_shift_sum, "2.1-as-printed": bernoulli_shift_sum_unweighted,
+            "2.2": euler_shift_sum}
+
+    def check() -> None:
+        for key, shift_sum in sums.items():
+            for n in range(catalog.CATALOG[key].n_min, 13):
+                lhs, rhs = catalog.CATALOG[key].build(n)
+                assert shift_sum(n) == (Poly2.sheared(lhs), Poly2.sheared(rhs)), (key, n)
+        for n, l in ((n, l) for n in range(1, 13) for l in range(1, n + 1)):
+            lhs, rhs = catalog.CATALOG["chu"].build(n, l)
+            assert chu_identity(n, l) is (frac_sum(lhs) == frac_sum(rhs)), (n, l)
+
+    # each sequence a true sum reads, and the n at which its perturbation shows
+    unequal = {"bernoulli_poly": (bernoulli_shift_sum, range(1, 13)),
+               "harmonic": (bernoulli_shift_sum, range(1, 13)),
+               "euler_poly": (euler_shift_sum, range(13))}
+    check()
+    for names in (PERTURBED, *[(name,) for name in unequal]):
+        with monkeypatch.context() as patch:
+            perturb(patch, names)
+            check()
+            for name in unequal.keys() & set(names):
+                shift_sum, ns = unequal[name]
+                assert all(lhs != rhs for lhs, rhs in map(shift_sum, ns)), (names, name)
 
 
 # the Bernoulli factors B_l and Bbar_k of each term of a builder's literal
@@ -541,8 +575,7 @@ def test_builders_leave_out_exactly_the_zero_weight_terms(monkeypatch):
     assert dropped(B, bbar) > 0
     wrong_b, wrong_bbar = PERTURBED["bernoulli_number"], PERTURBED["bbar"]
     assert all(wrong_b(k) and wrong_bbar(k) for k in range(40))
-    monkeypatch.setattr(catalog, "bernoulli_number", wrong_b)
-    monkeypatch.setattr(catalog, "bbar", wrong_bbar)
+    perturb(monkeypatch, ("bernoulli_number", "bbar"))
     assert dropped(wrong_b, wrong_bbar) == 0
 
 
@@ -567,14 +600,14 @@ def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
         return out
 
     assert all(verdicts())
-    for name, wrong in PERTURBED.items():
-        monkeypatch.setattr(catalog, name, wrong)
+    perturb(monkeypatch)
     assert not any(verdicts())
 
 
 # the sizes of the "CLI end to end" runs in .github/workflows/tests.yml that
 # prove 1.6, 1.7, 1.11, 1.12, 1.13 and 3.1 at n = 40..60 and the bivariate ids
-# at n = 26..40, past every other check that can fail; the two move together
+# at n = 26..40, past every other check that can fail; the two move together,
+# and test_ci_runs_parse_and_prove_at_the_sizes_checked_here fails if they part
 CI_UNIVARIATE_N, CI_BIVARIATE_N = range(40, 61), range(26, 41)
 
 
@@ -584,8 +617,7 @@ def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
     # Poly1.vanishes on sums of up to about 120 merged products, against the
     # expansion, and Poly2.sheared on the grids under 1.5's (x - y)^3 and
     # 1.10's (x - y)^2, against the embedding route
-    for name, wrong in PERTURBED.items():
-        monkeypatch.setattr(catalog, name, wrong)
+    perturb(monkeypatch)
     for key, params in (("1.6", ()), ("1.7", ()), ("1.11", ()), ("1.12", ()), ("1.13", ()),
                         ("3.1", (0, 0)), ("3.1", (1, 1))):
         for n in CI_UNIVARIATE_N:
@@ -598,6 +630,31 @@ def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
             result = Poly2.sheared(lhs, rhs)
             assert not result.is_zero, (key, n)
             assert result == _embedding_route(lhs) - _embedding_route(rhs), (key, n)
+
+
+def test_ci_runs_parse_and_prove_at_the_sizes_checked_here():
+    # every line of the workflow that runs bepoly, cut at its first redirection
+    # or pipe, parses with the CLI's own parser, and the runs that prove the
+    # univariate and the bivariate ids use CI_UNIVARIATE_N and CI_BIVARIATE_N
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    runs = []
+    for line in workflow.read_text().splitlines():
+        if "-m bepoly" not in line:
+            continue
+        words = shlex.split(line)
+        cut = next((i for i, w in enumerate(words) if w in (">", "|", "||")), len(words))
+        try:
+            runs.append(cli._build_parser().parse_args(words[words.index("bepoly") + 1:cut]))
+        except SystemExit:
+            pytest.fail(f"the parser exits on {line.strip()!r}")
+    assert len(runs) == 13
+    proved = {frozenset(args.ids): args.n for args in runs if args.command == "verify"}
+    univariate = {key for key, spec in catalog.CATALOG.items() if spec.arity == "univariate"}
+    bivariate = {key for key, spec in catalog.CATALOG.items()
+                 if spec.arity == "bivariate" and not spec.negative}
+    assert len(univariate) == 6 and len(bivariate) == 11
+    assert proved[frozenset(univariate)] == CI_UNIVARIATE_N
+    assert proved[frozenset(bivariate)] == CI_BIVARIATE_N
 
 
 def test_embedding_memos_still_answer_cache_info():

@@ -394,6 +394,32 @@ def test_compute_prints_values_past_the_int_digit_limit(capsys):
         assert Fraction(out) == bbar(2000)
 
 
+def test_digit_limit_lift_overlapping_in_two_threads():
+    # the limit is one per interpreter: thread A lifts it first and leaves while
+    # this thread, B, still holds the lift, so B must still print 5001 digits,
+    # and the limit is back only once both have left
+    from bepoly import cli
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    a_entered, b_entered = threading.Event(), threading.Event()
+
+    def a() -> None:
+        with cli._int_digits_unlimited():
+            a_entered.set()
+            b_entered.wait(10)
+
+    thread_a = threading.Thread(target=a)
+    thread_a.start()
+    assert a_entered.wait(10)
+    with cli._int_digits_unlimited():
+        b_entered.set()
+        thread_a.join(10)
+        assert not thread_a.is_alive()
+        assert len(str(10 ** 5000)) == 5001
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_long_numeric_arguments_are_refused_before_int(monkeypatch, capsys):
     from bepoly import cli
 
