@@ -160,21 +160,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # -- cache file format ---------------------------------------------------------
 
-@_int_digits_unlimited()
-def write_cache_file(path: Path, values: list[Rat]) -> None:
-    """Write the cache file atomically.
+def _cache_line(m: int, value: Rat) -> str:
+    """The cache file's line for B_m = ``value``; the caller lifts the digit limit."""
+    return f"{m}\t{value.numerator}/{value.denominator}"
+
+
+@cache
+def _table_line(m: int) -> str:
+    """The line of the process's own B_m, formatted once: the table is
+    append-only, so it never changes.  The caller lifts the digit limit
+    and asks only for an index the table holds."""
+    return _cache_line(m, default_cache().get(m))
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write the header and ``lines`` to ``path`` atomically.
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step, so a concurrent reader sees either
     the old file or the new one, never a partial write.  The temporary is
     named by process and thread, so two writers never share one.
     """
-    lines = [CACHE_HEADER]
-    lines += [f"{i}\t{v.numerator}/{v.denominator}" for i, v in enumerate(values)]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([CACHE_HEADER, *lines]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -182,15 +192,23 @@ def write_cache_file(path: Path, values: list[Rat]) -> None:
 
 
 @_int_digits_unlimited()
-def read_cache_file(path: Path) -> list[Rat]:
-    """Parse a cache file; raises CacheIntegrityError on malformed entries.
+def write_cache_file(path: Path, values: list[Rat]) -> None:
+    """Write ``values`` as B_0, B_1, ... to the cache file atomically."""
+    _write_lines(path, [_cache_line(m, v) for m, v in enumerate(values)])
 
-    Parsing is purely syntactic -- the arithmetic revalidation happens
-    when the values are fed to BernoulliCache.seed().  Numerator and
-    denominator of B_k have fewer than 3k + 10 digits for every k up to
-    CACHE_INDEX_LIMIT (the digit count grows like k log10(k / 17)), so a
-    longer entry is refused before int() sees it.
-    """
+
+@_int_digits_unlimited()
+def _write_table(path: Path) -> int:
+    """Write the process's table, B_0..B_highest, to the cache file atomically
+    from its memoised lines; returns the number of entries written."""
+    count = default_cache().highest + 1
+    _write_lines(path, map(_table_line, range(count)))
+    return count
+
+
+def _cache_lines(path: Path) -> list[str]:
+    """The file's lines, after the checks that need no parse: ASCII text, the
+    header, and no entry past B_CACHE_INDEX_LIMIT."""
     try:
         lines = path.read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
@@ -200,6 +218,22 @@ def read_cache_file(path: Path) -> list[Rat]:
     if len(lines) - 2 > CACHE_INDEX_LIMIT:  # index of the last entry
         raise CacheIntegrityError(-1, f"{path}: entries up to B_{len(lines) - 2}, past "
                                       f"the limit of B_{CACHE_INDEX_LIMIT}")
+    return lines
+
+
+@_int_digits_unlimited()
+def read_cache_file(path: Path) -> list[Rat]:
+    """Parse a cache file; raises CacheIntegrityError on malformed entries.
+
+    Parsing is purely syntactic -- the arithmetic revalidation happens
+    when the values are fed to BernoulliCache.seed().  Numerator and
+    denominator of B_k have fewer than 3k + 10 digits for every k up to
+    CACHE_INDEX_LIMIT (the digit count grows like k log10(k / 17); the
+    tests check every k up to 1000), so a longer entry is refused before
+    int() sees it.  ``_load_cache`` calls it only when the file's text is
+    not the process's own.
+    """
+    lines = _cache_lines(path)
     # one lookup in re's cache per file, not one per line; not compiled at
     # import, so a process that reads no cache file never pays the compile
     entry = re.compile(r"(\d+)\t(-?\d+)/(\d*[1-9]\d*)")  # den != 0
@@ -214,8 +248,23 @@ def read_cache_file(path: Path) -> list[Rat]:
     return values
 
 
+@_int_digits_unlimited()
 def _load_cache(path: Path) -> int:
-    """Seed the process's table from the file; returns the number of entries read."""
+    """Check the file against the process's table; returns the number of entries read.
+
+    When the table already holds every index the file lists and each line
+    is the table's own line for its index, the file is accepted as it is:
+    a Fraction is stored reduced, so equal text is an equal value, and
+    nothing is parsed, computed or seeded.  Any other file -- one past the
+    table, a non-canonical but equal entry, a tampered or malformed one --
+    is parsed from the start by read_cache_file and checked by
+    BernoulliCache.seed, so its outcome and message are the parser's.
+    """
+    lines = _cache_lines(path)
+    count = len(lines) - 1
+    if (count <= default_cache().highest + 1
+            and lines[1:] == list(map(_table_line, range(count)))):
+        return count
     values = read_cache_file(path)
     default_cache().seed(values)
     return len(values)
@@ -282,7 +331,7 @@ def _sweep(args, keys: list[str], n_range: range, p_range=None, q_range=None) ->
         _load_cache(args.cache)
     status = _emit_reports(verify_sweep(keys, n_range, p_range, q_range), args.json)
     if args.cache:
-        write_cache_file(args.cache, default_cache().values())
+        _write_table(args.cache)
     return status
 
 
@@ -300,9 +349,8 @@ def _cmd_cache(args) -> int:
     path: Path = args.cache
     if args.action == "save":
         default_cache().get(args.n_max)
-        values = default_cache().values()
-        write_cache_file(path, values)
-        print(f"saved {len(values)} entries (B_0..B_{len(values) - 1}) to {path}")
+        count = _write_table(path)
+        print(f"saved {count} entries (B_0..B_{count - 1}) to {path}")
         return EXIT_OK
     if args.action == "load":
         count = _load_cache(path)

@@ -451,3 +451,124 @@ def test_cache_file_round_trip_past_the_int_digit_limit(tmp_path):
     cli.write_cache_file(path, values[:-1] + [too_big])
     with pytest.raises(cli.CacheIntegrityError, match=f"malformed entry at index {index}"):
         cli.read_cache_file(path)
+
+
+# -- loads checked against the table the process holds -----------------------------
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """A new process-wide Bernoulli table for one test, so that what the test
+    holds does not depend on the tests before it (its values are the same)."""
+    from bepoly import sequences
+
+    table = sequences.BernoulliCache()
+    monkeypatch.setattr(sequences, "_CACHE", table)
+    return table
+
+
+def _main_in_process(capsys, *argv: str) -> tuple:
+    from bepoly import cli
+
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_cache_load_of_the_held_table_parses_nothing(tmp_path, fresh_table, monkeypatch, capsys):
+    # the file save wrote lists only entries the process holds, each in the
+    # process's own text, so load and verify --cache accept it without the
+    # parser or the recomputation, and verify writes back the same bytes
+    from bepoly import cli, sequences
+
+    path = tmp_path / "b.cache"
+    assert _main_in_process(capsys, "cache", "save", "--cache", str(path), "--n-max", "40")[0] == 0
+    saved = path.read_bytes()
+    calls = []
+    monkeypatch.setattr(cli, "read_cache_file", lambda *a: calls.append("read_cache_file"))
+    monkeypatch.setattr(sequences.BernoulliCache, "seed", lambda *a: calls.append("seed"))
+    assert _main_in_process(capsys, "cache", "load", "--cache", str(path)) == (
+        0, "loaded and validated 41 entries; highest cached index: 40\n", "")
+    status, _, err = _main_in_process(capsys, "verify", "--id", "1.1", "--n", "4..5",
+                                      "--cache", str(path))
+    assert (status, err) == (0, "verified 2 instance(s): 2 ok, 0 failed, 0 skipped\n")
+    assert calls == []
+    assert path.read_bytes() == saved
+    assert fresh_table.highest == 40
+
+
+def _held_variants(good: list[str]) -> dict:
+    """Cache files, as lists of lines, that differ from B_0..B_20 as saved."""
+    from bepoly import cli
+    from bepoly.sequences import BernoulliCache
+
+    longer = BernoulliCache()
+    longer.get(40)
+    return {
+        "non-canonical": good[:3] + ["2\t2/12"] + good[4:],
+        "tampered": good[:13] + ["12\t-691/2731"] + good[14:],
+        "tampered-then-malformed": good[:13] + ["12\t-691/2731"] + good[14:18] + ["17\t0/x"]
+                                   + good[19:],
+        "longer-than-the-table": good[:1] + [cli._cache_line(m, v)
+                                             for m, v in enumerate(longer.values())],
+    }
+
+
+@pytest.mark.parametrize("variant, error", [
+    ("non-canonical", ""),
+    ("tampered", "error: cache entry 12 is -691/2731, recomputation gives -691/2730\n"),
+    ("tampered-then-malformed", "error: {path}: malformed entry at index 17\n"),
+    ("longer-than-the-table", ""),
+], ids=["non-canonical", "tampered", "tampered-then-malformed", "longer-than-the-table"])
+def test_cache_files_unlike_the_held_table_load_as_in_a_fresh_process(
+        tmp_path, fresh_table, monkeypatch, capsys, variant, error):
+    # with B_0..B_20 held, a file whose text is not the table's own is parsed
+    # from the start: stdout, stderr, exit status and the rewritten file are
+    # those of a fresh process, which holds nothing; a longer file computes
+    # only the tangent columns the table lacks, those of B_22..B_40
+    from bepoly import sequences
+
+    path = tmp_path / "b.cache"
+    _main_in_process(capsys, "cache", "save", "--cache", str(path), "--n-max", "20")
+    lines = _held_variants(path.read_text().splitlines())[variant]
+    text = "\n".join(lines) + "\n"
+    columns = []
+    build = sequences._tangent_column
+    monkeypatch.setattr(sequences, "_tangent_column", lambda c: (columns.append(len(c)),
+                                                                 build(c)))
+    for argv in (["cache", "load"], ["verify", "--id", "1.1", "--n", "4..5", "--json"]):
+        path.write_text(text)
+        status, out, err = _main_in_process(capsys, *argv, "--cache", str(path))
+        held = (status, _without_elapsed(out), err, path.read_bytes())
+        path.write_text(text)
+        proc = run_cli(*argv, "--cache", str(path))
+        fresh = (proc.returncode, _without_elapsed(proc.stdout), proc.stderr, path.read_bytes())
+        assert held == fresh, argv
+        assert status == (1 if error else 0), argv
+        if error:
+            assert err == error.format(path=path)
+    expected = list(range(10, 20)) if variant == "longer-than-the-table" else []
+    assert columns == expected
+
+
+def test_held_table_writer_gives_the_values_writers_bytes(tmp_path, fresh_table):
+    # the memoised lines of B_0..B_1000 against write_cache_file on the values
+    from bepoly import cli
+
+    fresh_table.get(1000)
+    assert cli._write_table(tmp_path / "held.cache") == 1001
+    cli.write_cache_file(tmp_path / "values.cache", fresh_table.values())
+    assert (tmp_path / "held.cache").read_bytes() == (tmp_path / "values.cache").read_bytes()
+
+
+def test_every_line_to_b1000_passes_the_parsers_digit_bound(tmp_path, fresh_table):
+    # the held-table check accepts the process's own lines without the
+    # parser's 3k + 10 digit test, which is sound only while every canonical
+    # B_k line passes it; the parser reads back each of B_0..B_1000
+    from bepoly import cli
+
+    fresh_table.get(1000)
+    cli.write_cache_file(tmp_path / "b.cache", fresh_table.values())
+    assert cli.read_cache_file(tmp_path / "b.cache") == fresh_table.values()
