@@ -22,6 +22,9 @@ Rat = Fraction
 # thousands of times (functools.cache is safe to share between threads)
 factorial = cache(math.factorial)
 
+# the one zero that frac_sum returns for every sum that cancels
+_ZERO = Rat(0)
+
 __all__ = ["Rat", "binomial", "beta_int", "gamma_ratio", "frac_sum"]
 
 
@@ -66,8 +69,9 @@ def frac_sum(pairs: Iterable[tuple[int, int]],
              minus: Iterable[tuple[int, int]] = ()) -> Rat:
     """The sum of num/den over integer pairs (num, den), den nonzero, less
     that over the pairs ``minus``, added as ints over the lcm of all the
-    denominators and reduced once."""
+    denominators and reduced once; a sum of 0 is the shared ``_ZERO``."""
     pairs, minus = list(pairs), list(minus)
     d = lcm(*(den for _, den in pairs), *(den for _, den in minus))
-    return Rat(sum(num * (d // den) for num, den in pairs)
-               - sum(num * (d // den) for num, den in minus), d)
+    s = (sum(num * (d // den) for num, den in pairs)
+         - sum(num * (d // den) for num, den in minus))
+    return Rat(s, d) if s else _ZERO

@@ -495,7 +495,7 @@ def _get_spec(key: str) -> IdentitySpec:
 # call, so one patched or wrapped on its class runs
 _KERNELS = {
     "scalar": lambda lhs, rhs: frac_sum(lhs, rhs),
-    "univariate": lambda lhs, rhs: (Poly1() if Poly1.vanishes(lhs, rhs)
+    "univariate": lambda lhs, rhs: (Poly1._zero if Poly1.vanishes(lhs, rhs)
                                     else Poly1.lincomb(lhs, rhs)),
     "bivariate": lambda lhs, rhs: Poly2.sheared(lhs, rhs),
 }
@@ -518,7 +518,7 @@ def build_residual(key: str, n: int, *, l: Optional[int] = None,
 def _is_zero(residual: Residual) -> bool:
     if isinstance(residual, (Poly1, Poly2)):
         return residual.is_zero
-    return residual == 0
+    return not residual
 
 
 def verify(key: str, n: int, *, l: Optional[int] = None, p: Optional[int] = None,

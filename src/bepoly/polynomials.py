@@ -9,7 +9,10 @@ rectangular tuple of integer rows over one positive denominator, entry
 One helper, ``_canonical``, brings both to the same canonical form: no
 trailing zero coefficients, no all-zero fringe rows or columns, and
 gcd(content, den) = 1, where the content is the gcd of all numerators;
-the zero polynomial is the empty tuple over 1.  The denominator is then
+the zero polynomial is the empty tuple over 1, and each class holds one
+instance of it, ``_zero``, built once beside its unit: the kernels and
+the canonical-form builders return that object for every zero result,
+so a proved instance builds no zero of its own.  The denominator is then
 the lcm of the reduced coefficient denominators, so the form is unique:
 structural equality is exact polynomial equality, and "equals the zero
 polynomial" is the one comparison every identity check reduces to.
@@ -149,13 +152,14 @@ def _wrap(cls, num, den):
 
 
 def _poly1(rows: Grid, den: int) -> Poly1:
-    """Poly1 of the one-row integer grid ``rows`` over ``den``."""
+    """Poly1 of the one-row integer grid ``rows`` over ``den``; the shared zero if it is 0."""
     rows, den = _canonical(rows, den)
-    return _wrap(Poly1, rows[0] if rows else (), den)
+    return _wrap(Poly1, rows[0], den) if rows else Poly1._zero
 
 
 def _poly2(rows: Grid, den: int) -> Poly2:
-    return _wrap(Poly2, *_canonical(rows, den))
+    rows, den = _canonical(rows, den)
+    return _wrap(Poly2, rows, den) if rows else Poly2._zero
 
 
 def _convolve(parts: Iterable[tuple[int, Sparse, Sparse]]) -> list[list[int]]:
@@ -255,7 +259,11 @@ def _merged(cls, terms, minus=()) -> tuple[list[tuple[int, _Poly, _Poly]], int]:
                 (w, f), g = term, unit
             else:
                 w, f, g = term
-            num, den = _weight(w)
+            # a valid integer pair, the builders' usual weight, is taken as it is
+            if type(w) is tuple and len(w) == 2 and type(w[0]) is type(w[1]) is int and w[1] > 0:
+                num, den = w
+            else:
+                num, den = _weight(w)
             if num is None or not (isinstance(f, cls) and isinstance(g, cls)):
                 raise _term_error(cls)
             if not (num and f._num and g._num):
@@ -344,7 +352,8 @@ class _Poly:
     A subclass stores ``_num`` and ``_den``, lists its numerators as
     integer rows through ``_rows()`` and builds canonical results through
     ``_of(rows, den)``; a scalar c is the constant ``_of([[c.numerator]],
-    c.denominator)``, and ``_unit``, set once below the classes, is 1.
+    c.denominator)``, and ``_unit`` and ``_zero``, set once below the
+    classes, are 1 and 0.
     """
 
     __slots__ = ("_num", "_den", "_nz")
@@ -357,7 +366,7 @@ class _Poly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._zero
 
     @property
     def is_zero(self) -> bool:
@@ -393,7 +402,7 @@ class _Poly:
         """
         items, d = _merged(cls, terms, minus)
         if not items:
-            return cls._of([], 1)
+            return cls._zero
         return cls._of(_convolve([(s, f._sparse(), g._sparse()) for s, f, g in items]), d)
 
     def __add__(self, other):
@@ -478,8 +487,10 @@ class Poly1(_Poly):
         value, and W, the bit length of M rounded up to a multiple of
         ``_QUANTUM``, makes 2^W > M.  A nonzero P cannot vanish at 2^W: its
         lowest nonzero coefficient would be a multiple of 2^W.  So P(2^W),
-        one sum of products of the factors' packed values (``_packed``), is
-        zero exactly when P is; nothing is expanded, and no grid is built.
+        one sum of products of the factors' packed values, is zero exactly
+        when P is; nothing is expanded, and no grid is built.  The sum is
+        added up in one loop that reads each factor's kept value from
+        ``_kr`` and calls ``_packed`` only for a width it does not keep.
         A unit factor, which ``_merged`` puts second, is 1 in both the bound
         and the value, so it is neither bounded nor packed.
         """
@@ -489,8 +500,22 @@ class Poly1(_Poly):
             m = abs(s) * f._norms()[0]
             bound += m if g is unit else m * g._norms()[1]
         w = -(-bound.bit_length() // _QUANTUM) * _QUANTUM
-        return not sum([s * f._packed(w) if g is unit else s * f._packed(w) * g._packed(w)
-                        for s, f, g in items])
+        total = 0
+        for s, f, g in items:
+            for kw, v in f._kr[2]:
+                if kw == w:
+                    break
+            else:
+                v = f._packed(w)
+            if g is not unit:
+                for kw, gv in g._kr[2]:
+                    if kw == w:
+                        break
+                else:
+                    gv = g._packed(w)
+                v *= gv
+            total += s * v
+        return not total
 
     def _norms(self) -> tuple:
         """(sum of |c|, max of |c|, packed values) over the stored numerators c,
@@ -651,7 +676,7 @@ class Poly2(_Poly):
                     if num and f._num and g._num:
                         parts.append((key, sign * num, den * f._den * g._den, f, g))
         if not parts:
-            return cls()
+            return cls._zero
         d = lcm(*(den for _, _, den, _, _ in parts))
         scaled = [num * (d // den) for _, num, den, _, _ in parts]
         common = gcd(d, *scaled)
@@ -690,7 +715,7 @@ class Poly2(_Poly):
                 else:
                     out = grid
         if not any(map(any, out)):
-            return cls()
+            return cls._zero
         return _poly2(_rows_of(out), d // common)
 
     @classmethod
@@ -787,5 +812,7 @@ class Poly2(_Poly):
                               for j, v in enumerate(c) if v], self._den)
 
 
-# the unit of each class, built once: a one-factor term (w, f) is (w, f, unit)
+# the unit of each class, built once: a one-factor term (w, f) is (w, f, unit);
+# and its zero, which every zero result of a kernel is
 Poly1._unit, Poly2._unit = _poly1([[1]], 1), _poly2([[1]], 1)
+Poly1._zero, Poly2._zero = _wrap(Poly1, (), 1), _wrap(Poly2, (), 1)

@@ -8,10 +8,14 @@ TangentNumbers (arXiv:1108.0286) per even index.  Both polynomial
 families are Appell sequences, P_n(x) = sum_k C(n,k) P_k(0) x^{n-k},
 and one sum builds both: from B_k for B_n(x), and for E_n(x) from the
 closed form E_k(0) = 2 (1 - 2^{k+1}) B_{k+1} / (k+1).  Each E_n(x) is checked
-against its defining equation E_n(x+1) + E_n(x) = 2 x^n.  The forward
-sum is injective on polynomials, so the check is as strong as a second
-construction; a mismatch would mean a convention bug somewhere and is
-treated as fatal.
+against its defining equation E_n(x+1) + E_n(x) = 2 x^n on its stored
+integers: one Taylor shift of the numerators, added to them, must be
+0, ..., 0, 2 den, one list comparison.  The forward sum is injective on
+polynomials, so the check is as strong as a second construction; a
+mismatch would mean a convention bug somewhere and is treated as fatal,
+and only then is the difference built as a polynomial, for the message.
+h_pq checks its sum against the telescoped beta closed form as an
+integer identity, with no Fraction.
 
 BernoulliCache is the one hand-written table, because it backs the
 cache file and carries the tangent column from index to index;
@@ -24,10 +28,11 @@ import threading
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm, perm
+from operator import add
 from typing import Sequence
 
-from .arith import Rat, beta_int, factorial, frac_sum
-from .polynomials import Poly1, Poly2, _poly1
+from .arith import _ZERO, Rat, beta_int, factorial, frac_sum
+from .polynomials import Poly1, Poly2, _poly1, _shift_by_one
 
 __all__ = [
     "BernoulliCache",
@@ -49,9 +54,6 @@ class CacheIntegrityError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-
-
-_ZERO = Rat(0)  # B_m for every odd m >= 3
 
 
 def _tangent_column(c: list[int]) -> None:
@@ -93,16 +95,19 @@ class BernoulliCache:
     def get(self, n: int) -> Rat:
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if n >= len(self._table):
-            with self._lock:
-                self._extend(n)
+        try:  # a held index, the builders' every read but the first: one lookup
+            return self._table[n]
+        except IndexError:
+            pass
+        with self._lock:
+            self._extend(n)
         return self._table[n]
 
     def _extend(self, n: int) -> None:
         """Grow the table to index n; the caller holds the lock."""
         for m in range(len(self._table), n + 1):
             if m % 2:
-                value = Rat(-1, 2) if m == 1 else _ZERO
+                value = Rat(-1, 2) if m == 1 else _ZERO  # B_m for odd m >= 3
             else:  # B_m = (-1)^(j-1) m T_j / (4^j (4^j - 1)) for m = 2j
                 if len(self._column) < m // 2:
                     _tangent_column(self._column)
@@ -165,14 +170,16 @@ def bernoulli_poly(n: int) -> Poly1:
 @cache
 def euler_poly(n: int) -> Poly1:
     """Euler polynomial E_n(x) = sum_k C(n,k) E_k(0) x^{n-k}, checked against
-    E(x+1) + E(x) = 2 x^n.
+    E(x+1) + E(x) = 2 x^n on its numerators over its denominator.
 
     A result that fails its defining equation signals an internal
     defect and raises RuntimeError.
     """
     e = _appell(n, euler_at_zero)
-    residual = Poly1.lincomb([(1, e.compose_affine(1, 1)), (1, e), (-2, Poly1.monomial(n))])
-    if not residual.is_zero:
+    shifted = list(e._num[::-1])  # E(x + 1), top degree first, over E's denominator
+    _shift_by_one(shifted)
+    if [*map(add, reversed(shifted), e._num)] != [0] * n + [2 * e._den]:
+        residual = Poly1.lincomb([(1, e.compose_affine(1, 1)), (1, e), (-2, Poly1.monomial(n))])
         raise RuntimeError(
             f"Euler polynomial E_{n} fails E(x+1) + E(x) = 2 x^{n}: "
             f"the difference is {residual}"
@@ -229,23 +236,27 @@ def h_pq(n: int, p: int, q: int) -> Rat:
     t_{k+1} / t_k = (k+q) / (k+p+q+1), a division that is exact because
     t_{k+1} is an integer.  For p >= 1 the sum telescopes to
     beta(p, q+1) - beta(p, n+q), and that closed form is recomputed as a
-    consistency check; for p = 0 the summands are just 1/(k+q), so the
-    "closed form" is the defining sum itself.
+    consistency check, an integer identity: with T = sum t_k and
+    N = n+p+q-1, both sides times N! / (p-1)! give
+    p T = q! N! / (p+q)! - (n+q-1)!, and the beta values are built only
+    for the message of a mismatch.  For p = 0 the summands are just
+    1/(k+q), so the "closed form" is the defining sum itself.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got ({p}, {q})")
-    t = total = factorial(q) * perm(n + p + q - 1, n - 2)  # t_1
+    top = n + p + q - 1
+    t = total = factorial(q) * perm(top, n - 2)  # t_1
     for k in range(1, n - 1):
         t = t * (k + q) // (k + p + q + 1)
         total += t
-    total = Rat(factorial(p) * total, factorial(n + p + q - 1))
-    if p >= 1:
-        closed = beta_int(p, q + 1) - beta_int(p, n + q)
-        if total != closed:
-            raise RuntimeError(
-                f"partial beta sum mismatch at (n={n}, p={p}, q={q}): "
-                f"{total} vs closed form {closed}"
-            )
-    return total
+    result = Rat(factorial(p) * total, factorial(top))
+    # the docstring's p T = q! N! / (p+q)! - (n+q-1)!, with N = top
+    if p >= 1 and p * total != (factorial(q) * (factorial(top) // factorial(p + q))
+                                - factorial(n + q - 1)):
+        raise RuntimeError(
+            f"partial beta sum mismatch at (n={n}, p={p}, q={q}): "
+            f"{result} vs closed form {beta_int(p, q + 1) - beta_int(p, n + q)}"
+        )
+    return result

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bepoly import catalog, cli
+from bepoly import catalog, cli, polynomials
 from bepoly.arith import frac_sum
 from bepoly import (
     Poly1,
@@ -135,6 +135,34 @@ def test_negative_control_behaviour():
     report = verify("2.1-as-printed", 2)
     assert report.holds is False
     assert str(report.residual) == "x*y - 1/2*x"
+
+
+def test_true_instances_return_their_class_zero(monkeypatch):
+    # every zero a kernel returns is its class's one shared zero, built by no
+    # canonical-form pass once the sequences are held, and that zero behaves
+    # as any other: value, rendering, hash, copies
+    zeros = {"scalar": (Fraction, Fraction(0)), "univariate": (Poly1, Poly1()),
+             "bivariate": (Poly2, Poly2())}
+    assert Poly1.lincomb([]) == Poly1() and Poly2.sheared([]) == Poly2()
+    reports = [r for r in verify_sweep(catalog_ids(), range(13)) if not r.skipped and r.holds]
+    canonical, real = [], polynomials._canonical
+    monkeypatch.setattr(polynomials, "_canonical",
+                        lambda rows, den: canonical.append(rows) or real(rows, den))
+    residuals = [build_residual(r.key, r.n, l=r.l, p=r.p, q=r.q) for r in reports]
+    monkeypatch.undo()
+    assert canonical == []
+    seen = set()
+    for report, residual in zip(reports, residuals):
+        arity = catalog.CATALOG[report.key].arity
+        cls, zero = zeros[arity]
+        assert type(residual) is cls and residual == zero, report
+        assert residual is build_residual(report.key, report.n, l=report.l, p=report.p,
+                                          q=report.q)
+        assert str(residual) == "0" and hash(residual) == hash(0)
+        assert copy.copy(residual) == residual == pickle.loads(pickle.dumps(residual))
+        seen.add(arity)
+    assert seen == set(zeros)
+    assert str(verify("2.1-as-printed", 2).residual) == "x*y - 1/2*x"
 
 
 def test_beta_chu_instance():

@@ -671,6 +671,21 @@ def test_vanishes_on_shared_factors_under_threads():
         sys.setswitchinterval(interval)
 
 
+def test_vanishes_packs_each_factor_once_per_width(monkeypatch):
+    # a value kept in _kr is read where it is kept: a second call at the same
+    # width packs nothing, and a width the factors do not keep packs each once
+    f, g = Poly1((1, -2, 3)), Poly1((5, 0, 7, 1))
+    terms = [(3, f, g), (1, g, g), ((1, 4), f)]
+    calls = []
+    packed = Poly1._packed
+    monkeypatch.setattr(Poly1, "_packed", lambda self, w: calls.append(w) or packed(self, w))
+    verdict = Poly1.vanishes(terms)
+    assert len(calls) == 2 and not verdict
+    calls.clear()
+    assert Poly1.vanishes(terms) is verdict and calls == []
+    assert not Poly1.vanishes([(1 << 64, f, g)]) and len(calls) == 2
+
+
 # -- affine composition ------------------------------------------------------------------
 
 def oracle_affine(tp: Terms, a: Fraction, b: Fraction) -> Terms:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import subprocess
 import sys
 import threading
@@ -163,6 +164,19 @@ def test_euler_dual_construction_agrees():
         assert euler_poly(n) == half_argument_euler(n) == solve_delta_star(Poly1.monomial(n, 2))
 
 
+def euler_residual(e: Poly1, n: int) -> Poly1:
+    """E(x+1) + E(x) - 2 x^n through the polynomial operations: the route the
+    check on stored integers in ``euler_poly`` replaced, kept as its oracle."""
+    return Poly1.lincomb([(1, e.compose_affine(1, 1)), (1, e), (-2, Poly1.monomial(n))])
+
+
+def test_euler_integer_check_agrees_with_the_polynomial_route():
+    # euler_poly returns only what its integer check accepts; the oracle must accept it too
+    euler_poly.cache_clear()
+    for n in range(61):
+        assert euler_residual(euler_poly(n), n).is_zero
+
+
 # each perturbs the values E_k(0) the Appell sum reads: E_n(x) + (x + 1)^n,
 # 2 E_n(x), and E_n(x + 1/2), the Appell sum over E_k(1/2)
 @pytest.mark.parametrize("perturb", [lambda route, exact, k: route(k) + 1,
@@ -176,8 +190,13 @@ def test_euler_check_rejects_a_wrong_construction(monkeypatch, perturb):
     euler_poly.cache_clear()
     try:
         for n in (1, 6, 13):
-            with pytest.raises(RuntimeError, match=f"E_{n} fails"):
+            # the oracle rejects the wrong construction, and the message names its residual
+            residual = euler_residual(sequences._appell(n, sequences.euler_at_zero), n)
+            assert not residual.is_zero
+            with pytest.raises(RuntimeError) as err:
                 euler_poly(n)
+            assert str(err.value) == (f"Euler polynomial E_{n} fails E(x+1) + E(x) = 2 x^{n}: "
+                                      f"the difference is {residual}")
     finally:
         monkeypatch.undo()
         euler_poly.cache_clear()
@@ -296,17 +315,24 @@ def test_h_pq_closed_form_cross_check():
 
 
 def test_h_pq_closed_form_check_raises_through_the_memo(monkeypatch):
-    # a wrong beta_int must still fail the closed-form check: the memo is
-    # cleared before, so nothing answers from it, and after, so nothing wrong stays
-    monkeypatch.setattr(sequences, "beta_int", lambda a, b: 2 * beta_int(a, b))
-    h_pq.cache_clear()
-    try:
-        for n, p, q in ((2, 1, 0), (7, 2, 3), (12, 4, 1)):
-            with pytest.raises(RuntimeError, match="partial beta sum mismatch"):
-                h_pq(n, p, q)
-    finally:
-        monkeypatch.undo()
-        h_pq.cache_clear()
+    # a wrong running sum (its first term t_1 through perm) and a wrong closed-form
+    # term ((n+q-1)! alone, an argument no other factorial of these cases takes)
+    # must each fail the integer check: the memo is cleared before each, so
+    # nothing answers from it, and after, so nothing wrong stays
+    faults = [("perm", lambda n, p, q: lambda a, b: math.perm(a, b) + 1,
+               ((2, 1, 0), (7, 2, 3), (12, 4, 1))),
+              ("factorial", lambda n, p, q: lambda k: factorial(k) + (k == n + q - 1),
+               ((7, 2, 3), (12, 4, 1), (9, 1, 2)))]
+    for name, fault, cases in faults:
+        for n, p, q in cases:
+            monkeypatch.setattr(sequences, name, fault(n, p, q))
+            h_pq.cache_clear()
+            try:
+                with pytest.raises(RuntimeError, match="partial beta sum mismatch"):
+                    h_pq(n, p, q)
+            finally:
+                monkeypatch.undo()
+                h_pq.cache_clear()
     assert h_pq(7, 2, 3) == beta_int(2, 4) - beta_int(2, 10)
 
 

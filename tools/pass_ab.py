@@ -23,7 +23,10 @@ Printed per side, as medians over the runs: the cold pass's sum, the
 warm sum (the fastest warm pass of each run), the median instance and
 the tail instance of the cold pass (``run.py``'s ``tail``: the
 11th-slowest, or the slowest of ten or fewer); then in how many runs the
-change was lower, and the parent's quartiles.  A second table splits the cold pass by id (a catalog id, or
+change was lower, and the parent's quartiles.  Beside them, p50 and
+tail as perfbench defines them: each instance's median over the cold
+passes of all runs, then the median and the tail rank over the
+instances.  A second table splits the cold pass by id (a catalog id, or
 a CLI command), with each side's median sum, their ratio and the
 change's runs lower, to show where cost moved between instances.  Times
 are raw wall times on the host that runs it, not scaled to the
@@ -112,10 +115,10 @@ def _label(inst: list) -> str:
 
 
 def one_run(packages: Path, sides: tuple[str, ...], job: dict,
-            labels: list[str]) -> list[tuple[dict, dict]]:
+            labels: list[str]) -> list[tuple[dict, dict, list[float]]]:
     """For each side, in one fresh process that imports every side's package
-    ``bepoly_<side>`` from ``packages``, its metrics and its cold-pass time
-    per label in ms."""
+    ``bepoly_<side>`` from ``packages``, its metrics, its cold-pass time
+    per label in ms and its cold-pass time per instance in ms."""
     names = [f"bepoly_{side}" for side in sides]
     env = {**os.environ, "PYTHONPATH": str(packages), "PYTHONHASHSEED": "0"}
     with tempfile.TemporaryDirectory() as work:  # CLI instances write cache files here
@@ -134,7 +137,8 @@ def one_run(packages: Path, sides: tuple[str, ...], job: dict,
         results.append(({"cold_ms": 1e3 * sum(cold),
                          "warm_ms": 1e3 * min(map(sum, warm)),
                          "p50_us": 1e6 * statistics.median(cold),
-                         "tail_us": 1e6 * _perfbench_run().tail(cold)[0]}, per_id))
+                         "tail_us": 1e6 * _perfbench_run().tail(cold)[0]}, per_id,
+                        [1e3 * t for t in cold]))
     return results
 
 
@@ -154,6 +158,7 @@ def main(argv=None) -> int:
     labels = [_label(inst) for inst in instances]
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     ids: dict[str, list[dict]] = {side: [] for side in SIDES}
+    colds: dict[str, list[list[float]]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as packages:
         for side in SIDES:
             shutil.copytree(getattr(args, side) / "src" / "bepoly",
@@ -162,10 +167,11 @@ def main(argv=None) -> int:
         for i in range(args.runs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             job = {"instances": instances, "warm": WARM}
-            for side, (metrics, per_id) in zip(order, one_run(Path(packages), order,
-                                                               job, labels)):
+            for side, (metrics, per_id, cold) in zip(order, one_run(Path(packages), order,
+                                                                     job, labels)):
                 runs[side].append(metrics)
                 ids[side].append(per_id)
+                colds[side].append(cold)
     metrics = list(runs["parent"][0])
     print(f"{args.workload}, {args.runs} interleaved runs, seed {args.seed}, "
           f"{WARM} warm passes; medians over the runs")
@@ -181,6 +187,15 @@ def main(argv=None) -> int:
                       "parent_q1": q1, "parent_q3": q3, "change_lower": lower}
         print(f"{m:10} {ma:10.3f} {mb:10.3f} {mb / ma - 1:+9.1%} {lower:3}/{args.runs}"
               f"  {q1:.3f}-{q3:.3f}")
+    # as perfbench reads them: each instance at its median over the cold passes
+    # (one per run here), then the median and the tail rank over the instances
+    print("\nas perfbench: each instance's median over the runs' cold passes, in us")
+    print(f"{'metric':10} {'parent':>10} {'change':>10} {'relative':>9}")
+    pooled = {}
+    for m, rank in (("p50", statistics.median), ("tail", lambda v: _perfbench_run().tail(v)[0])):
+        a, b = (1e3 * rank([*map(statistics.median, zip(*colds[side]))]) for side in SIDES)
+        pooled[m] = {"parent": a, "change": b}
+        print(f"{m + '_us':10} {a:10.3f} {b:10.3f} {b / a - 1:+9.1%}")
     by_id = {}
     print("\ncold pass by id: sum in ms per run, medians over the runs")
     print(f"{'id':20} {'parent':>10} {'change':>10} {'ratio':>7} {'lower':>6}")
@@ -194,7 +209,8 @@ def main(argv=None) -> int:
     if args.json is not None:
         args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
                                          "runs": args.runs, "warm": WARM,
-                                         "metrics": summary, "per_id": by_id},
+                                         "metrics": summary, "perfbench": pooled,
+                                         "per_id": by_id},
                                         indent=1) + "\n")
     return 0
 
