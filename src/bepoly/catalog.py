@@ -12,9 +12,10 @@ l >= 3: they test the value read through ``bernoulli_number`` or
 ``bbar``, never the parity of l, so for any input sequence the residual
 is the same sum.
 The univariate kernel first asks ``Poly1.vanishes``, which proves the
-sum zero by one exact big-integer evaluation at a power of two beyond
-every coefficient, and expands the sum by ``lincomb`` only when it is
-not zero, so a nonzero residual is the same polynomial as before.
+sum zero by two exact big-integer evaluations, of its two halves in
+y = x(1 - x), at a power of two beyond every coefficient, and expands
+the sum by ``lincomb`` only when it is not zero, so a nonzero residual
+is the same polynomial as before.
 A scalar side is a list of integer (numerator, denominator) pairs, for
 ``frac_sum``.  A univariate side is a list of terms (w, f, g) or (w, f),
 each weight an int or an unreduced integer pair (numerator,

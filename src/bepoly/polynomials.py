@@ -34,11 +34,15 @@ module's only convolution loop, over each factor's nonzero entries,
 listed once per polynomial in its ``_nz`` slot) and brings the result
 to canonical form once.  ``Poly1.vanishes`` is the zero test of such a
 sum: it takes the same terms through the same merge and, without
-expanding them, evaluates the integer sum at x = 2^W, with 2^W above a
-bound on every coefficient, so the value is zero exactly when the
-polynomial is (a proof, not a random-point test); each factor keeps its
-values at 2^W for its last few widths W beside it, as it keeps ``_nz``,
-and a unit factor is neither bounded nor packed.  Sums,
+expanding them, writes each factor f by its two halves in y = x(1 - x),
+2f = A(y) + (1 - 2x) B(y), and evaluates the sum's two halves, P and Q
+in 4 * sum = P(y) + (1 - 2x) Q(y), at y = 2^W, with 2^W above a bound on
+every coefficient, so both values are zero exactly when the polynomial
+is (a proof, not a random-point test); B_k(x) and E_k(x) each have one
+empty half, so their products run on half the slots of a packing in x.
+Each factor keeps its halves and their values at 2^W for its last few
+widths W beside it, as it keeps ``_nz``, and a unit factor is neither
+bounded nor packed.  Sums,
 differences, products and scalar multiples are lincombs of one or two
 terms; ``Poly2.subst`` is Horner's rule on them and shares no
 helper with the per-axis shift in ``operators``, which the tests check
@@ -70,7 +74,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, sub
 from typing import Iterable, Sequence
 
 from .arith import Rat
@@ -478,66 +482,103 @@ class Poly1(_Poly):
     @classmethod
     def vanishes(cls, terms: Iterable[tuple], minus: Iterable[tuple] = ()) -> bool:
         """True iff ``lincomb(terms, minus)`` is the zero polynomial, proved
-        by one exact evaluation at x = 2^W (Kronecker substitution).
+        by two exact evaluations at y = 2^W, y = x(1 - x) (Kronecker
+        substitution on each factor's two halves).
 
         The terms, their checks and ``TypeError``s are ``lincomb``'s, and so is
         the merge: the sum is sum s * f * g over D, with integer s and stored
-        numerator tuples f and g.  Every coefficient of the integer polynomial
-        P = sum s * f * g is at most M = sum |s| * |f|_1 * |g|_max in absolute
-        value, and W, the bit length of M rounded up to a multiple of
-        ``_QUANTUM``, makes 2^W > M.  A nonzero P cannot vanish at 2^W: its
-        lowest nonzero coefficient would be a multiple of 2^W.  So P(2^W),
-        one sum of products of the factors' packed values, is zero exactly
-        when P is; nothing is expanded, and no grid is built.  The sum is
-        added up in one loop that reads each factor's kept value from
-        ``_kr`` and calls ``_packed`` only for a width it does not keep.
-        A unit factor, which ``_merged`` puts second, is 1 in both the bound
-        and the value, so it is neither bounded nor packed.
+        numerator tuples f and g.  As x^2 = x - y, every integer polynomial is
+        uniquely a(y) + x b(y), so twice it is A(y) + z B(y) with z = 1 - 2x,
+        A = 2a + b and B = -b (``_norms``), and z^2 = 1 - 4y.  Four times the
+        integer sum is then P(y) + z Q(y), with
+        P = sum s (A_f A_g + (1 - 4y) B_f B_g) and Q = sum s (A_f B_g + B_f A_g),
+        a unit factor being 2 + z 0; as 1 and z are independent over Q[y], the
+        sum is zero exactly when P and Q are.  Every coefficient of P and Q is
+        at most M in absolute value, M summing 5 |s| |f|_1 |g|_max over the
+        products (the 5 covers 1 - 4y) and 2 |s| |f|_1 over the terms with a
+        unit factor, the norms taken over both halves; W, the bit length of M
+        rounded up to a multiple of ``_QUANTUM``, makes 2^W > M.  A nonzero
+        polynomial with such coefficients cannot vanish at 2^W: its lowest
+        nonzero coefficient would be a multiple of 2^W.  So P(2^W) and Q(2^W),
+        sums of products of the halves' packed values, are both zero exactly
+        when the sum is; nothing is expanded, no grid is built, and 1 - 4y is
+        applied once, to the summed s B_f B_g.  The code assumes no parity,
+        but B_k(x) and E_k(x) have one empty half each, B at even k and A at
+        odd k, as B_k(1 - x) = (-1)^k B_k(x) (the tests check it for k <= 60),
+        so their products run on integers of half the slots of x = 2^W.  The
+        sums are added up in one loop that reads each factor's kept values
+        from ``_kr`` and calls ``_packed`` only for a width it does not keep.
+        A unit factor, which ``_merged`` puts second, is neither bounded by its
+        norms nor packed.
         """
         items, _ = _merged(cls, terms, minus)
         unit, bound = cls._unit, 0
         for s, f, g in items:
             m = abs(s) * f._norms()[0]
-            bound += m if g is unit else m * g._norms()[1]
+            bound += 2 * m if g is unit else 5 * m * g._norms()[1]
         w = -(-bound.bit_length() // _QUANTUM) * _QUANTUM
-        total = 0
+        p1 = p2 = q = 0  # P = p1 + (1 - 4y) p2 and Q = q at y = 2^w
         for s, f, g in items:
-            for kw, v in f._kr[2]:
+            for kw, fa, fb in f._kr[2]:
                 if kw == w:
                     break
             else:
-                v = f._packed(w)
-            if g is not unit:
-                for kw, gv in g._kr[2]:
-                    if kw == w:
-                        break
-                else:
-                    gv = g._packed(w)
-                v *= gv
-            total += s * v
-        return not total
+                fa, fb = f._packed(w)
+            if g is unit:
+                p1 += s * fa << 1
+                q += s * fb << 1
+                continue
+            for kw, ga, gb in g._kr[2]:
+                if kw == w:
+                    break
+            else:
+                ga, gb = g._packed(w)
+            if fa:
+                fa *= s
+                p1 += fa * ga
+                q += fa * gb
+            if fb:
+                fb *= s
+                p2 += fb * gb
+                q += fb * ga
+        return not q and not p1 + p2 - (p2 << w + 2)
 
     def _norms(self) -> tuple:
-        """(sum of |c|, max of |c|, packed values) over the stored numerators c,
-        computed on first use and kept in ``_kr`` with up to ``_KEEP`` values
-        (w, f(2^w)), newest first; threads that race compute equal values, and
-        ``_kr``, like ``_nz``, is not part of the value."""
+        """(|A|_1 + |B|_1, max |c| over A and B, packed values, (A, B)) for the
+        halves 2f = A(y) + (1 - 2x) B(y), y = x(1 - x), of the stored numerators,
+        computed on first use and kept in ``_kr`` with up to ``_KEEP`` packed
+        values (w, A(2^w), B(2^w)), newest first; threads that race compute
+        equal values, and ``_kr``, like ``_nz``, is not part of the value.
+
+        f = a(y) - x n(y) is built by Horner's rule from the top, two
+        coefficients at a time: with x^2 = x - y, (a - x n) x^2 + c1 x + c0 is
+        c0 + y t - x (t - c1 - y n) for t = n - a, and A = 2a - n, B = n.
+        """
         kr = getattr(self, "_kr", None)
         if kr is None:
-            a = [*map(abs, self._num)]
-            kr = (sum(a), max(a, default=0), ())
+            num = self._num
+            odd = len(num) % 2
+            a, n = ([num[-1]], [0]) if odd else ([], [])
+            for c0, c1 in zip(num[-2 - odd::-2], num[-1 - odd::-2]):
+                t = [*map(sub, n, a)]
+                a = [c0, *t]
+                t.append(0)
+                n = [*map(sub, t, [c1, *n])]
+            a = [*map(sub, map(add, a, a), n)]
+            mags = [*map(abs, a), *map(abs, n)]
+            kr = (sum(mags), max(mags, default=0), (), (a, n))
             object.__setattr__(self, "_kr", kr)
         return kr
 
-    def _packed(self, w: int) -> int:
-        """The stored numerators at x = 2^w, once ``_norms`` has set ``_kr``."""
-        l1, top, packs = self._kr
-        for kw, v in packs:
+    def _packed(self, w: int) -> tuple[int, int]:
+        """The halves (A(2^w), B(2^w)) of ``_norms``, once it has set ``_kr``."""
+        l1, top, packs, halves = self._kr
+        for kw, va, vb in packs:
             if kw == w:
-                return v
-        v = sum([c << i * w for i, c in enumerate(self._num) if c])
-        object.__setattr__(self, "_kr", (l1, top, ((w, v), *packs[:_KEEP - 1])))
-        return v
+                return va, vb
+        va, vb = (sum([c << i * w for i, c in enumerate(h) if c]) for h in halves)
+        object.__setattr__(self, "_kr", (l1, top, ((w, va, vb), *packs[:_KEEP - 1]), halves))
+        return va, vb
 
     @classmethod
     def variable(cls) -> Poly1:

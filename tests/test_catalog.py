@@ -633,22 +633,24 @@ def test_univariate_zero_test_agrees_with_the_expansion(monkeypatch):
 
 
 # the sizes of the "CLI end to end" runs in .github/workflows/tests.yml that
-# prove 1.6, 1.7, 1.11, 1.12, 1.13 and 3.1 at n = 40..60 and the bivariate ids
-# at n = 26..40, past every other check that can fail; the two move together,
+# prove 1.6, 1.7, 1.11, 1.12, 1.13 and 3.1 at n = 40..60 and at n = 100 (the
+# widest halves Poly1.vanishes packs there) and the bivariate ids at
+# n = 26..40, past every other check that can fail; the two move together,
 # and test_ci_runs_parse_and_prove_at_the_sizes_checked_here fails if they part
-CI_UNIVARIATE_N, CI_BIVARIATE_N = range(40, 61), range(26, 41)
+CI_UNIVARIATE_N, CI_BIVARIATE_N = (range(40, 61), range(100, 101)), range(26, 41)
 
 
 def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
     # with the sequences perturbed, every instance below is nonzero, so a
     # kernel that says "zero" from some size on fails here and not only in CI:
-    # Poly1.vanishes on sums of up to about 120 merged products, against the
-    # expansion, and Poly2.sheared on the grids under 1.5's (x - y)^3 and
-    # 1.10's (x - y)^2, against the embedding route
+    # Poly1.vanishes on sums of up to about 200 merged products whose factors
+    # have both halves in y = x(1 - x), against the expansion, and
+    # Poly2.sheared on the grids under 1.5's (x - y)^3 and 1.10's (x - y)^2,
+    # against the embedding route
     perturb(monkeypatch)
     for key, params in (("1.6", ()), ("1.7", ()), ("1.11", ()), ("1.12", ()), ("1.13", ()),
                         ("3.1", (0, 0)), ("3.1", (1, 1))):
-        for n in CI_UNIVARIATE_N:
+        for n in (n for sizes in CI_UNIVARIATE_N for n in sizes):
             lhs, rhs = catalog.CATALOG[key].build(n, *params)
             assert not Poly1.vanishes(lhs, rhs), (key, n, params)
             assert not Poly1.lincomb(lhs, rhs).is_zero, (key, n, params)
@@ -663,7 +665,8 @@ def test_kernels_can_say_nonzero_at_the_sizes_ci_proves(monkeypatch):
 def test_ci_runs_parse_and_prove_at_the_sizes_checked_here():
     # every line of the workflow that runs bepoly, cut at its first redirection
     # or pipe, parses with the CLI's own parser, and the runs that prove the
-    # univariate and the bivariate ids use CI_UNIVARIATE_N and CI_BIVARIATE_N
+    # univariate and the bivariate ids use CI_UNIVARIATE_N and CI_BIVARIATE_N,
+    # the univariate ids one run per range
     workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
     runs = []
     for line in workflow.read_text().splitlines():
@@ -675,14 +678,17 @@ def test_ci_runs_parse_and_prove_at_the_sizes_checked_here():
             runs.append(cli._build_parser().parse_args(words[words.index("bepoly") + 1:cut]))
         except SystemExit:
             pytest.fail(f"the parser exits on {line.strip()!r}")
-    assert len(runs) == 13
-    proved = {frozenset(args.ids): args.n for args in runs if args.command == "verify"}
+    assert len(runs) == 14
+    proved: dict[frozenset, list[range]] = {}
+    for args in runs:
+        if args.command == "verify":
+            proved.setdefault(frozenset(args.ids), []).append(args.n)
     univariate = {key for key, spec in catalog.CATALOG.items() if spec.arity == "univariate"}
     bivariate = {key for key, spec in catalog.CATALOG.items()
                  if spec.arity == "bivariate" and not spec.negative}
     assert len(univariate) == 6 and len(bivariate) == 11
-    assert proved[frozenset(univariate)] == CI_UNIVARIATE_N
-    assert proved[frozenset(bivariate)] == CI_BIVARIATE_N
+    assert proved[frozenset(univariate)] == list(CI_UNIVARIATE_N)
+    assert proved[frozenset(bivariate)] == [CI_BIVARIATE_N]
 
 
 def test_embedding_memos_still_answer_cache_info():

@@ -10,8 +10,11 @@ ring operators, also where factors repeat, swap or cancel so that its
 merge of repeated products acts, and with its weights written as
 unreduced integer pairs.  Its zero test ``Poly1.vanishes`` must agree
 with it on every term list, also where terms cancel past the merge, and
-be False on nonzero sums with a root at a power of two, which an
-evaluation point short of the coefficient bound would take for zero.
+be False on nonzero sums with a root at a power of two, in x or in
+y = x - x^2, which an evaluation point short of the coefficient bound
+would take for zero.  The halves it packs, 2f = A(y) + (1 - 2x) B(y),
+must rebuild each polynomial through the ring operations, and B_k(x) and
+E_k(x) must each keep one empty half.
 ``Poly1.compose_affine`` must equal sum c_i (a x + b)^i as the oracle
 expands it.  The sheared kernel
 ``Poly2.sheared`` must equal ``lincomb`` over ``compose_xy`` embeddings
@@ -594,6 +597,33 @@ def test_vanishes_is_false_at_a_root_that_is_a_power_of_two():
             assert not Poly1.vanishes([(1, root, g)])
 
 
+def test_vanishes_is_false_at_a_root_in_y_that_is_a_power_of_two():
+    # vanishes evaluates the sum's two halves in y = x - x^2 at y = 2^W, so the
+    # same holds for sums with the factor y - 2^k, each built from factors
+    # with both halves: x (y - 2^k) alone and beside a constant 1 that is not
+    # the unit, in either position; (y - 2^k) times x or x + 2^b; x y (2^k - y),
+    # written as 2^(k-2) ((x + y)^2 - (x - y)^2) - x y^2 with x - y = x^2, whose
+    # factors have no coefficient above 2; and 2^(k+2) - 4y, written as
+    # (1 - 2x)^2 + 2^(k+2) - 1, whose square is 1 - 4y only through the z^2 of
+    # the halves; each sum's own halves vanish at 2^k, which the test checks
+    x, y, z, one = Poly1((0, 1)), Poly1((0, 1, -1)), Poly1((1, -2)), Poly1((1,))
+    f, g, y2 = x + y, x * x, y * y
+    assert one is not Poly1._unit and g == x - y
+    assert all(any(h) for p in (x, f, g) for h in p._norms()[3])
+    others = [x, *(Poly1((1 << b, 1)) for b in range(1, 301, 13))]
+    for k in range(1, 301):
+        root = Poly1((-(1 << k), 1, -1))
+        xroot = x * root
+        sums = [[(1, xroot)], [(1, one, xroot)], [(1, xroot, one)],
+                [((1 << k + 2) - 1, one), (1, z, z)], *([(1, root, h)] for h in others)]
+        if k >= 2:
+            sums.append([(1 << k - 2, f, f), (-(1 << k - 2), g, g), (-1, x, y2)])
+        for terms in sums:
+            assert not Poly1.vanishes(terms), (k, terms)
+            assert all(sum(c << j * k for j, c in enumerate(h)) == 0
+                       for h in Poly1.lincomb(terms)._norms()[3])
+
+
 def fresh(p: Poly1) -> Poly1:
     """p as a new object, which lincomb's merge by identity does not take for p."""
     return Poly1(p.coeffs)
@@ -684,6 +714,46 @@ def test_vanishes_packs_each_factor_once_per_width(monkeypatch):
     calls.clear()
     assert Poly1.vanishes(terms) is verdict and calls == []
     assert not Poly1.vanishes([(1 << 64, f, g)]) and len(calls) == 2
+
+
+def in_y(h: list[int]) -> Poly1:
+    """sum h_j y^j at y = x - x^2, by Horner's rule on the ring operations."""
+    acc, y = Poly1(), Poly1((0, 1, -1))
+    for c in reversed(h):
+        acc = acc * y + c
+    return acc
+
+
+def test_halves_in_y_rebuild_twice_the_numerators():
+    # the halves vanishes packs, 2f = A(y) + (1 - 2x) B(y) for the stored
+    # numerators f, rebuilt through lincomb for seeded random integer
+    # polynomials of degree 0..60 and for B_k(x) and E_k(x), k <= 60; the
+    # kept norms are the sum and the largest of |c| over both halves
+    rng = random.Random(151)
+    z = Poly1((1, -2))
+    polys = [Poly1([rng.randint(-(1 << 70), 1 << 70) for _ in range(d + 1)]) for d in range(61)]
+    polys += [seq(k) for k in range(61) for seq in (bernoulli_poly, euler_poly)]
+    for p in polys:
+        l1, top, _, (a, b) = p._norms()
+        assert 2 * Poly1(p._num) == in_y(a) + z * in_y(b), p
+        mags = [abs(c) for c in (*a, *b)]
+        assert (l1, top) == (sum(mags), max(mags))
+
+
+def test_bernoulli_and_euler_polynomials_keep_one_half():
+    # B_k(1 - x) = (-1)^k B_k(x) and E_k(1 - x) = (-1)^k E_k(x), so the B half
+    # is empty at even k and the A half at odd k; the kept half has at most
+    # k // 2 + 1 entries and at most one bit more than the stored numerators.
+    # vanishes never reads parity: these are the facts its speed rests on
+    for k in range(61):
+        for p in (bernoulli_poly(k), euler_poly(k)):
+            a, b = p._norms()[3]
+            empty, kept = (b, a) if k % 2 == 0 else (a, b)
+            assert not any(empty), (k, p)
+            kept = kept[:max(i + 1 for i, c in enumerate(kept) if c)]
+            assert len(kept) <= k // 2 + 1, (k, p)
+            bits = max(abs(c).bit_length() for c in p._num)
+            assert max(abs(c).bit_length() for c in kept) <= bits + 1, (k, p)
 
 
 # -- affine composition ------------------------------------------------------------------
